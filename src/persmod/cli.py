@@ -20,6 +20,7 @@ byte-identical output.  Exit codes: 0 success, 1 parse error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .constructions import (
@@ -92,11 +93,17 @@ def _parse_value(token: str, lineno: int):
     except ValueError:
         pass
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise CliError(
             PARSE_ERROR, f"line {lineno}: bad filtration value {token!r}"
         ) from None
+    if not math.isfinite(value):
+        raise CliError(
+            PARSE_ERROR,
+            f"line {lineno}: non-finite filtration value {token!r}",
+        )
+    return value
 
 
 def _load_complex(text):
@@ -185,7 +192,7 @@ def _parse_term(token: str, lineno: int, field):
     if coeff_text:
         try:
             coeff = field.parse(coeff_text)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CliError(
                 PARSE_ERROR,
                 f"line {lineno}: bad coefficient in {token!r}",
@@ -634,3 +641,7 @@ def main(argv=None) -> int:
         dump=getattr(args, "dump", False),
     )
     return run(config)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,9 +2,11 @@
 
 The pipeline: a filtered complex yields a graded boundary matrix whose
 entries carry the t-power between the births of a simplex and its
-face; column reduction splits the chain module into cycles and
-boundaries; expressing each boundary in the cycle basis gives a
-presentation whose diagonal form is the barcode.
+face; one column reduction pairs simplices, and the pairing is the
+barcode.  Column reduction with change tracking also splits the chain
+module into cycles and boundaries; expressing each boundary in the
+cycle basis gives a presentation whose diagonal form is the same
+barcode, which is kept as the reference route.
 
 Complexes that also remove simplices become torsion chain complexes:
 every simplex contributes a relation at its removal time, and homology
@@ -276,9 +278,17 @@ def boundaries_in_cycles(state: ReductionState) -> Presentation:
 def persistent_homology(filtration: FilteredComplex, field=QQ) -> Barcode:
     """Dimension-labeled barcode of a filtered complex without removals.
 
-    Reduces the full boundary once, then assembles one presentation per
-    homological dimension: the cycles of that dimension modulo the
-    boundaries coming from one dimension up.
+    Reads the bars off the pivot pairing of one column reduction of the
+    boundary, without change tracking (Zomorodian and Carlsson,
+    *Computing persistent homology*, 2005).  A pivot row i of column j
+    pairs simplex i with simplex j and gives the bar [birth i, birth j)
+    in the dimension of i; a column that reduced to zero and is no pivot
+    row gives [birth i, inf).  Rows and columns are in filtration order,
+    so the kernel's (degree, index) pivot rule is the standard one.
+
+    ``reduce_boundary`` and ``boundaries_in_cycles`` build the homology
+    presentation (cycles modulo boundaries) whose graded Smith normal
+    form gives the same barcode; they are kept as the reference route.
     """
     if filtration.has_removals:
         raise ValueError(
@@ -286,19 +296,15 @@ def persistent_homology(filtration: FilteredComplex, field=QQ) -> Barcode:
             "torsion_homology"
         )
     m = graded_boundary(filtration, field)
-    state = reduce_boundary(m)
-    ordered = filtration.sorted_simplices()
-    col_dim = [len(s.vertices) - 1 for s in ordered]
-    bars = []
-    for p in range(filtration.max_dimension + 1):
-        cycles = [
-            z for z, j in zip(state.Z, state.z_columns) if col_dim[j] == p
-        ]
-        boundaries = [
-            b for b, j in zip(state.B, state.b_columns) if col_dim[j] == p + 1
-        ]
-        pres = _cycle_presentation(field, cycles, boundaries)
-        bars.extend(barcode(pres, dim=p))
+    ech = column_echelon(m, change=False)
+    births = m.source.degrees
+    dims = [len(s.vertices) - 1 for s in filtration.sorted_simplices()]
+    bars = [Bar(dims[i], births[i], births[j]) for i, j in ech.lows.items()]
+    bars.extend(
+        Bar(dims[i], births[i], INF)
+        for i in ech.zero_cols
+        if i not in ech.lows
+    )
     return Barcode(bars)
 
 

@@ -466,10 +466,11 @@ class ColumnEchelon:
     reduced : GradedMatrix
         Column echelon form; every nonzero column has a distinct pivot
         row (its bottom-most entry in degree order).
-    change : GradedMatrix
+    change : GradedMatrix or None
         Graded-invertible source basis change with
         ``reduced = matrix @ change`` (unit diagonal, entries only from
-        earlier columns in processing order).
+        earlier columns in processing order); None when the reduction
+        ran with ``change=False``.
     lows : dict
         pivot row index -> column index.
     zero_cols : tuple
@@ -489,17 +490,27 @@ class ColumnEchelon:
         self.order = order
 
 
-def column_echelon(m: GradedMatrix) -> ColumnEchelon:
+def column_echelon(m: GradedMatrix, change: bool = True) -> ColumnEchelon:
     """Reduce columns until every nonzero column has a unique pivot row.
 
     Columns are processed in ascending (degree, position) order and only
     ever reduced by earlier columns, so each subtraction multiplies the
     reducing column by a nonnegative power of t.
+
+    With ``change=False`` no change-of-basis columns are built or
+    combined and the result's ``change`` is None; ``lows``, ``reduced``,
+    ``zero_cols`` and ``order`` are the same either way.  Callers that
+    only read the pivot pairing, such as ``persistent_homology``, skip
+    the bookkeeping that ``free_kernel`` and ``express_in_columns`` need.
     """
     f = m.field
-    key = m.target.sort_key
+    # pos[i] is row i's rank in (degree, index) order: the pivot rule
+    pos = [0] * m.nrows
+    for n, i in enumerate(m.target.sorted_indices()):
+        pos[i] = n
+    key = pos.__getitem__
     cols = [dict(col) for col in m.cols]
-    change = [{j: f.one} for j in range(m.ncols)]
+    track = [{j: f.one} for j in range(m.ncols)] if change else None
     lows: dict[int, int] = {}
     zero_cols = []
     order = tuple(m.source.sorted_indices())
@@ -513,11 +524,14 @@ def column_echelon(m: GradedMatrix) -> ColumnEchelon:
                 break
             r = f.div(col[l], cols[p][l])
             _combine(f, col, cols[p], r)
-            _combine(f, change[c], change[p], r)
+            if change:
+                _combine(f, track[c], track[p], r)
         if not col:
             zero_cols.append(c)
     reduced = GradedMatrix(f, m.source, m.target, cols)
-    change_m = GradedMatrix(f, m.source, m.source, change)
+    change_m = None
+    if change:
+        change_m = GradedMatrix(f, m.source, m.source, track)
     return ColumnEchelon(m, reduced, change_m, lows, tuple(zero_cols), order)
 
 

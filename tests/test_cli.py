@@ -6,9 +6,14 @@ on the worked examples used across the suite.  Round-trip properties
 feed random structures through format and parse.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import persmod
 
 from helpers import (
     BOTH_FIELDS,
@@ -139,6 +144,26 @@ class TestParseComplex:
         assert err.value.code == 1
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_value_rejected(self, token):
+        with pytest.raises(CliError) as err:
+            parse_complex(f"0 ; 0\n1 ; 1\n0 1 ; {token}\n")
+        assert err.value.code == 1
+        assert "line 3" in str(err.value)
+        assert repr(token) in str(err.value)
+
+    def test_non_finite_removal_rejected(self):
+        with pytest.raises(CliError) as err:
+            parse_complex("0 ; 0.5 ; inf\n")
+        assert err.value.code == 1
+        assert "line 1" in str(err.value)
+
+    def test_non_finite_value_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "c.flt", "0 ; nan\n1 ; 1\n0 1 ; inf\n")
+        code, out, err = invoke(["barcode", path], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: non-finite filtration value 'nan'\n"
+
     def test_missing_separator(self):
         with pytest.raises(CliError) as err:
             parse_complex("0 1\n")
@@ -214,6 +239,16 @@ class TestParsePresentation:
             parse_presentation("gen x 1\nrel x\n")
         assert err.value.code == 1
         assert "line 2" in str(err.value)
+
+    def test_zero_denominator_reports_line(self, tmp_path, capsys):
+        with pytest.raises(CliError) as err:
+            parse_presentation("gen x 1\nrel 1/0t^1*x\n")
+        assert err.value.code == 1
+        assert "line 2" in str(err.value)
+        path = write(tmp_path, "m.pmod", "gen x 1\nrel 1/0t^1*x\n")
+        code, out, err = invoke(["presentation-barcode", path], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: bad coefficient in '1/0t^1*x'\n"
 
     def test_round_trip(self):
         for field in BOTH_FIELDS:
@@ -326,6 +361,21 @@ class TestBarcodeCommand:
             "# value 0.5 -> 0\n# value 1.25 -> 1\n# value 2.5 -> 2\n"
             "0 0 inf\n0 1 2\n"
         )
+
+    def test_python_dash_m_matches_main(self, tmp_path, capsys):
+        path = write(tmp_path, "c.flt", FIG_COMPLEX)
+        src = os.path.dirname(os.path.dirname(persmod.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "persmod", "barcode", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        code, out, _ = invoke(["barcode", path], capsys)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert code == 0 and out
 
     def test_byte_determinism(self, tmp_path, capsys):
         path = write(tmp_path, "c.flt", FIG_COMPLEX)

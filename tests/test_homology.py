@@ -18,11 +18,13 @@ from helpers import (
 )
 from persmod import (
     INF,
+    Barcode,
     FilteredComplex,
     GradedBasis,
     GradedMatrix,
     HomogeneousElement,
     Presentation,
+    PrimeField,
     QQ,
     ReductionState,
     TorsionChainComplex,
@@ -36,6 +38,7 @@ from persmod import (
     relative_complex,
     torsion_homology,
 )
+from persmod.homology import _cycle_presentation
 
 
 def labeled_terms(matrix, label):
@@ -49,6 +52,33 @@ def labeled_terms(matrix, label):
 
 def bar_triples(bars):
     return [(b.dim, b.birth, b.death) for b in bars]
+
+
+def presentation_route_barcode(c, field):
+    """The reference route: per dimension, cycles modulo boundaries, then SNF."""
+    state = reduce_boundary(graded_boundary(c, field))
+    col_dim = [len(s.vertices) - 1 for s in c.sorted_simplices()]
+    bars = []
+    for p in range(c.max_dimension + 1):
+        cycles = [
+            z for z, j in zip(state.Z, state.z_columns) if col_dim[j] == p
+        ]
+        bounds = [
+            b for b, j in zip(state.B, state.b_columns) if col_dim[j] == p + 1
+        ]
+        bars.extend(barcode(_cycle_presentation(field, cycles, bounds), dim=p))
+    return Barcode(bars)
+
+
+def coarsened(c, step):
+    """The same complex with births floor-divided by ``step``.
+
+    Flooring keeps births monotone along faces, and the many simplices
+    that now share a birth produce ephemeral bars.
+    """
+    return FilteredComplex(
+        (s.vertices, s.birth // step) for s in c.simplices
+    )
 
 
 @pytest.fixture
@@ -407,6 +437,30 @@ class TestPersistentHomology:
                     assert (
                         sum(1 for b in bars if b.dim == p) == cycles
                     ), f"one bar per dimension-{p} cycle"
+
+    def test_pairing_matches_presentation_route(self):
+        ephemeral = 0
+        for field in (*BOTH_FIELDS, PrimeField(2)):
+            rng = random.Random(41)
+            for n in range(60):
+                c = random_filtered_complex(rng, max_vertices=4 + n % 4)
+                for case in (c, coarsened(c, 3), coarsened(c, 100)):
+                    bars = persistent_homology(case, field)
+                    assert bars == presentation_route_barcode(case, field)
+                    ephemeral += sum(1 for b in bars if b.ephemeral)
+        assert ephemeral > 0
+
+    def test_instant_complex_pairing(self):
+        c = FilteredComplex(
+            [((0,), 0), ((1,), 0), ((2,), 0),
+             ((0, 1), 0), ((0, 2), 0), ((1, 2), 0), ((0, 1, 2), 0)]
+        )
+        for field in BOTH_FIELDS:
+            bars = persistent_homology(c, field)
+            assert bars == presentation_route_barcode(c, field)
+            assert bar_triples(bars) == [
+                (0, 0, 0), (0, 0, 0), (0, 0, INF), (1, 0, 0),
+            ]
 
 
 class TestRelativeComplex:

@@ -286,6 +286,19 @@ class TestColumnEchelon:
                     )
                     assert pivots == slice_rank(m, d), f"slice degree {d}"
 
+    def test_untracked_matches_tracked(self):
+        rng = random.Random(29)
+        for field in (*BOTH_FIELDS, PrimeField(2)):
+            for _ in range(40):
+                m = random_graded_matrix(field, rng)
+                tracked = column_echelon(m)
+                bare = column_echelon(m, change=False)
+                assert bare.change is None
+                assert bare.lows == tracked.lows
+                assert bare.reduced == tracked.reduced
+                assert bare.zero_cols == tracked.zero_cols
+                assert bare.order == tracked.order
+
     def test_change_is_unit_triangular(self):
         rng = random.Random(25)
         for _ in range(20):
