@@ -13,14 +13,15 @@ generators without a map line go to zero.
 Barcodes print one bar per line as ``<dim> <birth> <death|inf>``
 sorted by dimension, birth, death, with ``-`` for the dimension of
 bars that do not carry one.  Identical inputs and flags produce
-byte-identical output.  Exit codes: 0 success, 1 parse error,
-2 validation error.
+byte-identical output.  Exit codes: 0 success, 1 parse error (or a
+reader that closed stdout early), 2 validation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .constructions import (
@@ -640,7 +641,16 @@ def main(argv=None) -> int:
         emit_events=getattr(args, "emit_events", False),
         dump=getattr(args, "dump", False),
     )
-    return run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early.  Point stdout at devnull so
+        # that the interpreter's own flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return PARSE_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ def image(f: PresentationMorphism) -> Presentation:
     combined = GradedMatrix(
         field, concat_bases(a, b), f.dst.gens, list(phi.cols) + list(iq.cols)
     )
-    ech = column_echelon(combined)
+    ech = column_echelon(combined, change=False)
     dead = set(ech.zero_cols)
     survivors = [c for c in ech.order if c not in dead]
     pos = {c: n for n, c in enumerate(survivors)}
@@ -164,28 +164,6 @@ def kernel(f: PresentationMorphism):
     )
     pres = Presentation(field, rel_matrix)
     return pres, PresentationMorphism(pres, p, incl_matrix)
-
-
-def free_pullback(f: GradedMatrix, g: GradedMatrix):
-    """Pullback of two maps of free modules over a common target.
-
-    Returns the pullback basis (a free basis of ker[f | -g]) and the two
-    component projections.
-    """
-    if f.target != g.target:
-        raise ValueError("free pullback needs a common target basis")
-    field = f.field
-    taken: set = set()
-    a = _relabeled(f.source, taken)
-    b = _relabeled(g.source, taken)
-    cols = list(f.cols) + [
-        {i: field.neg(v) for i, v in c.items()} for c in g.cols
-    ]
-    stacked = GradedMatrix(field, concat_bases(a, b), f.target, cols)
-    k = free_kernel(stacked)
-    proj_a = k.restrict_rows(range(f.ncols), f.source)
-    proj_b = k.restrict_rows(range(f.ncols, f.ncols + g.ncols), g.source)
-    return k.source, proj_a, proj_b
 
 
 def pullback(f: PresentationMorphism, g: PresentationMorphism):
@@ -361,24 +339,6 @@ def dual(p: Presentation) -> Presentation:
 def hom(p: Presentation, q: Presentation) -> Presentation:
     """Internal hom, realized as dual(p) tensor q."""
     return tensor(dual(p), q)
-
-
-def hom_element(f: PresentationMorphism) -> HomogeneousElement:
-    """A morphism as a degree-0 element of hom(f.src, f.dst).
-
-    The coordinate on the generator (x_i*, u_j) is the (j, i) entry of
-    f's generator matrix rewritten in the diagonalized bases; its
-    implied t-exponent is exactly the entry's.
-    """
-    sp, sq = snf_form(f.src), snf_form(f.dst)
-    phi_new = sq.to_new @ f.phi @ sp.from_new
-    h = hom(f.src, f.dst)
-    nq = len(sq.gens)
-    coords = {}
-    for i in range(len(sp.gens)):
-        for j, v in phi_new.cols[i].items():
-            coords[i * nq + j] = v
-    return HomogeneousElement(f.src.field, h.gens, 0, coords)
 
 
 def exterior_power(p: Presentation, m: int) -> Presentation:

@@ -12,12 +12,14 @@ floating point anywhere.
     >>> Q = field_from_string("Q")
     >>> Q.add(Q.parse("1/2"), Q.parse("1/3"))
     Fraction(5, 6)
-    >>> monomial_gcd(Q, Monomial(Q.scalar(3), 2), Monomial(Q.scalar(2), 5))
-    Monomial(1, 2)
+    >>> Monomial(Q.scalar(3), 2)
+    Monomial(3, 2)
+    >>> Monomial(Q.zero, 5)
+    Monomial(0, 0)
 
-Because all elements are homogeneous, the gcd of two monomials is just
-t to the smaller exponent (the ideal (t^a, t^b) equals (t^min(a,b))).
-A general extended Euclidean algorithm is never needed.
+Because all elements are homogeneous, a nonzero monomial divides
+another exactly when its exponent is not larger, so a general extended
+Euclidean algorithm is never needed.
 """
 
 from __future__ import annotations
@@ -201,32 +203,3 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({self.coeff}, {self.exponent})"
-
-
-def monomial_mul(field, a: Monomial, b: Monomial) -> Monomial:
-    """Product of two monomials; exponents add."""
-    return Monomial(field.mul(a.coeff, b.coeff), a.exponent + b.exponent)
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """True if a divides b in k[t].  Zero divides only zero."""
-    if a.is_zero:
-        return b.is_zero
-    if b.is_zero:
-        return True
-    return a.exponent <= b.exponent
-
-
-def monomial_gcd(field, a: Monomial, b: Monomial) -> Monomial:
-    """Monic gcd of two monomials: t^min of the exponents.
-
-    With one zero argument, returns the other made monic.  Both zero is
-    a domain error (the zero ideal has no generator of interest here).
-    """
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd of two zero monomials is undefined")
-    if a.is_zero:
-        return Monomial(field.one, b.exponent)
-    if b.is_zero:
-        return Monomial(field.one, a.exponent)
-    return Monomial(field.one, min(a.exponent, b.exponent))

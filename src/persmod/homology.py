@@ -194,20 +194,20 @@ class ReductionState:
     B : tuple of HomogeneousElement
         The nonzero boundary columns of the original matrix in order
         of appearance; each lies in the span of Z.
-    C : GradedMatrix
-        The full change-of-columns bookkeeping matrix.
+    field : Rationals or PrimeField
+        The coefficient field of the reduced matrix.
     pivots : dict
         Pivot row index -> column index of the reduced matrix.
     z_columns, b_columns : tuple of int
         The original column index behind each entry of Z and B.
     """
 
-    __slots__ = ("Z", "B", "C", "pivots", "z_columns", "b_columns")
+    __slots__ = ("Z", "B", "field", "pivots", "z_columns", "b_columns")
 
-    def __init__(self, Z, B, C, pivots, z_columns, b_columns):
+    def __init__(self, Z, B, field, pivots, z_columns, b_columns):
         self.Z = Z
         self.B = B
-        self.C = C
+        self.field = field
         self.pivots = pivots
         self.z_columns = z_columns
         self.b_columns = b_columns
@@ -229,7 +229,7 @@ def reduce_boundary(m: GradedMatrix) -> ReductionState:
     return ReductionState(
         Z=tuple(ech.change.column(j) for j in z_columns),
         B=tuple(m.column(j) for j in b_columns),
-        C=ech.change,
+        field=m.field,
         pivots=dict(ech.lows),
         z_columns=z_columns,
         b_columns=b_columns,
@@ -272,7 +272,7 @@ def boundaries_in_cycles(state: ReductionState) -> Presentation:
     Generators are labeled z1, z2, ... at the cycle degrees; relations
     r1, r2, ... express each boundary over the cycle basis.
     """
-    return _cycle_presentation(state.C.field, state.Z, state.B)
+    return _cycle_presentation(state.field, state.Z, state.B)
 
 
 def persistent_homology(filtration: FilteredComplex, field=QQ) -> Barcode:

@@ -84,10 +84,6 @@ class GradedBasis:
         """Indices in ascending (degree, position) order."""
         return sorted(range(len(self.labels)), key=self.sort_key)
 
-    def negated(self) -> "GradedBasis":
-        """The same labels with all degrees negated (dual-side basis)."""
-        return GradedBasis(zip(self.labels, (-d for d in self.degrees)))
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedBasis)
@@ -349,21 +345,6 @@ class GradedMatrix:
             [{i: f.neg(c) for i, c in col.items()} for col in self.cols],
         )
 
-    def transpose_dual(self) -> "GradedMatrix":
-        """Transpose with both bases' degrees negated.
-
-        Entry exponents are preserved, so the result is again a graded
-        matrix; applying it twice returns the original.  This is how
-        row-oriented reductions are realized on the column engine.
-        """
-        rows = [dict() for _ in range(len(self.target))]
-        for j, col in enumerate(self.cols):
-            for i, c in col.items():
-                rows[i][j] = c
-        return GradedMatrix(
-            self.field, self.target.negated(), self.source.negated(), rows
-        )
-
     def restrict_rows(self, row_indices, new_target: GradedBasis) -> "GradedMatrix":
         """Keep only the given rows, reindexed against ``new_target``."""
         row_indices = list(row_indices)
@@ -402,53 +383,6 @@ def concat_bases(*bases) -> GradedBasis:
     for b in bases:
         pairs.extend(b)
     return GradedBasis(pairs)
-
-
-def hstack(matrices) -> GradedMatrix:
-    """Place matrices with a common target side by side."""
-    matrices = list(matrices)
-    target = matrices[0].target
-    field = matrices[0].field
-    for m in matrices:
-        if m.target != target:
-            raise ValueError("hstack needs a common target basis")
-    source = concat_bases(*(m.source for m in matrices))
-    cols = [col for m in matrices for col in m.cols]
-    return GradedMatrix(field, source, target, cols)
-
-
-def vstack(matrices) -> GradedMatrix:
-    """Stack matrices with a common source on top of each other."""
-    matrices = list(matrices)
-    source = matrices[0].source
-    field = matrices[0].field
-    for m in matrices:
-        if m.source != source:
-            raise ValueError("vstack needs a common source basis")
-    target = concat_bases(*(m.target for m in matrices))
-    cols = [dict() for _ in range(len(source))]
-    offset = 0
-    for m in matrices:
-        for j, col in enumerate(m.cols):
-            for i, c in col.items():
-                cols[j][i + offset] = c
-        offset += m.nrows
-    return GradedMatrix(field, source, target, cols)
-
-
-def block_diag(matrices) -> GradedMatrix:
-    """Block-diagonal sum of maps."""
-    matrices = list(matrices)
-    field = matrices[0].field
-    source = concat_bases(*(m.source for m in matrices))
-    target = concat_bases(*(m.target for m in matrices))
-    cols = []
-    row_offset = 0
-    for m in matrices:
-        for col in m.cols:
-            cols.append({i + row_offset: c for i, c in col.items()})
-        row_offset += m.nrows
-    return GradedMatrix(field, source, target, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +434,9 @@ def column_echelon(m: GradedMatrix, change: bool = True) -> ColumnEchelon:
     With ``change=False`` no change-of-basis columns are built or
     combined and the result's ``change`` is None; ``lows``, ``reduced``,
     ``zero_cols`` and ``order`` are the same either way.  Callers that
-    only read the pivot pairing, such as ``persistent_homology``, skip
-    the bookkeeping that ``free_kernel`` and ``express_in_columns`` need.
+    only read the reduced columns or the pivot pairing, such as
+    ``barcode`` and ``persistent_homology``, skip the bookkeeping that
+    ``free_kernel`` and ``express_in_columns`` need.
     """
     f = m.field
     # pos[i] is row i's rank in (degree, index) order: the pivot rule
@@ -545,42 +480,19 @@ def _combine(field, col, other, r):
             col.pop(i, None)
 
 
-def normal_form(x: HomogeneousElement, ech) -> HomogeneousElement:
-    """Reduce an element against the column space of a reduced matrix.
-
-    Repeatedly clears the largest coordinate (in degree-sorted row
-    order) that sits on a pivot row whose column can legally be
-    subtracted, i.e. whose degree does not exceed the element's.  The
-    result is zero exactly when x lies in the column space, and the
-    operation is idempotent.
-    """
-    if isinstance(ech, GradedMatrix):
-        ech = column_echelon(ech)
-    f = x.field
-    if x.basis != ech.matrix.target:
-        raise ValueError("element is not over the matrix target basis")
-    key = x.basis.sort_key
-    src_deg = ech.matrix.source.degrees
-    coords = dict(x.coords)
-    while True:
-        candidates = [
-            i
-            for i in coords
-            if i in ech.lows and x.degree >= src_deg[ech.lows[i]]
-        ]
-        if not candidates:
-            break
-        l = max(candidates, key=key)
-        p = ech.lows[l]
-        pivot_col = ech.reduced.cols[p]
-        r = f.div(coords[l], pivot_col[l])
-        _combine(f, coords, pivot_col, r)
-    return HomogeneousElement(f, x.basis, x.degree, coords)
-
-
 def membership(x: HomogeneousElement, sub) -> bool:
-    """True if x lies in the column space of ``sub`` within its degree."""
-    return normal_form(x, sub).is_zero
+    """True if x lies in the column space of ``sub`` within its degree.
+
+    ``sub`` is a matrix or its column echelon.  A nonzero combination of
+    reduced columns has the largest of their pivots as its bottom
+    entry, so x is a member exactly when clearing its bottom coordinate
+    against the pivots never gets stuck.
+    """
+    if isinstance(sub, GradedMatrix):
+        sub = column_echelon(sub, change=False)
+    if x.basis != sub.matrix.target:
+        raise ValueError("element is not over the matrix target basis")
+    return _echelon_coefficients(x, sub) is not None
 
 
 def _echelon_coefficients(x: HomogeneousElement, ech: ColumnEchelon):
@@ -612,7 +524,7 @@ def express_in_echelon(x: HomogeneousElement, ech) -> HomogeneousElement | None:
     columns never appear.  Returns None when x is outside the span.
     """
     if isinstance(ech, GradedMatrix):
-        ech = column_echelon(ech)
+        ech = column_echelon(ech, change=False)
     taken = _echelon_coefficients(x, ech)
     if taken is None:
         return None
@@ -636,34 +548,6 @@ def express_in_columns(x: HomogeneousElement, ech) -> HomogeneousElement | None:
     for p, r in taken.items():
         _combine(f, combo, ech.change.cols[p], f.neg(r))
     return HomogeneousElement(f, ech.matrix.source, x.degree, combo)
-
-
-class RowEchelon:
-    """Row echelon form data: ``echelon = change @ matrix``.
-
-    Rows play the role of elements here; the computation is the column
-    reduction of the transpose with negated degrees, transposed back.
-    ``pivots`` maps row index -> pivot column index; ``zero_rows`` lists
-    rows that reduced away completely.
-    """
-
-    __slots__ = ("matrix", "echelon", "change", "pivots", "zero_rows")
-
-    def __init__(self, matrix, echelon, change, pivots, zero_rows):
-        self.matrix = matrix
-        self.echelon = echelon
-        self.change = change
-        self.pivots = pivots
-        self.zero_rows = zero_rows
-
-
-def row_echelon(m: GradedMatrix) -> RowEchelon:
-    ech = column_echelon(m.transpose_dual())
-    echelon = ech.reduced.transpose_dual()
-    change = ech.change.transpose_dual()
-    # in the dual, rows of m are columns and vice versa
-    pivots = {orig_row: orig_col for orig_col, orig_row in ech.lows.items()}
-    return RowEchelon(m, echelon, change, pivots, tuple(ech.zero_cols))
 
 
 def free_kernel(m: GradedMatrix) -> GradedMatrix:

@@ -1,11 +1,14 @@
 """Finitely presented graded k[t]-modules and their barcodes.
 
 A presentation is an inclusion matrix i: G -> F between free graded
-modules; the module it presents is the quotient F/iG.  Diagonalizing i
-with :func:`persmod.linalg.graded_snf` splits the quotient into cyclic
-summands: a pivot t^a on a generator of degree b contributes the
-interval module k[t]/(t^a) shifted to [b, b+a), and a generator with no
-pivot contributes a free summand, the infinite interval [b, inf).
+modules; the module it presents is the quotient F/iG.  The quotient
+splits into cyclic summands, read off the pivot pairing of one column
+reduction of i: a generator of degree b paired with a relation of
+degree b+a contributes the interval module k[t]/(t^a) shifted to
+[b, b+a), and an unpaired generator contributes a free summand, the
+infinite interval [b, inf).  The pairing is the diagonal of the graded
+Smith normal form (:func:`persmod.linalg.graded_snf`), which is only
+run where its change-of-basis matrices are needed.
 
 Length-0 intervals (a = 0) are generators killed on arrival.  They are
 invisible in every degree slice but do appear in the relation data, so
@@ -22,13 +25,11 @@ from __future__ import annotations
 
 import math
 
-from .fields import Monomial
 from .linalg import (
     GradedBasis,
     GradedMatrix,
     HomogeneousElement,
     column_echelon,
-    graded_snf,
     membership,
 )
 
@@ -170,7 +171,7 @@ class PresentationMorphism:
 
 def validate_morphism(m: PresentationMorphism) -> bool:
     """True iff the generator map descends to the quotient modules."""
-    ech = column_echelon(m.dst.incl)
+    ech = column_echelon(m.dst.incl, change=False)
     return all(
         membership(m.phi.apply(m.src.relation(j)), ech)
         for j in range(len(m.src.rels))
@@ -254,49 +255,50 @@ class Barcode:
 def barcode(p: Presentation, dim=None) -> Barcode:
     """Intervals of the presented module, one per generator.
 
-    Diagonalizes the inclusion; a pivot with exponent a on a generator
-    of degree b gives a bar [b, b+a), and pivot-free generators give
-    infinite bars.  Zero relation columns contribute nothing.
+    Reads the pivot pairing of one column reduction of the inclusion: a
+    pivot row i of relation column j gives the bar [deg gen i, deg rel
+    j), and a generator row that is no pivot gives [deg gen i, inf).
+    Zero relation columns contribute nothing.  The pairing does not
+    depend on which legal column operations reach it, so these are the
+    diagonal entries of the graded Smith normal form.
     """
-    snf = graded_snf(p.incl)
-    bars = []
-    degs = p.gens.degrees
-    for row, _, mono in snf.diagonal:
-        bars.append(Bar(dim, degs[row], degs[row] + mono.exponent))
-    for row in snf.free_rows:
-        bars.append(Bar(dim, degs[row], INF))
+    ech = column_echelon(p.incl, change=False)
+    gdeg, rdeg = p.gens.degrees, p.rels.degrees
+    bars = [Bar(dim, gdeg[i], rdeg[j]) for i, j in ech.lows.items()]
+    bars.extend(
+        Bar(dim, gdeg[i], INF) for i in range(len(gdeg)) if i not in ech.lows
+    )
     return Barcode(bars)
 
 
 def minimize(p: Presentation, keep_ephemeral: bool = False) -> Presentation:
     """An equivalent diagonal presentation without redundant pairs.
 
-    Runs the graded Smith normal form and rebuilds the presentation on
-    the recovered generators.  Zero relation columns are dropped, and a
-    pivot with exponent 0 cancels its generator against its relation
-    (the quotient does not change); pass ``keep_ephemeral=True`` to keep
-    such pairs as explicit length-0 data.  Relations come out monic.
+    Rebuilds the presentation from the pivot pairing (see
+    :func:`barcode`) on the paired and unpaired generators, relations
+    in column processing order.  Zero relation columns are dropped, and
+    a pivot on a relation of the generator's own degree cancels its
+    generator against its relation (the quotient does not change); pass
+    ``keep_ephemeral=True`` to keep such pairs as explicit length-0
+    data.  Relations come out monic.
     """
-    snf = graded_snf(p.incl)
+    lows = column_echelon(p.incl, change=False).lows
+    gdeg, rdeg = p.gens.degrees, p.rels.degrees
     keep = [
-        (row, mono)
-        for row, _, mono in snf.diagonal
-        if keep_ephemeral or mono.exponent > 0
+        (row, col)
+        for row, col in lows.items()
+        if keep_ephemeral or rdeg[col] > gdeg[row]
     ]
     kept_rows = sorted(
-        [row for row, _ in keep] + list(snf.free_rows)
+        [row for row, _ in keep]
+        + [i for i in range(len(gdeg)) if i not in lows]
     )
-    pivot_by_row = {row: mono for row, mono in keep}
-    gens = GradedBasis(
-        (p.gens.labels[i], p.gens.degrees[i]) for i in kept_rows
-    )
+    gens = GradedBasis((p.gens.labels[i], gdeg[i]) for i in kept_rows)
     position = {row: n for n, row in enumerate(kept_rows)}
-    cols = []
-    degrees = []
-    for row, mono in keep:
-        cols.append({position[row]: p.field.one})
-        degrees.append(p.gens.degrees[row] + mono.exponent)
-    rel_basis = GradedBasis((f"rel{n}", d) for n, d in enumerate(degrees))
+    cols = [{position[row]: p.field.one} for row, _ in keep]
+    rel_basis = GradedBasis(
+        (f"rel{n}", rdeg[col]) for n, (_, col) in enumerate(keep)
+    )
     return Presentation(
         p.field, GradedMatrix(p.field, rel_basis, gens, cols)
     )

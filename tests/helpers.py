@@ -17,7 +17,38 @@ from persmod import (
     PresentationMorphism,
     PrimeField,
     QQ,
+    concat_bases,
 )
+
+
+def hstack(matrices):
+    """Place matrices with a common target side by side."""
+    matrices = list(matrices)
+    target = matrices[0].target
+    for m in matrices:
+        if m.target != target:
+            raise ValueError("hstack needs a common target basis")
+    source = concat_bases(*(m.source for m in matrices))
+    cols = [col for m in matrices for col in m.cols]
+    return GradedMatrix(matrices[0].field, source, target, cols)
+
+
+def vstack(matrices):
+    """Stack matrices with a common source on top of each other."""
+    matrices = list(matrices)
+    source = matrices[0].source
+    for m in matrices:
+        if m.source != source:
+            raise ValueError("vstack needs a common source basis")
+    target = concat_bases(*(m.target for m in matrices))
+    cols = [dict() for _ in range(len(source))]
+    offset = 0
+    for m in matrices:
+        for j, col in enumerate(m.cols):
+            for i, c in col.items():
+                cols[j][i + offset] = c
+        offset += m.nrows
+    return GradedMatrix(matrices[0].field, source, target, cols)
 
 
 def gauss_rank(field, rows):

@@ -6,12 +6,15 @@ on the worked examples used across the suite.  Round-trip properties
 feed random structures through format and parse.
 """
 
+import contextlib
+import io
 import os
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import persmod
 
@@ -377,6 +380,25 @@ class TestBarcodeCommand:
         assert (proc.returncode, proc.stdout) == (code, out)
         assert code == 0 and out
 
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # more output than a pipe holds: the child blocks on the full
+        # pipe until the read end is closed, then its write fails
+        text = "".join(f"{v} ; 0\n" for v in range(20000))
+        path = write(tmp_path, "c.flt", text)
+        src = os.path.dirname(os.path.dirname(persmod.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "persmod", "barcode", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+
     def test_byte_determinism(self, tmp_path, capsys):
         path = write(tmp_path, "c.flt", FIG_COMPLEX)
         _, first, _ = invoke(["barcode", path], capsys)
@@ -628,3 +650,83 @@ class TestOpCommand:
         )
         assert code == 2
         assert "bad power" in err
+
+
+def _lines_of(*texts):
+    return sorted({line for text in texts for line in text.splitlines()})
+
+
+_TOKENS = [
+    "0", "1", "2", "-1", "3.5", "1e999", "nan", "inf", ";", "#", "gen",
+    "rel", "x", "y", "u", "1t^2*x", "t^-1*y", "1/0t^1*x", "+", "->",
+    "map", "source", "target", "maps",
+]
+
+
+def _text(valid_lines):
+    """Files of valid lines, token salad and arbitrary text, mixed."""
+    line = st.one_of(
+        st.sampled_from(valid_lines),
+        st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join),
+        st.text(max_size=12),
+    )
+    return st.lists(line, max_size=10).map("\n".join)
+
+
+COMPLEX_TEXT = _text(
+    _lines_of(FIG_COMPLEX, DISSOLVING_COMPLEX, STREAM_COMPLEX)
+)
+MODULE_TEXT = _text(
+    _lines_of(TORSION_MODULE, FIVE_GEN_MODULE, SHIFT_MORPHISM)
+)
+FIELDS = st.sampled_from(["Q", "Zp:2", "Zp:5"])
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+def assert_contract(directory, field, command, text):
+    """Exit 0, 1 or 2 and one error line exactly on failure.
+
+    In process, a traceback would be an exception escaping ``main``,
+    which fails the calling test by itself.
+    """
+    path = directory / "input.txt"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    argv = ["--field", field, *command, str(path)]
+    if command[0] == "op":
+        argv += ["-o", str(directory / "out.txt")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert sum(ln.startswith("error:") for ln in lines) == (code != 0), lines
+
+
+class TestCliContract:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        field=FIELDS,
+        command=st.sampled_from(
+            [["barcode"], ["relative", "--keep-ephemeral"],
+             ["stream", "--emit-events"]]
+        ),
+        text=COMPLEX_TEXT,
+    )
+    def test_complex_text(self, contract_dir, field, command, text):
+        assert_contract(contract_dir, field, command, text)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        field=FIELDS,
+        command=st.sampled_from(
+            [["presentation-barcode"], ["snf", "--dump"], ["op", "wedge:2"],
+             ["op", "kernel"], ["op", "image"]]
+        ),
+        text=MODULE_TEXT,
+    )
+    def test_presentation_text(self, contract_dir, field, command, text):
+        assert_contract(contract_dir, field, command, text)

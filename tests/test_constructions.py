@@ -13,17 +13,17 @@ import pytest
 from helpers import (
     BOTH_FIELDS,
     degree_bound,
+    hstack,
     induced_slice_rank,
     random_presentation,
     random_valid_cospan,
     random_valid_morphism,
     random_valid_span,
-    slice_rank,
+    vstack,
 )
 from persmod import (
     INF,
     Bar,
-    GradedBasis,
     GradedMatrix,
     Presentation,
     PresentationMorphism,
@@ -34,10 +34,7 @@ from persmod import (
     direct_sum,
     dual,
     exterior_power,
-    free_pullback,
     hom,
-    hom_element,
-    hstack,
     image,
     kernel,
     membership,
@@ -48,7 +45,6 @@ from persmod import (
     tensor,
     tensor_over_k,
     validate_morphism,
-    vstack,
 )
 
 
@@ -325,76 +321,6 @@ class TestKernel:
                         f"trial {trial} degree {d} over {field!r}: "
                         f"kernel dim {got}, rank-nullity oracle {want}"
                     )
-
-
-class TestFreePullback:
-    @pytest.fixture
-    def legs(self):
-        field = QQ
-        a = GradedBasis([("a0", 1), ("a1", 3)])
-        c = GradedBasis([("c0", 0), ("c1", 2)])
-        f = GradedMatrix.from_entries(
-            field, a, c,
-            {(0, 0): field.scalar(2), (1, 1): field.one, (0, 1): field.scalar(3)},
-        )
-        return f, GradedMatrix.identity(field, c)
-
-    def test_identity_leg_gives_graph(self, legs):
-        f, g = legs
-        pb, proj_a, proj_b = free_pullback(f, g)
-        assert pb.degrees == f.source.degrees
-        assert proj_b == f @ proj_a, "second projection should factor as f"
-        assert all(
-            proj_a.column(j).coords == {j: QQ.one} for j in range(len(pb))
-        ), "first projection should be the identity up to relabeling"
-
-    def test_zero_legs_give_direct_sum(self):
-        field = QQ
-        a = GradedBasis([("a0", 1), ("a1", 3)])
-        b = GradedBasis([("b0", 0)])
-        c = GradedBasis([("c0", 0)])
-        pb, _, _ = free_pullback(
-            GradedMatrix.zero(field, a, c), GradedMatrix.zero(field, b, c)
-        )
-        assert sorted(pb.degrees) == sorted(a.degrees + b.degrees)
-
-    def test_projections_satisfy_defining_square(self):
-        for field in BOTH_FIELDS:
-            rng = random.Random(35)
-            for trial in range(20):
-                a = GradedBasis(
-                    (f"a{i}", rng.randint(0, 6)) for i in range(rng.randint(1, 4))
-                )
-                b = GradedBasis(
-                    (f"b{i}", rng.randint(0, 6)) for i in range(rng.randint(1, 4))
-                )
-                c = GradedBasis(
-                    (f"c{i}", rng.randint(0, 6)) for i in range(rng.randint(1, 4))
-                )
-                f = _random_map(field, rng, a, c)
-                g = _random_map(field, rng, b, c)
-                pb, proj_a, proj_b = free_pullback(f, g)
-                assert f @ proj_a == g @ proj_b, f"trial {trial} over {field!r}"
-                combined = hstack([f, g.neg()])
-                for d in range(-1, 9):
-                    got = sum(1 for deg in pb.degrees if deg <= d)
-                    total = sum(1 for deg in a.degrees if deg <= d) + sum(
-                        1 for deg in b.degrees if deg <= d
-                    )
-                    want = total - slice_rank(combined, d)
-                    assert got == want, (
-                        f"trial {trial} degree {d}: pullback rank {got}, "
-                        f"kernel oracle {want}"
-                    )
-
-
-def _random_map(field, rng, src, dst):
-    entries = {}
-    for j in range(len(src)):
-        for i in range(len(dst)):
-            if src.degrees[j] >= dst.degrees[i] and rng.random() < 0.6:
-                entries[(i, j)] = field.scalar(rng.randint(-3, 3))
-    return GradedMatrix.from_entries(field, src, dst, entries)
 
 
 class TestPullback:
@@ -674,32 +600,6 @@ class TestHom:
     def test_hom_from_unit_recovers_target(self, n_mod):
         unit = Presentation.free(QQ, [("one", 0)])
         assert barcode(hom(unit, n_mod)) == barcode(n_mod).without_ephemeral()
-
-    def test_hom_element_of_identity_is_diagonal(self, m_mod):
-        h = hom(m_mod, m_mod)
-        el = hom_element(PresentationMorphism.identity(m_mod))
-        assert el.degree == 0
-        coords = [(h.gens.labels[i], c, e) for i, c, e in el.terms()]
-        assert coords == [("(x*.x)", QQ.one, 0), ("(y*.y)", QQ.one, 0)]
-
-    def test_hom_element_coordinates(self, m_mod, n_mod):
-        f = PresentationMorphism(
-            m_mod, n_mod,
-            GradedMatrix.from_entries(
-                QQ, m_mod.gens, n_mod.gens,
-                {(0, 0): QQ.one, (1, 0): QQ.one, (0, 1): QQ.one, (2, 1): QQ.one},
-            ),
-        )
-        assert validate_morphism(f)
-        h = hom(m_mod, n_mod)
-        el = hom_element(f)
-        assert el.degree == 0
-        coords = [(h.gens.labels[i], c, e) for i, c, e in el.terms()]
-        assert coords == [
-            ("(x*.u)", QQ.one, 0), ("(x*.v)", QQ.one, 0),
-            ("(y*.u)", QQ.one, 1), ("(y*.w)", QQ.one, 0),
-        ]
-
 
 class TestExteriorPower:
     def test_power_below_one_rejected(self, m_mod):

@@ -11,9 +11,6 @@ from persmod import (
     QQ,
     Rationals,
     field_from_string,
-    monomial_divides,
-    monomial_gcd,
-    monomial_mul,
 )
 
 
@@ -105,56 +102,3 @@ class TestMonomial:
     def test_zero_normalizes_exponent(self):
         assert Monomial(Fraction(0), 5) == Monomial(Fraction(0), 0)
         assert Monomial(Fraction(0), 5).is_zero
-
-    def test_mul(self):
-        a = Monomial(Fraction(2), 3)
-        b = Monomial(Fraction(1, 2), 4)
-        assert monomial_mul(QQ, a, b) == Monomial(Fraction(1), 7)
-
-    def test_mul_by_zero(self):
-        a = Monomial(Fraction(2), 3)
-        z = Monomial(Fraction(0), 0)
-        assert monomial_mul(QQ, a, z).is_zero
-
-    def test_divides(self):
-        assert monomial_divides(Monomial(Fraction(3), 2), Monomial(Fraction(1), 5))
-        assert not monomial_divides(
-            Monomial(Fraction(3), 5), Monomial(Fraction(1), 2)
-        )
-
-    def test_zero_divides_only_zero(self):
-        z = Monomial(Fraction(0), 0)
-        assert monomial_divides(z, z)
-        assert not monomial_divides(z, Monomial(Fraction(1), 0))
-        assert monomial_divides(Monomial(Fraction(1), 3), z)
-
-    def test_gcd_takes_min_exponent_and_is_monic(self):
-        a = Monomial(Fraction(6), 4)
-        b = Monomial(Fraction(-9), 7)
-        assert monomial_gcd(QQ, a, b) == Monomial(Fraction(1), 4)
-
-    def test_gcd_with_one_zero(self):
-        z = Monomial(Fraction(0), 0)
-        a = Monomial(Fraction(5), 2)
-        assert monomial_gcd(QQ, a, z) == Monomial(Fraction(1), 2)
-        assert monomial_gcd(QQ, z, a) == Monomial(Fraction(1), 2)
-
-    def test_gcd_of_zeros_rejected(self):
-        z = Monomial(Fraction(0), 0)
-        with pytest.raises(ValueError):
-            monomial_gcd(QQ, z, z)
-
-    def test_gcd_over_prime_field(self):
-        f = PrimeField(5)
-        a = Monomial(3, 2)
-        b = Monomial(4, 6)
-        assert monomial_gcd(f, a, b) == Monomial(1, 2)
-
-    def test_divisibility_matches_gcd(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            a = Monomial(Fraction(rng.randint(1, 9)), rng.randint(0, 6))
-            b = Monomial(Fraction(rng.randint(1, 9)), rng.randint(0, 6))
-            g = monomial_gcd(QQ, a, b)
-            assert monomial_divides(g, a)
-            assert monomial_divides(g, b)

@@ -353,7 +353,7 @@ class TestBoundariesInCycles:
         state = ReductionState(
             Z=(HomogeneousElement(QQ, basis, 0, {0: QQ.one}),),
             B=(HomogeneousElement(QQ, basis, 0, {1: QQ.one}),),
-            C=GradedMatrix.zero(QQ, basis, basis),
+            field=QQ,
             pivots={},
             z_columns=(0,),
             b_columns=(1,),

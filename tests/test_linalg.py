@@ -11,23 +11,20 @@ from persmod import (
     HomogeneousElement,
     PrimeField,
     QQ,
-    block_diag,
     column_echelon,
     concat_bases,
     express_in_columns,
     free_kernel,
-    hstack,
     membership,
-    normal_form,
-    row_echelon,
-    vstack,
 )
 from helpers import (
     BOTH_FIELDS,
+    hstack,
     random_element,
     random_graded_matrix,
     random_scalar,
     slice_rank,
+    vstack,
 )
 
 
@@ -51,12 +48,6 @@ class TestGradedBasis:
     def test_sorted_indices_stable_on_ties(self):
         b = GradedBasis([("x", 2), ("y", 0), ("z", 2)])
         assert b.sorted_indices() == [1, 0, 2]
-
-    def test_negated(self, simple_basis):
-        n = simple_basis.negated()
-        assert n.labels == simple_basis.labels
-        assert n.degrees == (0, -1, -1, -3)
-        assert n.negated() == simple_basis
 
 
 class TestHomogeneousElement:
@@ -195,15 +186,6 @@ class TestGradedMatrix:
         x = HomogeneousElement(QQ, basis, 3, {0: Fraction(2), 1: Fraction(1)})
         assert ident.apply(x) == x
 
-    def test_transpose_dual_is_involutive(self):
-        rng = random.Random(9)
-        for _ in range(10):
-            m = random_graded_matrix(QQ, rng)
-            d = m.transpose_dual()
-            assert d.source == m.target.negated()
-            assert d.target == m.source.negated()
-            assert d.transpose_dual() == m
-
     def test_stacking(self):
         b1 = GradedBasis([("x", 1)])
         b2 = GradedBasis([("y", 2)])
@@ -218,15 +200,6 @@ class TestGradedMatrix:
         h = hstack([m1, GradedMatrix.zero(QQ, GradedBasis([("s", 5)]), b1)])
         assert h.ncols == 2
         assert h.source.labels == ("r", "s")
-
-        m3 = GradedMatrix.from_entries(
-            QQ, GradedBasis([("s", 2)]), b2, {(0, 0): Fraction(3)}
-        )
-        d = block_diag([m1, m3])
-        assert d.nrows == 2 and d.ncols == 2
-        assert d.entry(0, 0) == Fraction(1)
-        assert d.entry(1, 1) == Fraction(3)
-        assert d.entry(1, 0) == QQ.zero
 
     def test_concat_bases_requires_unique_labels(self):
         b = GradedBasis([("x", 1)])
@@ -318,9 +291,9 @@ class TestNormalForm:
         for field in BOTH_FIELDS:
             for _ in range(30):
                 m = random_graded_matrix(field, rng)
-                ech = column_echelon(m)
+                ech = column_echelon(m, change=False)
                 for j in range(m.ncols):
-                    assert normal_form(m.column(j), ech).is_zero
+                    assert membership(m.column(j), ech)
 
     def test_membership_of_random_images(self):
         rng = random.Random(31)
@@ -337,23 +310,23 @@ class TestNormalForm:
             x = m.apply(random_element(QQ, rng, m.source))
             assert membership(x.times_t(rng.randint(1, 3)), m)
 
-    def test_idempotent(self):
-        rng = random.Random(41)
-        for field in BOTH_FIELDS:
-            for _ in range(30):
-                m = random_graded_matrix(field, rng)
-                ech = column_echelon(m)
-                x = random_element(field, rng, m.target)
-                nf = normal_form(x, ech)
-                assert normal_form(nf, ech) == nf
-
-    def test_difference_from_normal_form_is_member(self):
+    def test_membership_matches_slice_oracle(self):
+        # x of degree d is a member iff appending it as a column leaves
+        # the rank of the degree-d slice unchanged
         rng = random.Random(43)
+        members = 0
         for field in BOTH_FIELDS:
-            for _ in range(30):
+            for _ in range(40):
                 m = random_graded_matrix(field, rng)
                 x = random_element(field, rng, m.target)
-                assert membership(x.sub(normal_form(x, m)), m)
+                if rng.random() < 0.5:
+                    x = m.apply(random_element(field, rng, m.source, x.degree))
+                col = GradedMatrix.from_columns(field, m.target, [x], ["x"])
+                d = x.degree
+                want = slice_rank(hstack([m, col]), d) == slice_rank(m, d)
+                assert membership(x, m) == want
+                members += want
+        assert 0 < members < 80
 
     def test_detects_non_members(self):
         # t^2 x is in <t x> but x itself is not in <t x> at degree 1
@@ -398,32 +371,6 @@ class TestExpressInColumns:
         m = GradedMatrix.from_entries(QQ, src, tgt, {(0, 0): Fraction(1)})
         stray = HomogeneousElement(QQ, tgt, 2, {1: Fraction(1)})
         assert express_in_columns(stray, m) is None
-
-
-class TestRowEchelon:
-    def test_change_certifies_reduction(self):
-        rng = random.Random(53)
-        for field in BOTH_FIELDS:
-            for _ in range(30):
-                m = random_graded_matrix(field, rng)
-                ech = row_echelon(m)
-                assert ech.change @ m == ech.echelon
-
-    def test_zero_rows_are_zero(self):
-        rng = random.Random(59)
-        for _ in range(30):
-            m = random_graded_matrix(QQ, rng, nrows=6, ncols=3)
-            ech = row_echelon(m)
-            for i in ech.zero_rows:
-                assert all(i not in col for col in ech.echelon.cols)
-
-    def test_pivot_columns_distinct(self):
-        rng = random.Random(61)
-        for _ in range(30):
-            m = random_graded_matrix(QQ, rng)
-            ech = row_echelon(m)
-            assert len(set(ech.pivots.values())) == len(ech.pivots)
-            assert len(ech.pivots) + len(ech.zero_rows) == m.nrows
 
 
 class TestFreeKernel:

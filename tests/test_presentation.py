@@ -14,9 +14,12 @@ from persmod import (
     INF,
     Presentation,
     PresentationMorphism,
+    PrimeField,
     QQ,
     barcode,
+    column_echelon,
     dimension_at,
+    graded_snf,
     minimize,
     rank_t_power,
     validate_morphism,
@@ -31,6 +34,35 @@ from helpers import (
 
 def bars(*triples):
     return Barcode(Bar(None, b, d) for b, d in triples)
+
+
+def snf_route_barcode(p):
+    """The reference route: the diagonal and free rows of graded_snf."""
+    snf = graded_snf(p.incl)
+    degs = p.gens.degrees
+    out = [
+        Bar(None, degs[row], degs[row] + mono.exponent)
+        for row, _, mono in snf.diagonal
+    ]
+    out += [Bar(None, degs[row], INF) for row in snf.free_rows]
+    return Barcode(out)
+
+
+def hand_built_presentations(field):
+    """A zero relation column, a repeated relation and a t^0 pivot."""
+    gens = GradedBasis([("x", 1), ("y", 2), ("z", 2)])
+    rels = GradedBasis([("r0", 3), ("r1", 4), ("r2", 4), ("r3", 2)])
+    two = field.scalar(2)
+    cols = [
+        {0: field.one, 1: two},
+        {},
+        {0: field.one, 1: two},
+        {2: field.one},
+    ]
+    yield Presentation(field, GradedMatrix(field, rels, gens, cols))
+    yield Presentation.from_terms(
+        field, [("a", 0), ("b", 0)], [[(1, 0, "a"), (1, 0, "b")]] * 2
+    )
 
 
 @pytest.fixture
@@ -118,6 +150,25 @@ class TestBarcode:
     def test_dim_label(self, five_gen_module):
         bc = barcode(five_gen_module, dim=1)
         assert all(b.dim == 1 for b in bc)
+
+    def test_pairing_matches_snf_route(self):
+        ephemeral = zero_cols = 0
+        for field in (*BOTH_FIELDS, PrimeField(2)):
+            rng = random.Random(53)
+            cases = list(hand_built_presentations(field))
+            cases += [random_presentation(field, rng) for _ in range(60)]
+            for p in cases:
+                diagonal = graded_snf(p.incl).diagonal
+                lows = column_echelon(p.incl, change=False).lows
+                assert list(lows.items()) == [(r, c) for r, c, _ in diagonal]
+                assert barcode(p) == snf_route_barcode(p)
+                kept = [c for _, c, mono in diagonal if mono.exponent > 0]
+                assert minimize(p).rels.degrees == tuple(
+                    p.rels.degrees[c] for c in kept
+                )
+                ephemeral += sum(1 for b in barcode(p) if b.ephemeral)
+                zero_cols += len(p.rels) - len(lows)
+        assert ephemeral > 0 and zero_cols > 0
 
     def test_invariant_under_change_of_basis(self):
         rng = random.Random(201)
