@@ -5,7 +5,8 @@ blank lines are skipped.  Filtered complexes list one simplex per line
 as ``v0 v1 ... vk ; birth`` with an optional ``; removal`` column.
 Presentations list ``gen <name> <degree>`` and
 ``rel <term> + <term> + ...`` lines, a term being
-``<coeff>t^<e>*<name>`` with the coefficient optional.  Morphism files
+``<coeff>t^<e>*<name>`` with the coefficient optional; a generator
+name may not contain ``+`` or ``->``.  Morphism files
 hold a presentation under a ``source`` header, another under
 ``target``, and ``map <name> -> <term> + ...`` lines under ``maps``;
 generators without a map line go to zero.
@@ -58,7 +59,6 @@ from .streaming import StreamState, add_simplex, current_barcode
 
 __all__ = [
     "CliError",
-    "RunConfig",
     "format_complex",
     "format_presentation",
     "main",
@@ -228,6 +228,13 @@ def _parse_presentation_lines(pairs, field) -> Presentation:
                 raise CliError(
                     PARSE_ERROR, f"line {n}: bad degree {tokens[1]!r}"
                 ) from None
+            if "+" in tokens[0] or "->" in tokens[0]:
+                # a term or a map line could not name it
+                raise CliError(
+                    PARSE_ERROR,
+                    f"line {n}: generator name {tokens[0]!r} contains "
+                    "'+' or '->'",
+                )
             gens.append((tokens[0], degree))
         elif keyword == "rel":
             rels.append(_parse_terms(rest, n, field))
@@ -336,41 +343,6 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
     return morphism
 
 
-class RunConfig:
-    """One resolved invocation: field, command, inputs, output, flags."""
-
-    __slots__ = (
-        "field",
-        "command",
-        "operation",
-        "inputs",
-        "output",
-        "keep_ephemeral",
-        "emit_events",
-        "dump",
-    )
-
-    def __init__(
-        self,
-        field,
-        command,
-        inputs,
-        operation=None,
-        output=None,
-        keep_ephemeral=False,
-        emit_events=False,
-        dump=False,
-    ):
-        self.field = field
-        self.command = command
-        self.inputs = list(inputs)
-        self.operation = operation
-        self.output = output
-        self.keep_ephemeral = keep_ephemeral
-        self.emit_events = emit_events
-        self.dump = dump
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="ascii") as handle:
@@ -411,23 +383,23 @@ def _map_lines(matrix: GradedMatrix):
     return lines
 
 
-def _cmd_barcode(config: RunConfig):
-    filtration, value_map = _load_complex(_read(config.inputs[0]))
-    bars = persistent_homology(filtration, config.field)
+def _cmd_barcode(args):
+    filtration, value_map = _load_complex(_read(args.input))
+    bars = persistent_homology(filtration, args.field)
     _echo_value_map(value_map)
     _print_bars(bars)
 
 
-def _cmd_presentation_barcode(config: RunConfig):
-    p = parse_presentation(_read(config.inputs[0]), config.field)
+def _cmd_presentation_barcode(args):
+    p = parse_presentation(_read(args.input), args.field)
     _print_bars(barcode(p))
 
 
-def _cmd_snf(config: RunConfig):
-    p = parse_presentation(_read(config.inputs[0]), config.field)
+def _cmd_snf(args):
+    p = parse_presentation(_read(args.input), args.field)
     form = snf_form(p)
     sys.stdout.write(format_presentation(form.presentation))
-    if config.dump:
+    if args.dump:
         print("# to_new")
         for line in _map_lines(form.to_new):
             print(line)
@@ -436,26 +408,26 @@ def _cmd_snf(config: RunConfig):
             print(line)
 
 
-def _cmd_relative(config: RunConfig):
-    filtration, value_map = _load_complex(_read(config.inputs[0]))
-    bars = torsion_homology(relative_complex(filtration, config.field))
-    if not config.keep_ephemeral:
+def _cmd_relative(args):
+    filtration, value_map = _load_complex(_read(args.input))
+    bars = torsion_homology(relative_complex(filtration, args.field))
+    if not args.keep_ephemeral:
         bars = bars.without_ephemeral()
     _echo_value_map(value_map)
     _print_bars(bars)
 
 
-def _cmd_stream(config: RunConfig):
-    filtration, value_map = _load_complex(_read(config.inputs[0]))
+def _cmd_stream(args):
+    filtration, value_map = _load_complex(_read(args.input))
     if filtration.has_removals:
         raise CliError(
             VALIDATION_ERROR, "stream input cannot carry removal times"
         )
     _echo_value_map(value_map)
-    state = StreamState(config.field)
+    state = StreamState(args.field)
     for s in filtration.simplices:
         state, delta = add_simplex(state, s.vertices, s.birth)
-        if config.emit_events:
+        if args.emit_events:
             head = " ".join(str(v) for v in s.vertices)
             print(f"# insert {head} ; {s.birth}")
             for bar in sorted(delta.removed, key=lambda b: b.key()):
@@ -465,17 +437,17 @@ def _cmd_stream(config: RunConfig):
     _print_bars(current_barcode(state))
 
 
-def _expect_inputs(config: RunConfig, count: int):
-    if len(config.inputs) != count:
+def _expect_inputs(args, count: int):
+    if len(args.inputs) != count:
         raise CliError(
             VALIDATION_ERROR,
-            f"operation {config.operation!r} expects {count} input "
-            f"file(s), got {len(config.inputs)}",
+            f"operation {args.operation!r} expects {count} input "
+            f"file(s), got {len(args.inputs)}",
         )
 
 
-def _cmd_op(config: RunConfig):
-    name = config.operation
+def _cmd_op(args):
+    name = args.operation
     presentations = {
         "dsum": direct_sum,
         "tensor": tensor,
@@ -488,19 +460,19 @@ def _cmd_op(config: RunConfig):
         "image": image,
     }
     if name in presentations:
-        _expect_inputs(config, 2)
-        p = parse_presentation(_read(config.inputs[0]), config.field)
-        q = parse_presentation(_read(config.inputs[1]), config.field)
+        _expect_inputs(args, 2)
+        p = parse_presentation(_read(args.inputs[0]), args.field)
+        q = parse_presentation(_read(args.inputs[1]), args.field)
         result = presentations[name](p, q)
     elif name in morphisms:
-        _expect_inputs(config, 1)
-        f = parse_morphism(_read(config.inputs[0]), config.field)
+        _expect_inputs(args, 1)
+        f = parse_morphism(_read(args.inputs[0]), args.field)
         result = morphisms[name](f)
     elif name == "dual":
-        _expect_inputs(config, 1)
-        result = dual(parse_presentation(_read(config.inputs[0]), config.field))
+        _expect_inputs(args, 1)
+        result = dual(parse_presentation(_read(args.inputs[0]), args.field))
     elif name.startswith(("wedge:", "sym:")):
-        _expect_inputs(config, 1)
+        _expect_inputs(args, 1)
         kind, _, power_text = name.partition(":")
         try:
             power = int(power_text)
@@ -508,22 +480,22 @@ def _cmd_op(config: RunConfig):
             raise CliError(
                 VALIDATION_ERROR, f"bad power in operation {name!r}"
             ) from None
-        p = parse_presentation(_read(config.inputs[0]), config.field)
+        p = parse_presentation(_read(args.inputs[0]), args.field)
         build = exterior_power if kind == "wedge" else symmetric_power
         result = build(p, power)
     elif name == "pullback":
-        _expect_inputs(config, 2)
-        f = parse_morphism(_read(config.inputs[0]), config.field)
-        g = parse_morphism(_read(config.inputs[1]), config.field)
+        _expect_inputs(args, 2)
+        f = parse_morphism(_read(args.inputs[0]), args.field)
+        g = parse_morphism(_read(args.inputs[1]), args.field)
         if f.dst != g.dst:
             raise CliError(
                 VALIDATION_ERROR, "pullback inputs must share a target"
             )
         result, _, _ = pullback(f, g)
     elif name == "pushout":
-        _expect_inputs(config, 2)
-        f = parse_morphism(_read(config.inputs[0]), config.field)
-        g = parse_morphism(_read(config.inputs[1]), config.field)
+        _expect_inputs(args, 2)
+        f = parse_morphism(_read(args.inputs[0]), args.field)
+        g = parse_morphism(_read(args.inputs[1]), args.field)
         if f.src != g.src:
             raise CliError(
                 VALIDATION_ERROR, "pushout inputs must share a source"
@@ -532,7 +504,7 @@ def _cmd_op(config: RunConfig):
     else:
         raise CliError(VALIDATION_ERROR, f"unknown operation {name!r}")
     try:
-        with open(config.output, "w", encoding="ascii") as handle:
+        with open(args.output, "w", encoding="ascii") as handle:
             handle.write(format_presentation(result))
     except OSError as e:
         raise CliError(VALIDATION_ERROR, str(e)) from None
@@ -548,10 +520,10 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one invocation; report failures on stderr as exit codes."""
+def run(args) -> int:
+    """Execute parsed arguments (field resolved); failures go to stderr."""
     try:
-        _COMMANDS[config.command](config)
+        _COMMANDS[args.command](args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
@@ -627,22 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        field = field_from_string(args.field)
+        args.field = field_from_string(args.field)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return VALIDATION_ERROR
-    config = RunConfig(
-        field=field,
-        command=args.command,
-        inputs=getattr(args, "inputs", None) or [args.input],
-        operation=getattr(args, "operation", None),
-        output=getattr(args, "output", None),
-        keep_ephemeral=getattr(args, "keep_ephemeral", False),
-        emit_events=getattr(args, "emit_events", False),
-        dump=getattr(args, "dump", False),
-    )
     try:
-        code = run(config)
+        code = run(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early.  Point stdout at devnull so

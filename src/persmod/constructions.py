@@ -12,12 +12,14 @@ pipelines that work with maps failing the compatibility condition on
 the nose (the torsion homology pipeline does).
 
 The multiplicative family (tensor, dual, hom, exterior and symmetric
-powers) first converts its inputs to diagonal form via
-:func:`snf_form`, because the generator-pairing rules assume every
-generator carries an independent annihilator.  Generators killed
-instantly (annihilator t^0) span zero summands and are dropped by the
-conversion; the conversion's change-of-basis matrices are exposed on
-:class:`SnfForm` for callers that need to map elements through.
+powers) works on diagonal form, because the generator-pairing rules
+assume every generator carries an independent annihilator.  It reads
+each generator's annihilator off the pivot pairing of one untracked
+column reduction of the relations, the diagonal of the graded Smith
+normal form.  Generators killed instantly (annihilator t^0) span zero
+summands and are dropped.  :func:`snf_form` runs the full graded Smith
+normal form instead, for callers that need its change-of-basis
+matrices to map elements through.
 """
 
 from __future__ import annotations
@@ -237,28 +239,32 @@ class SnfForm:
 
 def snf_form(p: Presentation) -> SnfForm:
     """Diagonalize a presentation, dropping zero summands."""
-    field = p.field
     snf = graded_snf(p.incl)
     ann_by_row = {row: mono.exponent for row, _, mono in snf.diagonal}
-    kept = [
-        i for i in range(len(p.gens)) if ann_by_row.get(i, INF) != 0
-    ]
-    gens = GradedBasis((p.gens.labels[i], p.gens.degrees[i]) for i in kept)
-    annihilators = tuple(ann_by_row.get(i, INF) for i in kept)
-    cols = []
-    degrees = []
-    for n, i in enumerate(kept):
-        a = annihilators[n]
-        if a != INF:
-            cols.append({n: field.one})
-            degrees.append(p.gens.degrees[i] + a)
-    rels = GradedBasis((f"rel{n}", d) for n, d in enumerate(degrees))
-    pres = Presentation(field, GradedMatrix(field, rels, gens, cols))
-    to_new = snf.row_change.restrict_rows(kept, gens)
+    gens = [(lab, deg, ann_by_row.get(i, INF)) for i, (lab, deg) in enumerate(p.gens)]
+    kept = [i for i, (_, _, a) in enumerate(gens) if a != 0]
+    pres = _diagonal_presentation(p.field, [gens[i] for i in kept])
+    to_new = snf.row_change.restrict_rows(kept, pres.gens)
     from_new = GradedMatrix(
-        field, gens, p.gens, [snf.row_change_inv.cols[i] for i in kept]
+        p.field, pres.gens, p.gens, [snf.row_change_inv.cols[i] for i in kept]
     )
-    return SnfForm(pres, to_new, from_new, annihilators)
+    return SnfForm(pres, to_new, from_new, tuple(gens[i][2] for i in kept))
+
+
+def _diagonal(p: Presentation) -> list:
+    """(label, degree, annihilator) of each generator that survives.
+
+    Read off the pivot pairing of one untracked column reduction of the
+    relations, which is the diagonal of the graded Smith normal form:
+    pivot row i of relation j gives annihilator deg rel j - deg gen i,
+    and an unpaired generator is free (INF).  Generators killed on
+    arrival (annihilator t^0) are dropped.
+    """
+    lows = column_echelon(p.incl, change=False).lows
+    gdeg, rdeg = p.gens.degrees, p.rels.degrees
+    ann = {i: rdeg[j] - gdeg[i] for i, j in lows.items()}
+    triples = [(lab, deg, ann.get(i, INF)) for i, (lab, deg) in enumerate(p.gens)]
+    return [t for t in triples if t[2] != 0]
 
 
 def _diagonal_presentation(field, gens_with_ann):
@@ -281,12 +287,12 @@ def tensor(p: Presentation, q: Presentation) -> Presentation:
     is the smaller of the factors' (t^a kills the pair as soon as it
     kills either factor, and no earlier power does).
     """
-    sp, sq = snf_form(p), snf_form(q)
-    triples = []
-    for i, (pl, pd) in enumerate(sp.gens):
-        for j, (ql, qd) in enumerate(sq.gens):
-            ann = min(sp.annihilators[i], sq.annihilators[j])
-            triples.append((f"({pl}.{ql})", pd + qd, ann))
+    dp, dq = _diagonal(p), _diagonal(q)
+    triples = [
+        (f"({pl}.{ql})", pd + qd, min(pa, qa))
+        for pl, pd, pa in dp
+        for ql, qd, qa in dq
+    ]
     return _diagonal_presentation(p.field, triples)
 
 
@@ -306,18 +312,17 @@ def tensor_over_k(
         acting, passive = q, p
     else:
         raise ValueError(f"acting_side must be left or right, not {acting_side!r}")
-    sa, sp = snf_form(acting), snf_form(passive)
-    if any(a == INF for a in sp.annihilators):
+    da, dp = _diagonal(acting), _diagonal(passive)
+    if any(a == INF for _, _, a in dp):
         raise ValueError(
             "non-acting tensor factor must be finite dimensional over k"
         )
-    triples = []
-    for j, (ql, qd) in enumerate(sp.gens):
-        for e in range(qd, qd + sp.annihilators[j]):
-            for i, (pl, pd) in enumerate(sa.gens):
-                triples.append(
-                    (f"({ql}@{e}.{pl})", pd + e, sa.annihilators[i])
-                )
+    triples = [
+        (f"({ql}@{e}.{pl})", pd + e, pa)
+        for ql, qd, qa in dp
+        for e in range(qd, qd + qa)
+        for pl, pd, pa in da
+    ]
     return _diagonal_presentation(p.field, triples)
 
 
@@ -328,17 +333,35 @@ def dual(p: Presentation) -> Presentation:
     generator at degree -b with the same annihilator; free generators
     dualize to free generators.
     """
-    sp = snf_form(p)
-    triples = [
-        (f"{lab}*", -deg, sp.annihilators[i])
-        for i, (lab, deg) in enumerate(sp.gens)
-    ]
+    triples = [(f"{lab}*", -deg, a) for lab, deg, a in _diagonal(p)]
     return _diagonal_presentation(p.field, triples)
 
 
 def hom(p: Presentation, q: Presentation) -> Presentation:
     """Internal hom, realized as dual(p) tensor q."""
     return tensor(dual(p), q)
+
+
+def _power(p: Presentation, m: int, name: str, choose, sep: str):
+    """Generators are the m-element choices of diagonal generators.
+
+    A choice has the summed degree and dies as soon as any member does;
+    the first power is the diagonal form itself.
+    """
+    if m < 1:
+        raise ValueError(f"{name} power needs m >= 1")
+    gens = _diagonal(p)
+    if m == 1:
+        return _diagonal_presentation(p.field, gens)
+    triples = [
+        (
+            "(" + sep.join(g[0] for g in choice) + ")",
+            sum(g[1] for g in choice),
+            min(g[2] for g in choice),
+        )
+        for choice in choose(gens, m)
+    ]
+    return _diagonal_presentation(p.field, triples)
 
 
 def exterior_power(p: Presentation, m: int) -> Presentation:
@@ -348,33 +371,9 @@ def exterior_power(p: Presentation, m: int) -> Presentation:
     generators (the sorted representative absorbs the permutation sign);
     a subset dies as soon as any member does.
     """
-    if m < 1:
-        raise ValueError("exterior power needs m >= 1")
-    sp = snf_form(p)
-    if m == 1:
-        return sp.presentation
-    pairs = list(sp.gens)
-    triples = []
-    for subset in combinations(range(len(pairs)), m):
-        label = "(" + "^".join(pairs[i][0] for i in subset) + ")"
-        degree = sum(pairs[i][1] for i in subset)
-        ann = min(sp.annihilators[i] for i in subset)
-        triples.append((label, degree, ann))
-    return _diagonal_presentation(p.field, triples)
+    return _power(p, m, "exterior", combinations, "^")
 
 
 def symmetric_power(p: Presentation, m: int) -> Presentation:
     """m-th symmetric power: weight-m multisets with the same min rule."""
-    if m < 1:
-        raise ValueError("symmetric power needs m >= 1")
-    sp = snf_form(p)
-    if m == 1:
-        return sp.presentation
-    pairs = list(sp.gens)
-    triples = []
-    for multiset in combinations_with_replacement(range(len(pairs)), m):
-        label = "(" + ".".join(pairs[i][0] for i in multiset) + ")"
-        degree = sum(pairs[i][1] for i in multiset)
-        ann = min(sp.annihilators[i] for i in multiset)
-        triples.append((label, degree, ann))
-    return _diagonal_presentation(p.field, triples)
+    return _power(p, m, "symmetric", combinations_with_replacement, ".")

@@ -10,8 +10,8 @@ barcode, which is kept as the reference route.
 
 Complexes that also remove simplices become torsion chain complexes:
 every simplex contributes a relation at its removal time, and homology
-is computed per dimension through the kernel and cokernel
-constructions.
+in each dimension is the kernel of the boundary leaving the cokernel of
+the boundary arriving.
 """
 
 from __future__ import annotations
@@ -426,17 +426,19 @@ def _boundary_block(tcc: TorsionChainComplex, p: int, src, dst) -> GradedMatrix:
 def torsion_homology(tcc: TorsionChainComplex) -> Barcode:
     """Dimension-labeled barcode of a torsion chain complex.
 
-    For each dimension p: take the kernel of the boundary leaving the
-    p-chains, rewrite the boundaries arriving from the (p+1)-chains in
-    the kernel basis, and read the barcode off the cokernel.
+    For each dimension p, H_p is the kernel of the boundary leaving the
+    quotient C_p / im d_{p+1}: the cokernel of the arriving boundary,
+    mapped into the (p-1)-chains.  Its generators are the elements of
+    C_p whose boundary lies in the (p-1)-relations, and its relations
+    are those generators lying in Rel_p + im d_{p+1}.
 
     H0 is the cokernel of the boundary from the 1-chains into C0.  A
     cokernel depends only on the images of the edge generators, so it
     is well defined whether or not the boundary descends to the torsion
     chains (see ``relative_complex``).  For p >= 1 the cycles are the
-    preimage of the (p-1)-relations under the boundary, computed by
-    ``kernel``.  When the boundary does not descend, that is a choice
-    and not the homology of the complex alive at each grade.
+    preimage of the (p-1)-relations under the boundary.  When the
+    boundary does not descend, that is a choice and not the homology of
+    the complex alive at each grade.
     """
     field = tcc.chains.field
     chain_at = {
@@ -447,23 +449,9 @@ def torsion_homology(tcc: TorsionChainComplex) -> Barcode:
     bars = []
     for p in range(tcc.max_dimension + 1):
         block = _boundary_block(tcc, p, chain_at[p].gens, chain_at[p - 1].gens)
-        k, incl = kernel(
-            PresentationMorphism(chain_at[p], chain_at[p - 1], block)
-        )
         above = chain_at.get(p + 1, Presentation.free(field, []))
         arriving = _boundary_block(tcc, p + 1, above.gens, chain_at[p].gens)
-        ech = column_echelon(incl.phi)
-        cols = []
-        for j in range(arriving.ncols):
-            coeffs = express_in_columns(arriving.column(j), ech)
-            if coeffs is None:
-                raise ValueError(
-                    f"boundary of {above.gens.labels[j]} is not a cycle"
-                )
-            cols.append(coeffs)
-        phi = GradedMatrix.from_columns(
-            field, k.gens, cols, labels=list(above.gens.labels)
-        )
-        h = cokernel(PresentationMorphism(above, k, phi))
+        quotient = cokernel(PresentationMorphism(above, chain_at[p], arriving))
+        h = kernel(PresentationMorphism(quotient, chain_at[p - 1], block))[0]
         bars.extend(barcode(h, dim=p))
     return Barcode(bars)

@@ -439,35 +439,58 @@ def column_echelon(m: GradedMatrix, change: bool = True) -> ColumnEchelon:
     ``free_kernel`` and ``express_in_columns`` need.
     """
     f = m.field
-    # pos[i] is row i's rank in (degree, index) order: the pivot rule
-    pos = [0] * m.nrows
-    for n, i in enumerate(m.target.sorted_indices()):
-        pos[i] = n
-    key = pos.__getitem__
+    key = _pivot_rank(m.target).__getitem__
     cols = [dict(col) for col in m.cols]
     track = [{j: f.one} for j in range(m.ncols)] if change else None
     lows: dict[int, int] = {}
     zero_cols = []
     order = tuple(m.source.sorted_indices())
     for c in order:
-        col = cols[c]
-        while col:
-            l = max(col, key=key)
-            p = lows.get(l)
-            if p is None:
-                lows[l] = c
-                break
-            r = f.div(col[l], cols[p][l])
-            _combine(f, col, cols[p], r)
-            if change:
-                _combine(f, track[c], track[p], r)
-        if not col:
+        steps = [] if change else None
+        low = _reduce(f, cols[c], key, lows, cols, steps=steps)
+        if low is None:
             zero_cols.append(c)
+        else:
+            lows[low] = c
+        if change:
+            for p, r in steps:
+                _combine(f, track[c], track[p], r)
     reduced = GradedMatrix(f, m.source, m.target, cols)
     change_m = None
     if change:
         change_m = GradedMatrix(f, m.source, m.source, track)
     return ColumnEchelon(m, reduced, change_m, lows, tuple(zero_cols), order)
+
+
+def _pivot_rank(basis: GradedBasis) -> list:
+    """rank[i] is row i's place in (degree, index) order: a column's
+    low, its pivot candidate, is the entry of highest rank."""
+    rank = [0] * len(basis)
+    for n, i in enumerate(basis.sorted_indices()):
+        rank[i] = n
+    return rank
+
+
+def _reduce(field, col, key, lows, cols, usable=None, steps=None):
+    """Clear col's low against a pivot table while the low's owner is usable.
+
+    ``lows`` maps a pivot row to its owner, ``cols`` an owner to its
+    column, and the low is ``max(col, key=key)``.  Each step subtracts
+    the multiple of the owner's column that cancels the low and, given
+    a ``steps`` list, appends (owner, multiple) to it.  Any owner is
+    usable when ``usable`` is None.  Returns the low left, or None.
+    """
+    while col:
+        low = max(col, key=key)
+        owner = lows.get(low)
+        if owner is None or (usable is not None and not usable(owner)):
+            return low
+        pivot = cols[owner]
+        r = field.div(col[low], pivot[low])
+        _combine(field, col, pivot, r)
+        if steps is not None:
+            steps.append((owner, r))
+    return None
 
 
 def _combine(field, col, other, r):
@@ -498,21 +521,23 @@ def membership(x: HomogeneousElement, sub) -> bool:
 def _echelon_coefficients(x: HomogeneousElement, ech: ColumnEchelon):
     """Coefficients of x over the reduced columns, or None if outside.
 
-    Reduction proceeds from the bottom coordinate up; every step is
-    legal because a nonzero coordinate already certifies the needed
-    degree inequality.
+    Clears x's bottom coordinate against the pivot owners of degree at
+    most deg x, so every multiple carries a nonnegative t-exponent; a
+    bottom coordinate that no such owner holds leaves x outside.
     """
     f = x.field
-    key = x.basis.sort_key
     coords = dict(x.coords)
+    key = _pivot_rank(x.basis).__getitem__
+    degrees = ech.matrix.source.degrees
+    steps = []
+    low = _reduce(
+        f, coords, key, ech.lows, ech.reduced.cols,
+        usable=lambda p: degrees[p] <= x.degree, steps=steps,
+    )
+    if low is not None:
+        return None
     taken: dict[int, object] = {}
-    while coords:
-        l = max(coords, key=key)
-        p = ech.lows.get(l)
-        if p is None or x.degree < ech.matrix.source.degrees[p]:
-            return None
-        r = f.div(coords[l], ech.reduced.cols[p][l])
-        _combine(f, coords, ech.reduced.cols[p], r)
+    for p, r in steps:
         taken[p] = f.add(taken.get(p, f.zero), r)
     return taken
 
@@ -654,21 +679,7 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
         _combine(f, s_rows[i], s_rows[p], r)
         _combine(f, s_inv_cols[p], s_inv_cols[i], f.neg(r))
 
-    def col_op(c2, c, r):
-        # col_c2 -= r * col_c; legal because deg source[c2] >= deg source[c]
-        assert src.degrees[c2] >= src.degrees[c]
-        for i, v in cols[c].items():
-            new = f.sub(cols[c2].get(i, f.zero), f.mul(r, v))
-            if new:
-                cols[c2][i] = new
-                rows[i].add(c2)
-            else:
-                cols[c2].pop(i, None)
-                rows[i].discard(c2)
-        _combine(f, t_cols[c2], t_cols[c], r)
-        _combine(f, t_inv_rows[c], t_inv_rows[c2], f.neg(r))
-
-    key = tgt.sort_key
+    key = _pivot_rank(tgt).__getitem__
     diagonal = []
     zero_cols = []
     for c in src.sorted_indices():
@@ -679,8 +690,14 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
         p = max(col, key=key)
         for i in [i for i in col if i != p]:
             row_op(i, p, f.div(col[i], col[p]))
+        # col is now {p: pivot}: clearing row p leaves only entry (p, c2)
         for c2 in [j for j in rows[p] if j != c]:
-            col_op(c2, c, f.div(cols[c2][p], col[p]))
+            # col_c2 -= r * col_c; legal because deg source[c2] >= deg source[c]
+            assert src.degrees[c2] >= src.degrees[c]
+            r = f.div(cols[c2].pop(p), col[p])
+            rows[p].discard(c2)
+            _combine(f, t_cols[c2], t_cols[c], r)
+            _combine(f, t_inv_rows[c], t_inv_rows[c2], f.neg(r))
         diagonal.append((p, c, Monomial(col[p], src.degrees[c] - tgt.degrees[p])))
 
     pivot_rows = {p for p, _, _ in diagonal}

@@ -7,12 +7,18 @@ with an unpaired cycle, or steals a pairing from a later simplex, in
 which case the displaced chain is reduced further and re-settled.  The
 net effect of each insertion is reported as a barcode delta.
 
+This is the batch column reduction run out of order (Cohen-Steiner,
+Edelsbrunner and Morozov, *Vines and vineyards*, 2006): the pairing is
+the pivot table of ``linalg``'s one reduction loop, keyed by simplices,
+and a chain is only reduced by owners earlier in filtration position.
+
 Filtration ties are broken by arrival order: of two simplices with the
 same value, the one inserted earlier reduces the one inserted later.
 """
 
 from __future__ import annotations
 
+from . import linalg
 from .fields import QQ
 from .presentation import INF, Bar, Barcode
 
@@ -120,20 +126,6 @@ def _boundary_chain(state: StreamState, vertices, value):
     return chain
 
 
-def _leading(state: StreamState, chain):
-    return max(chain, key=state.key)
-
-
-def _subtract_multiple(field, chain, ratio, other):
-    """chain -= ratio * other, dropping entries that cancel to zero."""
-    for simplex, c in other.items():
-        value = field.sub(chain.get(simplex, field.zero), field.mul(ratio, c))
-        if value:
-            chain[simplex] = value
-        else:
-            chain.pop(simplex, None)
-
-
 def _interval(state: StreamState, creator, killer=None) -> Bar:
     death = INF if killer is None else state.values[killer]
     return Bar(len(creator) - 1, state.values[creator], death)
@@ -156,23 +148,21 @@ def add_simplex(state: StreamState, vertices, value):
     state._seq[vertices] = len(state._seq)
     state.values[vertices] = value
 
+    field = state.field
     added = []
     removed = []
     carrier = vertices
     while True:
         # reduce against chains earlier in the filtration than carrier
-        while chain:
-            leading = _leading(state, chain)
-            owner = state.pairing.get(leading)
-            if owner is None or state.key(owner) >= state.key(carrier):
-                break
-            ratio = state.field.div(chain[leading], state.chains[owner][leading])
-            _subtract_multiple(state.field, chain, ratio, state.chains[owner])
-        if not chain:
+        before = state.key(carrier)
+        leading = linalg._reduce(
+            field, chain, state.key, state.pairing, state.chains,
+            usable=lambda owner: state.key(owner) < before,
+        )
+        if leading is None:
             state.cycles.add(carrier)
             added.append(_interval(state, carrier))
             break
-        leading = _leading(state, chain)
         owner = state.pairing.get(leading)
         state.pairing[leading] = carrier
         state.chains[carrier] = chain
@@ -186,8 +176,8 @@ def add_simplex(state: StreamState, vertices, value):
         removed.append(_interval(state, leading, owner))
         added.append(_interval(state, leading, carrier))
         displaced = state.chains.pop(owner)
-        ratio = state.field.div(displaced[leading], chain[leading])
-        _subtract_multiple(state.field, displaced, ratio, chain)
+        ratio = field.div(displaced[leading], chain[leading])
+        linalg._combine(field, displaced, chain, ratio)
         carrier, chain = owner, displaced
     return state, BarcodeDelta(added, removed)
 

@@ -161,6 +161,23 @@ def random_presentation(field, rng, max_gens=8, max_degree=10, max_rels=None):
     return Presentation(field, GradedMatrix.from_entries(field, rels, gens, entries))
 
 
+def hand_built_presentations(field):
+    """A zero relation column, a repeated relation and a t^0 pivot."""
+    gens = GradedBasis([("x", 1), ("y", 2), ("z", 2)])
+    rels = GradedBasis([("r0", 3), ("r1", 4), ("r2", 4), ("r3", 2)])
+    two = field.scalar(2)
+    cols = [
+        {0: field.one, 1: two},
+        {},
+        {0: field.one, 1: two},
+        {2: field.one},
+    ]
+    yield Presentation(field, GradedMatrix(field, rels, gens, cols))
+    yield Presentation.from_terms(
+        field, [("a", 0), ("b", 0)], [[(1, 0, "a"), (1, 0, "b")]] * 2
+    )
+
+
 def degree_bound(p):
     """A degree beyond which nothing about the module changes."""
     degs = list(p.gens.degrees) + list(p.rels.degrees)
@@ -187,6 +204,62 @@ def induced_slice_rank(phi, dst, d):
     if not rows or not (pcols or rcols):
         return 0
     return gauss_rank(field, combined) - rank_rel
+
+
+def dense_homology_dimension(tcc, p, g):
+    """dim_k of H_p at grade g of a torsion chain complex, densely.
+
+    H_p is K / (K & W) with K = {x in C_p : dx in Rel_(p-1)} and
+    W = Rel_p + im d_(p+1), the semantics ``torsion_homology``
+    documents.  In the degree-g slice, dim K is the number of p-chains
+    minus the rank of d into F_(p-1) / Rel_(p-1), and dim (K & W) is
+    dim W minus the rank of d on W into that quotient.  Only dense
+    ranks of slices are taken; no graded reduction is involved.
+    """
+    field = tcc.chains.field
+    gens, dims = tcc.chains.gens, tcc.dims
+    rows = {
+        q: [i for i in range(len(gens)) if dims[i] == q and gens.degrees[i] <= g]
+        for q in (p - 1, p)
+    }
+
+    def vector(col, q):
+        return [col.get(i, field.zero) for i in rows[q]]
+
+    def columns(matrix, q, keep):
+        return [vector(col, q) for j, col in enumerate(matrix.cols) if keep(j)]
+
+    def boundary(x):
+        out = {}
+        for c, i in zip(x, rows[p]):
+            for k, v in tcc.boundary.cols[i].items():
+                out[k] = field.add(out.get(k, field.zero), field.mul(c, v))
+        return vector(out, p - 1)
+
+    def rank(vectors):
+        return gauss_rank(field, vectors)
+
+    def rank_mod_relations(vectors):
+        return rank(vectors + rel_below) - rank(rel_below)
+
+    def relations(q):
+        return columns(
+            tcc.chains.incl, q,
+            lambda j: tcc.chains.rels.degrees[j] <= g
+            and any(dims[i] == q for i in tcc.chains.incl.cols[j]),
+        )
+
+    rel_below = relations(p - 1)
+    unit = [
+        [field.one if n == m else field.zero for m in range(len(rows[p]))]
+        for n in range(len(rows[p]))
+    ]
+    w = relations(p) + columns(
+        tcc.boundary, p, lambda j: dims[j] == p + 1 and gens.degrees[j] <= g
+    )
+    dim_k = len(rows[p]) - rank_mod_relations([boundary(x) for x in unit])
+    dim_k_and_w = rank(w) - rank_mod_relations([boundary(x) for x in w])
+    return dim_k - dim_k_and_w
 
 
 def _random_elementary(field, rng, basis):

@@ -8,6 +8,7 @@ feed random structures through format and parse.
 
 import contextlib
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -24,12 +25,19 @@ from helpers import (
     random_presentation,
 )
 from persmod import (
+    INF,
     FilteredComplex,
+    GradedBasis,
+    GradedMatrix,
     Presentation,
     PrimeField,
     QQ,
     barcode,
+    direct_sum,
+    dual,
+    exterior_power,
     snf_form,
+    tensor,
 )
 from persmod.cli import (
     CliError,
@@ -259,6 +267,25 @@ class TestParsePresentation:
             for _ in range(15):
                 p = drop_zero_relations(random_presentation(field, rng))
                 assert parse_presentation(format_presentation(p), field) == p
+
+    @pytest.mark.parametrize("name", ["a+b", "a->b", "+", "x->"])
+    def test_generator_name_no_term_can_name(self, name):
+        with pytest.raises(CliError) as err:
+            parse_presentation(f"gen x 1\ngen {name} 0\n")
+        assert err.value.code == 1
+        assert str(err.value).startswith("line 2: ")
+
+    def test_unnameable_generator_exits_before_writing(self, tmp_path, capsys):
+        # tensoring would write 'rel 1t^2*(a+b.x)', which no parser reads
+        p_path = write(tmp_path, "p.pmod", "gen a+b 0\n")
+        q_path = write(tmp_path, "q.pmod", "gen x 1\nrel t^2*x\n")
+        out = tmp_path / "t.pmod"
+        code, _, err = invoke(
+            ["op", "tensor", p_path, q_path, "-o", str(out)], capsys
+        )
+        assert code == 1
+        assert err == "error: line 1: generator name 'a+b' contains '+' or '->'\n"
+        assert not out.exists()
 
     def test_round_trip_with_negative_degrees(self):
         text = "gen x* -1\ngen y* -2\nrel 1t^3*x*\n"
@@ -650,6 +677,106 @@ class TestOpCommand:
         )
         assert code == 2
         assert "bad power" in err
+
+
+# Generator names the grammar can name: no blank, '#' or '+', and no
+# '->' (the alphabet has no '>').
+NAMES = st.text(alphabet="abtxyz019*^.()'@-", min_size=1, max_size=4)
+COEFFICIENT_FIELDS = st.sampled_from([QQ, PrimeField(2), PrimeField(5)])
+
+
+def scalars(field):
+    if field == QQ:
+        return st.fractions(-5, 5, max_denominator=4)
+    return st.integers(0, field.char - 1)
+
+
+@st.composite
+def complexes(draw):
+    """Face-closed complexes with faces born no later and removed no
+    earlier than their cofaces; removals on about half of them."""
+    vertices = draw(st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True))
+    simplices = [(v,) for v in sorted(vertices)]
+    for size in (2, 3):
+        for s in itertools.combinations(sorted(vertices), size):
+            faces = itertools.combinations(s, size - 1)
+            if all(f in simplices for f in faces) and draw(st.booleans()):
+                simplices.append(s)
+    birth, removal = {}, {}
+    for s in simplices:
+        faces = list(itertools.combinations(s, len(s) - 1)) if len(s) > 1 else []
+        birth[s] = max((birth[f] for f in faces), default=0) + draw(st.integers(0, 3))
+    removals = draw(st.booleans())
+    for s in reversed(simplices):
+        cofaces = [c for c in removal if len(c) == len(s) + 1 and set(s) <= set(c)]
+        if not removals or INF in (removal[c] for c in cofaces) or draw(st.booleans()):
+            removal[s] = INF
+        else:
+            floor = max([birth[s]] + [removal[c] for c in cofaces])
+            removal[s] = floor + draw(st.integers(0, 3))
+    order = draw(st.permutations(simplices))
+    return FilteredComplex(
+        (s, birth[s]) if removal[s] == INF else (s, birth[s], removal[s])
+        for s in order
+    )
+
+
+@st.composite
+def presentations(draw, field, max_gens=4):
+    """Presentations with nameable labels, zero relation columns included."""
+    labels = draw(st.lists(NAMES, min_size=1, max_size=max_gens, unique=True))
+    gens = GradedBasis((lab, draw(st.integers(-3, 5))) for lab in labels)
+    rel_degrees = draw(
+        st.lists(st.integers(min(gens.degrees), 8), max_size=max_gens)
+    )
+    cols = [
+        {
+            i: draw(scalars(field))
+            for i in range(len(gens))
+            if gens.degrees[i] <= d and draw(st.booleans())
+        }
+        for d in rel_degrees
+    ]
+    rels = GradedBasis((f"r{j}", d) for j, d in enumerate(rel_degrees))
+    return Presentation(field, GradedMatrix(field, rels, gens, cols))
+
+
+def assert_round_trip(p):
+    """Generators and nonzero relation columns survive format and parse."""
+    q = parse_presentation(format_presentation(p), p.field)
+    kept = [j for j, col in enumerate(p.incl.cols) if col]
+    assert q.gens == p.gens
+    assert q.rels.degrees == tuple(p.rels.degrees[j] for j in kept)
+    assert q.incl.cols == tuple(p.incl.cols[j] for j in kept)
+
+
+class TestRoundTrips:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(c=complexes())
+    def test_complex(self, c):
+        assert parse_complex(format_complex(c)) == c
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data(), field=COEFFICIENT_FIELDS)
+    def test_presentation(self, data, field):
+        assert_round_trip(data.draw(presentations(field)))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        data=st.data(),
+        field=COEFFICIENT_FIELDS,
+        op=st.sampled_from(["dsum", "tensor", "dual", "wedge:2"]),
+    )
+    def test_construction_output(self, data, field, op):
+        p = data.draw(presentations(field))
+        q = data.draw(presentations(field, max_gens=3))
+        result = {
+            "dsum": lambda: direct_sum(p, q),
+            "tensor": lambda: tensor(p, q),
+            "dual": lambda: dual(p),
+            "wedge:2": lambda: exterior_power(p, 2),
+        }[op]()
+        assert_round_trip(result)
 
 
 def _lines_of(*texts):

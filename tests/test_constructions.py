@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     BOTH_FIELDS,
     degree_bound,
+    hand_built_presentations,
     hstack,
     induced_slice_rank,
     random_presentation,
@@ -27,6 +28,7 @@ from persmod import (
     GradedMatrix,
     Presentation,
     PresentationMorphism,
+    PrimeField,
     QQ,
     barcode,
     cokernel,
@@ -46,6 +48,7 @@ from persmod import (
     tensor_over_k,
     validate_morphism,
 )
+from persmod.constructions import _diagonal
 
 
 def interval(field, label, birth, length):
@@ -447,6 +450,26 @@ class TestSnfForm:
                 )
                 from_bars = sorted((b.birth, b.death) for b in want)
                 assert from_anns == from_bars, f"trial {trial}"
+
+
+    def test_pairing_diagonal_matches_snf(self):
+        # the multiplicative family reads the pivot pairing; snf_form
+        # reads graded_snf's diagonal; both must drop the same t^0 pairs
+        instant = zero_cols = 0
+        for field in (*BOTH_FIELDS, PrimeField(2)):
+            rng = random.Random(67)
+            cases = list(hand_built_presentations(field))
+            cases += [random_presentation(field, rng) for _ in range(60)]
+            for p in cases:
+                sf = snf_form(p)
+                assert _diagonal(p) == list(
+                    zip(sf.gens.labels, sf.gens.degrees, sf.annihilators)
+                )
+                assert exterior_power(p, 1) == sf.presentation
+                assert symmetric_power(p, 1) == sf.presentation
+                instant += len(p.gens) - len(sf.gens)
+                zero_cols += sum(1 for col in p.incl.cols if not col)
+        assert instant > 0 and zero_cols > 0
 
 
 class TestTensor:

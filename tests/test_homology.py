@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     BOTH_FIELDS,
     betti_numbers,
+    dense_homology_dimension,
     random_filtered_complex,
 )
 from persmod import (
@@ -24,6 +25,7 @@ from persmod import (
     GradedMatrix,
     HomogeneousElement,
     Presentation,
+    PresentationMorphism,
     PrimeField,
     QQ,
     ReductionState,
@@ -37,6 +39,7 @@ from persmod import (
     reduce_boundary,
     relative_complex,
     torsion_homology,
+    validate_morphism,
 )
 from persmod.homology import _cycle_presentation
 
@@ -542,6 +545,34 @@ class TestTorsionHomology:
                 (0, 0, 11), (0, 1, 3), (0, 2, 4),
                 (1, 5, 6), (1, 12, 12), (1, 13, 13), (2, 10, 10),
             ]
+
+    def test_matches_dense_homology_oracle(self, dissolving_triangle):
+        # every dimension at every grade, against K / (K & (Rel_p + B_p))
+        # counted by dense slice ranks; most of these boundaries do not
+        # descend to the torsion chains
+        not_descending = 0
+        for field in BOTH_FIELDS:
+            rng = random.Random(61)
+            cases = [dissolving_triangle] + [
+                random_filtered_complex(rng, with_removals=True)
+                for _ in range(100)
+            ]
+            for c in cases:
+                tcc = relative_complex(c, field)
+                chains = PresentationMorphism(
+                    tcc.chains, tcc.chains, tcc.boundary
+                )
+                not_descending += not validate_morphism(chains)
+                bars = torsion_homology(tcc)
+                top = max(s.removal for s in c.simplices) + 1
+                for p in range(tcc.max_dimension + 1):
+                    for g in range(top + 1):
+                        alive = sum(
+                            1 for b in bars if b.dim == p and b.alive_at(g)
+                        )
+                        want = dense_homology_dimension(tcc, p, g)
+                        assert alive == want, (c.simplices, p, g)
+        assert not_descending > 100
 
     def test_single_vertex_lifespan(self):
         tcc = relative_complex(FilteredComplex([((0,), 0, 3)]))

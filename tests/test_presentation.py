@@ -27,6 +27,7 @@ from persmod import (
 from helpers import (
     BOTH_FIELDS,
     degree_bound,
+    hand_built_presentations,
     random_change_of_basis,
     random_presentation,
 )
@@ -46,23 +47,6 @@ def snf_route_barcode(p):
     ]
     out += [Bar(None, degs[row], INF) for row in snf.free_rows]
     return Barcode(out)
-
-
-def hand_built_presentations(field):
-    """A zero relation column, a repeated relation and a t^0 pivot."""
-    gens = GradedBasis([("x", 1), ("y", 2), ("z", 2)])
-    rels = GradedBasis([("r0", 3), ("r1", 4), ("r2", 4), ("r3", 2)])
-    two = field.scalar(2)
-    cols = [
-        {0: field.one, 1: two},
-        {},
-        {0: field.one, 1: two},
-        {2: field.one},
-    ]
-    yield Presentation(field, GradedMatrix(field, rels, gens, cols))
-    yield Presentation.from_terms(
-        field, [("a", 0), ("b", 0)], [[(1, 0, "a"), (1, 0, "b")]] * 2
-    )
 
 
 @pytest.fixture
