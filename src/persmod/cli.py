@@ -6,10 +6,10 @@ as ``v0 v1 ... vk ; birth`` with an optional ``; removal`` column.
 Presentations list ``gen <name> <degree>`` and
 ``rel <term> + <term> + ...`` lines, a term being
 ``<coeff>t^<e>*<name>`` with the coefficient optional; a generator
-name may not contain ``+`` or ``->``.  Morphism files
-hold a presentation under a ``source`` header, another under
-``target``, and ``map <name> -> <term> + ...`` lines under ``maps``;
-generators without a map line go to zero.
+name is one word of printable ASCII without ``#``, ``+`` or ``->``.
+Morphism files hold a presentation under a ``source`` header, another
+under ``target``, and ``map <name> -> <term> + ...`` lines under
+``maps``; generators without a map line go to zero.
 
 Barcodes print one bar per line as ``<dim> <birth> <death|inf>``
 sorted by dimension, birth, death, with ``-`` for the dimension of
@@ -43,6 +43,8 @@ from .constructions import (
 from .fields import QQ, field_from_string
 from .homology import (
     FilteredComplex,
+    _normalized,
+    _violation,
     persistent_homology,
     relative_complex,
     torsion_homology,
@@ -112,7 +114,9 @@ def _load_complex(text):
 
     When any filtration value is not an integer, all values are
     replaced by their rank among the sorted distinct values and the
-    mapping is returned for echoing.
+    mapping is returned for echoing.  A complex that breaks a rule is
+    reported at the line of the simplex at fault, with the values as
+    written there.
     """
     rows = []
     for n, line in _content_lines(text):
@@ -133,23 +137,26 @@ def _load_complex(text):
                 PARSE_ERROR, f"line {n}: vertices must be nonnegative integers"
             )
         values = [_parse_value(part, n) for part in parts[1:]]
-        rows.append((vertices, values))
+        rows.append((n, vertices, values))
     value_map = None
-    if any(
-        not isinstance(v, int) for _, values in rows for v in values
-    ):
-        distinct = sorted({v for _, values in rows for v in values})
+    if any(not isinstance(v, int) for _, _, values in rows for v in values):
+        distinct = sorted({v for _, _, values in rows for v in values})
         value_map = {v: rank for rank, v in enumerate(distinct)}
         rows = [
-            (vertices, [value_map[v] for v in values])
-            for vertices, values in rows
+            (n, vertices, [value_map[v] for v in values])
+            for n, vertices, values in rows
         ]
+    entries = [(vertices, *values) for _, vertices, values in rows]
     try:
-        filtration = FilteredComplex(
-            (vertices, *values) for vertices, values in rows
+        filtration = FilteredComplex(entries)
+    except ValueError:
+        raw = {rank: v for v, rank in (value_map or {}).items()}
+        at, message = _violation(
+            [_normalized(e) for e in entries], lambda v: raw.get(v, v)
         )
-    except ValueError as e:
-        raise CliError(VALIDATION_ERROR, str(e)) from None
+        raise CliError(
+            VALIDATION_ERROR, f"line {rows[at][0]}: {message}"
+        ) from None
     return filtration, value_map
 
 
@@ -253,12 +260,35 @@ def parse_presentation(text: str, field=QQ) -> Presentation:
     return _parse_presentation_lines(_content_lines(text), field)
 
 
+def _readable(labels) -> bool:
+    """True when every label is a nonempty word of printable ASCII
+    without a blank, '#', '+' or '->', which the parser reads back.
+
+    Checks all labels at once; a '.' between them adds none of these.
+    """
+    joined = ".".join(labels)
+    return (
+        all(labels)
+        and joined.isascii()
+        and joined.isprintable()
+        and not any(token in joined for token in (" ", "#", "+", "->"))
+    )
+
+
 def format_presentation(p: Presentation) -> str:
     """Render a presentation in the input grammar.
 
     Relations that are identically zero have no term syntax and are
-    omitted; they do not constrain the module.
+    omitted; they do not constrain the module.  A generator label that
+    the parser could not read back (empty, or not printable ASCII, or
+    holding a blank, ``#``, ``+`` or ``->``) raises ValueError.
     """
+    if not _readable(p.gens.labels):
+        label = next(lab for lab in p.gens.labels if not _readable([lab]))
+        raise ValueError(
+            f"generator label {label!r} cannot be written: labels must "
+            "be printable ASCII without blanks, '#', '+' or '->'"
+        )
     lines = [
         f"gen {label} {degree}"
         for label, degree in zip(p.gens.labels, p.gens.degrees)
@@ -503,9 +533,10 @@ def _cmd_op(args):
         result = pushout(f, g)
     else:
         raise CliError(VALIDATION_ERROR, f"unknown operation {name!r}")
+    text = format_presentation(result)
     try:
         with open(args.output, "w", encoding="ascii") as handle:
-            handle.write(format_presentation(result))
+            handle.write(text)
     except OSError as e:
         raise CliError(VALIDATION_ERROR, str(e)) from None
 

@@ -1,12 +1,16 @@
 """Persistent homology of filtered simplicial complexes.
 
-The pipeline: a filtered complex yields a graded boundary matrix whose
-entries carry the t-power between the births of a simplex and its
-face; one column reduction pairs simplices, and the pairing is the
-barcode.  Column reduction with change tracking also splits the chain
-module into cycles and boundaries; expressing each boundary in the
-cycle basis gives a presentation whose diagonal form is the same
-barcode, which is kept as the reference route.
+A filtered complex is a graded chain complex over k[t]: its graded
+boundary matrix carries the t-power between the births of a simplex
+and its face.  Over a field the dual complex, whose coboundary is
+graded by the last birth minus each birth, pairs the same simplices.
+``persistent_homology`` reduces that coboundary one dimension at a time
+with clearing and reads the barcode off the pairing (de Silva, Morozov
+and Vejdemo-Johansson, *Dualities in persistent (co)homology*, 2011;
+Bauer, *Ripser*, 2021).  Column reduction of the boundary with change
+tracking splits the chain module into cycles and boundaries; expressing
+each boundary in the cycle basis gives a presentation whose diagonal
+form is the same barcode, which is kept as the reference route.
 
 Complexes that also remove simplices become torsion chain complexes:
 every simplex contributes a relation at its removal time, and homology
@@ -17,7 +21,9 @@ the boundary arriving.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
+from . import linalg
 from .constructions import cokernel, kernel
 from .fields import QQ
 from .linalg import (
@@ -74,50 +80,10 @@ class FilteredComplex:
     __slots__ = ("simplices",)
 
     def __init__(self, simplices):
-        normalized = []
-        for entry in simplices:
-            if len(entry) == 2:
-                vertices, birth = entry
-                removal = INF
-            else:
-                vertices, birth, removal = entry
-            vertices = tuple(sorted(vertices))
-            if len(set(vertices)) != len(vertices):
-                raise ValueError(f"repeated vertex in simplex {vertices}")
-            if birth < 0:
-                raise ValueError(f"simplex {vertices} born at {birth} < 0")
-            if removal != INF and removal < birth:
-                raise ValueError(
-                    f"simplex {vertices} removed at {removal} before "
-                    f"its birth {birth}"
-                )
-            normalized.append(Simplex(vertices, birth, removal))
-        self.simplices = tuple(normalized)
-        self._validate()
-
-    def _validate(self):
-        by_vertices = {}
-        for s in self.simplices:
-            if s.vertices in by_vertices:
-                raise ValueError(f"simplex {s.vertices} listed twice")
-            by_vertices[s.vertices] = s
-        for s in self.simplices:
-            for face in _codim_one_faces(s.vertices):
-                other = by_vertices.get(face)
-                if other is None:
-                    raise ValueError(
-                        f"simplex {s.vertices} is missing face {face}"
-                    )
-                if other.birth > s.birth:
-                    raise ValueError(
-                        f"face {face} born at {other.birth}, after "
-                        f"{s.vertices} at {s.birth}"
-                    )
-                if other.removal < s.removal:
-                    raise ValueError(
-                        f"face {face} removed at {other.removal}, before "
-                        f"{s.vertices} at {s.removal}"
-                    )
+        self.simplices = tuple(map(_normalized, simplices))
+        found = _violation(self.simplices)
+        if found is not None:
+            raise ValueError(found[1])
 
     @property
     def has_removals(self) -> bool:
@@ -155,11 +121,62 @@ class FilteredComplex:
         return f"FilteredComplex({len(self.simplices)} simplices)"
 
 
+def _normalized(entry) -> Simplex:
+    """A ``(vertices, birth[, removal])`` entry as a Simplex."""
+    if len(entry) == 2:
+        return Simplex(tuple(sorted(entry[0])), entry[1], INF)
+    vertices, birth, removal = entry
+    return Simplex(tuple(sorted(vertices)), birth, removal)
+
+
+def _violation(simplices, show=lambda value: value):
+    """The first rule a list of simplices breaks, or None.
+
+    Returns (position, message): the index of the simplex at fault and
+    a message that prints each birth or removal time through ``show``.
+    """
+    by_vertices = {}
+    for n, s in enumerate(simplices):
+        vertices, birth, removal = s
+        if len(set(vertices)) != len(vertices):
+            return n, f"repeated vertex in simplex {vertices}"
+        if birth < 0:
+            return n, f"simplex {vertices} born at {show(birth)} < 0"
+        if removal < birth:
+            return n, (
+                f"simplex {vertices} removed at {show(removal)} before "
+                f"its birth {show(birth)}"
+            )
+        if vertices in by_vertices:
+            return n, f"simplex {vertices} listed twice"
+        by_vertices[vertices] = s
+    for n, (vertices, birth, removal) in enumerate(simplices):
+        for face in _codim_one_faces(vertices):
+            other = by_vertices.get(face)
+            if other is None:
+                return n, f"simplex {vertices} is missing face {face}"
+            if other.birth > birth:
+                return n, (
+                    f"face {face} born at {show(other.birth)}, after "
+                    f"{vertices} at {show(birth)}"
+                )
+            if other.removal < removal:
+                return n, (
+                    f"face {face} removed at {show(other.removal)}, before "
+                    f"{vertices} at {show(removal)}"
+                )
+    return None
+
+
 def _codim_one_faces(vertices):
+    """The faces of a simplex in lexicographic order.
+
+    Of a simplex with d + 1 vertices, the k-th face leaves out vertex
+    d - k, so its boundary sign is (-1)^(d - k).
+    """
     if len(vertices) < 2:
-        return
-    for i in range(len(vertices)):
-        yield vertices[:i] + vertices[i + 1:]
+        return ()
+    return combinations(vertices, len(vertices) - 1)
 
 
 def graded_boundary(filtration: FilteredComplex, field=QQ) -> GradedMatrix:
@@ -175,11 +192,12 @@ def graded_boundary(filtration: FilteredComplex, field=QQ) -> GradedMatrix:
         (simplex_label(s.vertices), s.birth) for s in ordered
     )
     index = {s.vertices: i for i, s in enumerate(ordered)}
+    signs = (field.one, field.neg(field.one))
     entries = {}
     for j, s in enumerate(ordered):
-        for i, face in enumerate(_codim_one_faces(s.vertices)):
-            sign = field.one if i % 2 == 0 else field.neg(field.one)
-            entries[(index[face], j)] = sign
+        d = len(s.vertices) - 1
+        for k, face in enumerate(_codim_one_faces(s.vertices)):
+            entries[(index[face], j)] = signs[(d - k) % 2]
     return GradedMatrix.from_entries(field, basis, basis, entries)
 
 
@@ -278,33 +296,50 @@ def boundaries_in_cycles(state: ReductionState) -> Presentation:
 def persistent_homology(filtration: FilteredComplex, field=QQ) -> Barcode:
     """Dimension-labeled barcode of a filtered complex without removals.
 
-    Reads the bars off the pivot pairing of one column reduction of the
-    boundary, without change tracking (Zomorodian and Carlsson,
-    *Computing persistent homology*, 2005).  A pivot row i of column j
-    pairs simplex i with simplex j and gives the bar [birth i, birth j)
-    in the dimension of i; a column that reduced to zero and is no pivot
-    row gives [birth i, inf).  Rows and columns are in filtration order,
-    so the kernel's (degree, index) pivot rule is the standard one.
+    Reads the bars off the pivot pairing of the coboundary, reduced one
+    dimension at a time with clearing (de Silva, Morozov and
+    Vejdemo-Johansson, *Dualities in persistent (co)homology*, 2011;
+    Bauer, *Ripser*, 2021).  Over a field the coboundary pairs the same
+    simplices as the boundary, at a fraction of the column work.
 
-    ``reduce_boundary`` and ``boundaries_in_cycles`` build the homology
-    presentation (cycles modulo boundaries) whose graded Smith normal
-    form gives the same barcode; they are kept as the reference route.
+    Simplex r is the r-th from the end of the filtration order, and its
+    column holds its signed cofacets.  Graded by M - birth, with M the
+    last birth, the coboundary is a degree-0 map of free k[t]-modules
+    (the dual module), and r is already the kernel's (degree, index)
+    rank of a row.  Columns of each dimension are reduced in ascending
+    r; a simplex that was a pivot row one dimension down would reduce
+    to zero and is skipped.  A pivot row tau of column sigma gives the
+    bar [birth sigma, birth tau) in the dimension of sigma, and a column
+    that reduces to zero gives [birth sigma, inf).
     """
     if filtration.has_removals:
         raise ValueError(
             "complex has removal times; use relative_complex and "
             "torsion_homology"
         )
-    m = graded_boundary(filtration, field)
-    ech = column_echelon(m, change=False)
-    births = m.source.degrees
-    dims = [len(s.vertices) - 1 for s in filtration.sorted_simplices()]
-    bars = [Bar(dims[i], births[i], births[j]) for i, j in ech.lows.items()]
-    bars.extend(
-        Bar(dims[i], births[i], INF)
-        for i in ech.zero_cols
-        if i not in ech.lows
-    )
+    simplices = filtration.sorted_simplices()[::-1]
+    index = {s.vertices: r for r, s in enumerate(simplices)}
+    signs = (field.one, field.neg(field.one))
+    cols = [{} for _ in simplices]
+    by_dim = [[] for _ in range(filtration.max_dimension + 1)]
+    for r, (vertices, _, _) in enumerate(simplices):
+        d = len(vertices) - 1
+        by_dim[d].append(r)
+        for k, face in enumerate(_codim_one_faces(vertices)):
+            cols[index[face]][r] = signs[(d - k) % 2]
+    lows: dict[int, int] = {}
+    bars = []
+    for p, rs in enumerate(by_dim):
+        for r in rs:
+            if r in lows:  # cleared
+                continue
+            # key None: a row index is its own rank
+            low = linalg._reduce(field, cols[r], None, lows, cols)
+            death = INF
+            if low is not None:
+                lows[low] = r
+                death = simplices[low].birth
+            bars.append(Bar(p, simplices[r].birth, death))
     return Barcode(bars)
 
 

@@ -435,7 +435,7 @@ def column_echelon(m: GradedMatrix, change: bool = True) -> ColumnEchelon:
     combined and the result's ``change`` is None; ``lows``, ``reduced``,
     ``zero_cols`` and ``order`` are the same either way.  Callers that
     only read the reduced columns or the pivot pairing, such as
-    ``barcode`` and ``persistent_homology``, skip the bookkeeping that
+    ``barcode`` and ``membership``, skip the bookkeeping that
     ``free_kernel`` and ``express_in_columns`` need.
     """
     f = m.field

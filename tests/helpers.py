@@ -6,10 +6,15 @@ the library's reduction engine.
 """
 
 import itertools
+import math
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from persmod import (
     INF,
+    Bar,
+    Barcode,
     FilteredComplex,
     GradedBasis,
     GradedMatrix,
@@ -17,7 +22,9 @@ from persmod import (
     PresentationMorphism,
     PrimeField,
     QQ,
+    column_echelon,
     concat_bases,
+    graded_boundary,
 )
 
 
@@ -509,6 +516,76 @@ def random_filtered_complex(rng, max_vertices=5, with_removals=False):
             entries.append((vertices, birth))
     rng.shuffle(entries)
     return FilteredComplex(entries)
+
+
+@st.composite
+def complexes(draw):
+    """Face-closed complexes with faces born no later and removed no
+    earlier than their cofaces; removals on about half of them."""
+    vertices = draw(st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True))
+    simplices = [(v,) for v in sorted(vertices)]
+    for size in (2, 3):
+        for s in itertools.combinations(sorted(vertices), size):
+            faces = itertools.combinations(s, size - 1)
+            if all(f in simplices for f in faces) and draw(st.booleans()):
+                simplices.append(s)
+    birth, removal = {}, {}
+    for s in simplices:
+        faces = list(itertools.combinations(s, len(s) - 1)) if len(s) > 1 else []
+        birth[s] = max((birth[f] for f in faces), default=0) + draw(st.integers(0, 3))
+    removals = draw(st.booleans())
+    for s in reversed(simplices):
+        cofaces = [c for c in removal if len(c) == len(s) + 1 and set(s) <= set(c)]
+        if not removals or INF in (removal[c] for c in cofaces) or draw(st.booleans()):
+            removal[s] = INF
+        else:
+            floor = max([birth[s]] + [removal[c] for c in cofaces])
+            removal[s] = floor + draw(st.integers(0, 3))
+    order = draw(st.permutations(simplices))
+    return FilteredComplex(
+        (s, birth[s]) if removal[s] == INF else (s, birth[s], removal[s])
+        for s in order
+    )
+
+
+def rips_complex(rng, npoints):
+    """Vietoris-Rips 2-skeleton of random points in the unit square.
+
+    Vertices are born at 0, an edge at the rank of its length among the
+    distinct lengths (from 1), and a triangle with its longest edge, so
+    every triangle ties with one of its edges.
+    """
+    points = [(rng.random(), rng.random()) for _ in range(npoints)]
+    lengths = {
+        e: math.dist(points[e[0]], points[e[1]])
+        for e in itertools.combinations(range(npoints), 2)
+    }
+    rank = {d: n for n, d in enumerate(sorted(set(lengths.values())), 1)}
+    birth = {(v,): 0 for v in range(npoints)}
+    birth.update((e, rank[d]) for e, d in lengths.items())
+    for t in itertools.combinations(range(npoints), 3):
+        birth[t] = max(birth[e] for e in itertools.combinations(t, 2))
+    return FilteredComplex(birth.items())
+
+
+def boundary_pairing_barcode(filtration, field):
+    """Bars from the pivot pairing of the reduced boundary matrix.
+
+    The homology route (Zomorodian and Carlsson, 2005): one untracked
+    column reduction of ``graded_boundary``, rows and columns in
+    filtration order.  Pivot row i of column j gives [birth i, birth j)
+    in the dimension of i; a zero column that is no pivot row gives
+    [birth i, inf).
+    """
+    m = graded_boundary(filtration, field)
+    ech = column_echelon(m, change=False)
+    births = m.source.degrees
+    dims = [len(s.vertices) - 1 for s in filtration.sorted_simplices()]
+    bars = [Bar(dims[i], births[i], births[j]) for i, j in ech.lows.items()]
+    bars.extend(
+        Bar(dims[i], births[i], INF) for i in ech.zero_cols if i not in ech.lows
+    )
+    return Barcode(bars)
 
 
 def random_insertion_order(rng, filtration):

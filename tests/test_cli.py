@@ -8,7 +8,6 @@ feed random structures through format and parse.
 
 import contextlib
 import io
-import itertools
 import os
 import random
 import subprocess
@@ -21,23 +20,27 @@ import persmod
 
 from helpers import (
     BOTH_FIELDS,
+    complexes,
     random_filtered_complex,
     random_presentation,
 )
 from persmod import (
-    INF,
-    FilteredComplex,
     GradedBasis,
     GradedMatrix,
     Presentation,
     PrimeField,
     QQ,
+    PresentationMorphism,
     barcode,
+    cokernel,
     direct_sum,
     dual,
     exterior_power,
+    image,
+    kernel,
     snf_form,
     tensor,
+    tensor_over_k,
 )
 from persmod.cli import (
     CliError,
@@ -392,6 +395,16 @@ class TestBarcodeCommand:
             "0 0 inf\n0 1 2\n"
         )
 
+    def test_validation_error_cites_line_and_raw_values(self, tmp_path, capsys):
+        # ranks 0, 2, 1 stand for 0.5, 0.7, 0.6; the message shows the latter
+        path = write(tmp_path, "c.flt", "0 ; 0.5\n1 ; 0.7\n0 1 ; 0.6\n")
+        code, out, err = invoke(["barcode", path], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: face (1,) born at 0.7, after (0, 1) at 0.6\n"
+        path = write(tmp_path, "r.flt", "0 ; 1 ; 9\n# comment\n0 ; 2.5\n")
+        code, _, err = invoke(["barcode", path], capsys)
+        assert (code, err) == (2, "error: line 3: simplex (0,) listed twice\n")
+
     def test_python_dash_m_matches_main(self, tmp_path, capsys):
         path = write(tmp_path, "c.flt", FIG_COMPLEX)
         src = os.path.dirname(os.path.dirname(persmod.__file__))
@@ -692,36 +705,6 @@ def scalars(field):
 
 
 @st.composite
-def complexes(draw):
-    """Face-closed complexes with faces born no later and removed no
-    earlier than their cofaces; removals on about half of them."""
-    vertices = draw(st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True))
-    simplices = [(v,) for v in sorted(vertices)]
-    for size in (2, 3):
-        for s in itertools.combinations(sorted(vertices), size):
-            faces = itertools.combinations(s, size - 1)
-            if all(f in simplices for f in faces) and draw(st.booleans()):
-                simplices.append(s)
-    birth, removal = {}, {}
-    for s in simplices:
-        faces = list(itertools.combinations(s, len(s) - 1)) if len(s) > 1 else []
-        birth[s] = max((birth[f] for f in faces), default=0) + draw(st.integers(0, 3))
-    removals = draw(st.booleans())
-    for s in reversed(simplices):
-        cofaces = [c for c in removal if len(c) == len(s) + 1 and set(s) <= set(c)]
-        if not removals or INF in (removal[c] for c in cofaces) or draw(st.booleans()):
-            removal[s] = INF
-        else:
-            floor = max([birth[s]] + [removal[c] for c in cofaces])
-            removal[s] = floor + draw(st.integers(0, 3))
-    order = draw(st.permutations(simplices))
-    return FilteredComplex(
-        (s, birth[s]) if removal[s] == INF else (s, birth[s], removal[s])
-        for s in order
-    )
-
-
-@st.composite
 def presentations(draw, field, max_gens=4):
     """Presentations with nameable labels, zero relation columns included."""
     labels = draw(st.lists(NAMES, min_size=1, max_size=max_gens, unique=True))
@@ -831,6 +814,46 @@ def assert_contract(directory, field, command, text):
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     assert sum(ln.startswith("error:") for ln in lines) == (code != 0), lines
+
+
+class TestPresentationLabels:
+    def test_unreadable_labels_rejected(self):
+        p = Presentation.from_terms(
+            QQ, [("a b", 0), ("c#d", 1)], [[(1, 2, "a b")]]
+        )
+        with pytest.raises(ValueError, match="'a b'"):
+            format_presentation(p)
+        for label in ("", "c#d", "x+y", "x->y", "tab\tin", "caf\u00e9", "nul\x00"):
+            with pytest.raises(ValueError, match="cannot be written"):
+                format_presentation(Presentation.free(QQ, [(label, 0)]))
+        # labels are checked together; no '->' forms across two of them
+        assert_round_trip(Presentation.free(QQ, [("a-", 0), (">b", 1)]))
+
+    def test_construction_labels_round_trip(self):
+        p = Presentation.from_terms(QQ, [("a", 0)], [[(1, 2, "a")]])
+        q = Presentation.from_terms(QQ, [("b", 1)], [[(1, 3, "b")]])
+        shift = PresentationMorphism(
+            p, q, GradedMatrix.zero(QQ, p.gens, q.gens)
+        )
+        results = [
+            image(shift), kernel(shift)[0], cokernel(shift), tensor(p, q),
+            tensor_over_k(p, q), dual(p),
+        ]
+        labels = {label for r in results for label in r.gens.labels}
+        assert {"w0", "k0", "(a.b)", "(b@2.a)", "a*"} <= labels
+        for r in results:
+            assert_round_trip(r)
+
+    def test_op_output_with_unreadable_label(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "m.pmod", TORSION_MODULE)
+        out_path = tmp_path / "out.pmod"
+        bad = Presentation.free(QQ, [("a b", 0)])
+        monkeypatch.setattr(persmod.cli, "dual", lambda p: bad)
+        code, out, err = invoke(["op", "dual", path, "-o", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: generator label 'a b'")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
 
 
 class TestCliContract:

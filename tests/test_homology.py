@@ -4,18 +4,22 @@ Worked examples follow two filtrations computed by hand: a four-vertex
 complex that closes into two filled triangles, and a filled triangle
 whose simplices are all eventually removed.  Property tests compare
 bar counts per degree slice against the dense Betti-number oracle in
-helpers.
+helpers, and the cohomology pairing against the boundary reduction.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     BOTH_FIELDS,
     betti_numbers,
+    boundary_pairing_barcode,
+    complexes,
     dense_homology_dimension,
     random_filtered_complex,
+    rips_complex,
 )
 from persmod import (
     INF,
@@ -422,6 +426,35 @@ class TestPersistentHomology:
                         assert got == want.get(p, 0), (
                             f"H_{p} at degree {d} over {field}"
                         )
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(drawn=complexes(), field=st.sampled_from([QQ, PrimeField(2)]))
+    def test_bars_alive_are_sublevel_betti_numbers(self, drawn, field):
+        c = FilteredComplex((s.vertices, s.birth) for s in drawn.simplices)
+        bars = persistent_homology(c, field)
+        for g in range(max(s.birth for s in c.simplices) + 2):
+            want = betti_numbers(
+                [s.vertices for s in c.simplices if s.birth <= g], field
+            )
+            for p in range(c.max_dimension + 1):
+                alive = sum(1 for b in bars if b.dim == p and b.alive_at(g))
+                assert alive == want.get(p, 0), (p, g)
+
+    def test_pairing_matches_boundary_reduction(self):
+        # coboundary with clearing against the homology route, with
+        # ties and ephemeral bars from coarsened births and Rips triangles
+        rng = random.Random(43)
+        ephemeral = 0
+        for field in (QQ, PrimeField(5), PrimeField(2)):
+            cases = [rips_complex(rng, 20)]
+            for n in range(100):
+                c = random_filtered_complex(rng, max_vertices=4 + n % 4)
+                cases.append(coarsened(c, 3) if n % 2 else c)
+            for c in cases:
+                bars = persistent_homology(c, field)
+                assert bars == boundary_pairing_barcode(c, field)
+                ephemeral += sum(b.ephemeral for b in bars)
+        assert ephemeral > 0
 
     def test_one_bar_per_cycle(self):
         for field in BOTH_FIELDS:
