@@ -43,6 +43,7 @@ from .constructions import (
 from .fields import QQ, field_from_string
 from .homology import (
     FilteredComplex,
+    _codim_one_faces,
     _normalized,
     _violation,
     persistent_homology,
@@ -110,13 +111,14 @@ def _parse_value(token: str, lineno: int):
 
 
 def _load_complex(text):
-    """Parse complex text into (FilteredComplex, value map or None).
+    """Parse complex text into (FilteredComplex, value map or None,
+    line numbers).
 
     When any filtration value is not an integer, all values are
     replaced by their rank among the sorted distinct values and the
-    mapping is returned for echoing.  A complex that breaks a rule is
-    reported at the line of the simplex at fault, with the values as
-    written there.
+    mapping is returned for echoing.  The line numbers give the input
+    line of each simplex.  A complex that breaks a rule is reported at
+    the line of the simplex at fault, with the values as written there.
     """
     rows = []
     for n, line in _content_lines(text):
@@ -157,7 +159,7 @@ def _load_complex(text):
         raise CliError(
             VALIDATION_ERROR, f"line {rows[at][0]}: {message}"
         ) from None
-    return filtration, value_map
+    return filtration, value_map, tuple(n for n, _, _ in rows)
 
 
 def parse_complex(text: str) -> FilteredComplex:
@@ -414,7 +416,7 @@ def _map_lines(matrix: GradedMatrix):
 
 
 def _cmd_barcode(args):
-    filtration, value_map = _load_complex(_read(args.input))
+    filtration, value_map, _ = _load_complex(_read(args.input))
     bars = persistent_homology(filtration, args.field)
     _echo_value_map(value_map)
     _print_bars(bars)
@@ -439,7 +441,7 @@ def _cmd_snf(args):
 
 
 def _cmd_relative(args):
-    filtration, value_map = _load_complex(_read(args.input))
+    filtration, value_map, _ = _load_complex(_read(args.input))
     bars = torsion_homology(relative_complex(filtration, args.field))
     if not args.keep_ephemeral:
         bars = bars.without_ephemeral()
@@ -448,11 +450,21 @@ def _cmd_relative(args):
 
 
 def _cmd_stream(args):
-    filtration, value_map = _load_complex(_read(args.input))
+    filtration, value_map, lines = _load_complex(_read(args.input))
     if filtration.has_removals:
         raise CliError(
             VALIDATION_ERROR, "stream input cannot carry removal times"
         )
+    arrived = set()
+    for n, s in enumerate(filtration.simplices):
+        for face in _codim_one_faces(s.vertices):
+            if face not in arrived:
+                raise CliError(
+                    VALIDATION_ERROR,
+                    f"line {lines[n]}: simplex {s.vertices} is missing "
+                    f"face {face}",
+                )
+        arrived.add(s.vertices)
     _echo_value_map(value_map)
     state = StreamState(args.field)
     for s in filtration.simplices:

@@ -89,7 +89,7 @@ def image(f: PresentationMorphism) -> Presentation:
     combined = GradedMatrix(
         field, concat_bases(a, b), f.dst.gens, list(phi.cols) + list(iq.cols)
     )
-    ech = column_echelon(combined, change=False)
+    ech = column_echelon(combined)
     dead = set(ech.zero_cols)
     survivors = [c for c in ech.order if c not in dead]
     pos = {c: n for n, c in enumerate(survivors)}
@@ -260,7 +260,7 @@ def _diagonal(p: Presentation) -> list:
     and an unpaired generator is free (INF).  Generators killed on
     arrival (annihilator t^0) are dropped.
     """
-    lows = column_echelon(p.incl, change=False).lows
+    lows = column_echelon(p.incl).lows
     gdeg, rdeg = p.gens.degrees, p.rels.degrees
     ann = {i: rdeg[j] - gdeg[i] for i, j in lows.items()}
     triples = [(lab, deg, ann.get(i, INF)) for i, (lab, deg) in enumerate(p.gens)]

@@ -7,10 +7,9 @@ graded by the last birth minus each birth, pairs the same simplices.
 ``persistent_homology`` reduces that coboundary one dimension at a time
 with clearing and reads the barcode off the pairing (de Silva, Morozov
 and Vejdemo-Johansson, *Dualities in persistent (co)homology*, 2011;
-Bauer, *Ripser*, 2021).  Column reduction of the boundary with change
-tracking splits the chain module into cycles and boundaries; expressing
-each boundary in the cycle basis gives a presentation whose diagonal
-form is the same barcode, which is kept as the reference route.
+Bauer, *Ripser*, 2021).  The boundary reduction of Zomorodian and
+Carlsson (2005), and the presentation of cycles modulo boundaries that
+it yields, give the same barcode; the tests keep both as oracles.
 
 Complexes that also remove simplices become torsion chain complexes:
 every simplex contributes a relation at its removal time, and homology
@@ -26,12 +25,7 @@ from itertools import combinations
 from . import linalg
 from .constructions import cokernel, kernel
 from .fields import QQ
-from .linalg import (
-    GradedBasis,
-    GradedMatrix,
-    column_echelon,
-    express_in_columns,
-)
+from .linalg import GradedBasis, GradedMatrix
 from .presentation import (
     INF,
     Bar,
@@ -43,13 +37,10 @@ from .presentation import (
 
 __all__ = [
     "FilteredComplex",
-    "ReductionState",
     "Simplex",
     "TorsionChainComplex",
-    "boundaries_in_cycles",
     "graded_boundary",
     "persistent_homology",
-    "reduce_boundary",
     "relative_complex",
     "torsion_homology",
 ]
@@ -201,98 +192,6 @@ def graded_boundary(filtration: FilteredComplex, field=QQ) -> GradedMatrix:
     return GradedMatrix.from_entries(field, basis, basis, entries)
 
 
-class ReductionState:
-    """Result of reducing a boundary matrix.
-
-    Attributes
-    ----------
-    Z : tuple of HomogeneousElement
-        Cycle basis in order of appearance: the change columns of the
-        boundary columns that reduced to zero.
-    B : tuple of HomogeneousElement
-        The nonzero boundary columns of the original matrix in order
-        of appearance; each lies in the span of Z.
-    field : Rationals or PrimeField
-        The coefficient field of the reduced matrix.
-    pivots : dict
-        Pivot row index -> column index of the reduced matrix.
-    z_columns, b_columns : tuple of int
-        The original column index behind each entry of Z and B.
-    """
-
-    __slots__ = ("Z", "B", "field", "pivots", "z_columns", "b_columns")
-
-    def __init__(self, Z, B, field, pivots, z_columns, b_columns):
-        self.Z = Z
-        self.B = B
-        self.field = field
-        self.pivots = pivots
-        self.z_columns = z_columns
-        self.b_columns = b_columns
-
-    def __repr__(self):
-        return f"ReductionState({len(self.Z)} cycles, {len(self.B)} boundaries)"
-
-
-def reduce_boundary(m: GradedMatrix) -> ReductionState:
-    """Column-reduce a boundary matrix into cycles and boundaries.
-
-    A column that reduces to zero certifies a cycle (its accumulated
-    change column); a column that was nonzero to begin with records its
-    unreduced value as a boundary of the module one dimension down.
-    """
-    ech = column_echelon(m)
-    z_columns = ech.zero_cols
-    b_columns = tuple(j for j in ech.order if not m.column(j).is_zero)
-    return ReductionState(
-        Z=tuple(ech.change.column(j) for j in z_columns),
-        B=tuple(m.column(j) for j in b_columns),
-        field=m.field,
-        pivots=dict(ech.lows),
-        z_columns=z_columns,
-        b_columns=b_columns,
-    )
-
-
-def _cycle_presentation(field, cycles, boundaries) -> Presentation:
-    """Present a homology module: generators = cycles, relations = boundaries.
-
-    Each boundary is rewritten in the cycle basis; failure to reduce to
-    zero means the input was not a boundary matrix.
-    """
-    zmat = GradedMatrix.from_columns(
-        field,
-        cycles[0].basis if cycles else GradedBasis([]),
-        list(cycles),
-        labels=[f"z{i + 1}" for i in range(len(cycles))],
-    )
-    ech = column_echelon(zmat)
-    cols = []
-    for n, b in enumerate(boundaries):
-        coeffs = express_in_columns(b, ech)
-        if coeffs is None:
-            raise ValueError(
-                f"boundary {n} does not reduce to zero against the cycles"
-            )
-        cols.append(coeffs)
-    incl = GradedMatrix.from_columns(
-        field,
-        zmat.source,
-        cols,
-        labels=[f"r{j + 1}" for j in range(len(cols))],
-    )
-    return Presentation(field, incl)
-
-
-def boundaries_in_cycles(state: ReductionState) -> Presentation:
-    """Presentation of homology from a reduction: cycles modulo boundaries.
-
-    Generators are labeled z1, z2, ... at the cycle degrees; relations
-    r1, r2, ... express each boundary over the cycle basis.
-    """
-    return _cycle_presentation(state.field, state.Z, state.B)
-
-
 def persistent_homology(filtration: FilteredComplex, field=QQ) -> Barcode:
     """Dimension-labeled barcode of a filtered complex without removals.
 
@@ -398,8 +297,11 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
     removal time, which is r or later.  So the boundary descends to
     these torsion chains only where every removed simplex shares its
     removal time with each of its faces; elsewhere ``validate_morphism``
-    on the boundary returns False.  The complex is built either way,
-    and ``torsion_homology`` says what it reads from it.
+    on the boundary returns False.  The complex is built either way.
+    ``torsion_homology`` of it is torsion-chain homology, which equals
+    the homology of the slice complex {birth <= g < removal} at every
+    grade g exactly when the boundary descends; for p >= 1 and a
+    boundary that does not descend it is a choice of this package.
     """
     ordered = filtration.sorted_simplices()
     basis = GradedBasis(
@@ -471,9 +373,15 @@ def torsion_homology(tcc: TorsionChainComplex) -> Barcode:
     cokernel depends only on the images of the edge generators, so it
     is well defined whether or not the boundary descends to the torsion
     chains (see ``relative_complex``).  For p >= 1 the cycles are the
-    preimage of the (p-1)-relations under the boundary.  When the
-    boundary does not descend, that is a choice and not the homology of
-    the complex alive at each grade.
+    preimage of the (p-1)-relations under the boundary.
+
+    This is torsion-chain homology.  When the boundary descends, taking
+    the degree-g part is exact, so the bars alive at grade g count the
+    homology of the slice complex {birth <= g < removal}; the tests
+    check this against dense Betti numbers of every slice.  For p >= 1
+    and a boundary that does not descend, the answer is a choice of
+    this package and not the homology of the complex alive at each
+    grade.
     """
     field = tcc.chains.field
     chain_at = {

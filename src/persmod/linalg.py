@@ -400,11 +400,6 @@ class ColumnEchelon:
     reduced : GradedMatrix
         Column echelon form; every nonzero column has a distinct pivot
         row (its bottom-most entry in degree order).
-    change : GradedMatrix or None
-        Graded-invertible source basis change with
-        ``reduced = matrix @ change`` (unit diagonal, entries only from
-        earlier columns in processing order); None when the reduction
-        ran with ``change=False``.
     lows : dict
         pivot row index -> column index.
     zero_cols : tuple
@@ -413,53 +408,39 @@ class ColumnEchelon:
         The column processing order (ascending degree, then position).
     """
 
-    __slots__ = ("matrix", "reduced", "change", "lows", "zero_cols", "order")
+    __slots__ = ("matrix", "reduced", "lows", "zero_cols", "order")
 
-    def __init__(self, matrix, reduced, change, lows, zero_cols, order):
+    def __init__(self, matrix, reduced, lows, zero_cols, order):
         self.matrix = matrix
         self.reduced = reduced
-        self.change = change
         self.lows = lows
         self.zero_cols = zero_cols
         self.order = order
 
 
-def column_echelon(m: GradedMatrix, change: bool = True) -> ColumnEchelon:
+def column_echelon(m: GradedMatrix) -> ColumnEchelon:
     """Reduce columns until every nonzero column has a unique pivot row.
 
     Columns are processed in ascending (degree, position) order and only
     ever reduced by earlier columns, so each subtraction multiplies the
-    reducing column by a nonnegative power of t.
-
-    With ``change=False`` no change-of-basis columns are built or
-    combined and the result's ``change`` is None; ``lows``, ``reduced``,
-    ``zero_cols`` and ``order`` are the same either way.  Callers that
-    only read the reduced columns or the pivot pairing, such as
-    ``barcode`` and ``membership``, skip the bookkeeping that
-    ``free_kernel`` and ``express_in_columns`` need.
+    reducing column by a nonnegative power of t.  No change of basis is
+    kept: callers read the reduced columns or the pivot pairing, and
+    ``free_kernel`` tracks the column operations it needs itself.
     """
     f = m.field
     key = _pivot_rank(m.target).__getitem__
     cols = [dict(col) for col in m.cols]
-    track = [{j: f.one} for j in range(m.ncols)] if change else None
     lows: dict[int, int] = {}
     zero_cols = []
     order = tuple(m.source.sorted_indices())
     for c in order:
-        steps = [] if change else None
-        low = _reduce(f, cols[c], key, lows, cols, steps=steps)
+        low = _reduce(f, cols[c], key, lows, cols)
         if low is None:
             zero_cols.append(c)
         else:
             lows[low] = c
-        if change:
-            for p, r in steps:
-                _combine(f, track[c], track[p], r)
     reduced = GradedMatrix(f, m.source, m.target, cols)
-    change_m = None
-    if change:
-        change_m = GradedMatrix(f, m.source, m.source, track)
-    return ColumnEchelon(m, reduced, change_m, lows, tuple(zero_cols), order)
+    return ColumnEchelon(m, reduced, lows, tuple(zero_cols), order)
 
 
 def _pivot_rank(basis: GradedBasis) -> list:
@@ -512,7 +493,7 @@ def membership(x: HomogeneousElement, sub) -> bool:
     against the pivots never gets stuck.
     """
     if isinstance(sub, GradedMatrix):
-        sub = column_echelon(sub, change=False)
+        sub = column_echelon(sub)
     if x.basis != sub.matrix.target:
         raise ValueError("element is not over the matrix target basis")
     return _echelon_coefficients(x, sub) is not None
@@ -549,43 +530,41 @@ def express_in_echelon(x: HomogeneousElement, ech) -> HomogeneousElement | None:
     columns never appear.  Returns None when x is outside the span.
     """
     if isinstance(ech, GradedMatrix):
-        ech = column_echelon(ech, change=False)
+        ech = column_echelon(ech)
     taken = _echelon_coefficients(x, ech)
     if taken is None:
         return None
     return HomogeneousElement(x.field, ech.matrix.source, x.degree, taken)
 
 
-def express_in_columns(x: HomogeneousElement, ech) -> HomogeneousElement | None:
-    """Write x as a combination of the matrix's original columns.
-
-    Returns the coefficient element over the source basis (so that
-    ``matrix.apply(result) == x``), or None when x is not in the column
-    space.
-    """
-    if isinstance(ech, GradedMatrix):
-        ech = column_echelon(ech)
-    taken = _echelon_coefficients(x, ech)
-    if taken is None:
-        return None
-    f = x.field
-    combo: dict[int, object] = {}
-    for p, r in taken.items():
-        _combine(f, combo, ech.change.cols[p], f.neg(r))
-    return HomogeneousElement(f, ech.matrix.source, x.degree, combo)
-
-
 def free_kernel(m: GradedMatrix) -> GradedMatrix:
     """A free basis for the kernel of a map between free modules.
 
-    Column-reduces with change tracking; the change columns of the
-    columns that died span the kernel.  Each output column k satisfies
-    ``m.apply(k) == 0`` and has the degree of the column that died.
+    Column-reduces as ``column_echelon`` does and replays every column
+    operation onto a change column; the change columns of the columns
+    that died span the kernel, in processing order.  Each output column
+    k satisfies ``m.apply(k) == 0`` and has the degree of the column
+    that died.
     """
-    ech = column_echelon(m)
-    columns = [ech.change.column(c) for c in ech.zero_cols]
-    labels = [f"k{n}" for n in range(len(columns))]
-    return GradedMatrix.from_columns(m.field, m.source, columns, labels)
+    f = m.field
+    key = _pivot_rank(m.target).__getitem__
+    cols = [dict(col) for col in m.cols]
+    track = [{j: f.one} for j in range(m.ncols)]
+    lows: dict[int, int] = {}
+    dead = []
+    for c in m.source.sorted_indices():
+        steps = []
+        low = _reduce(f, cols[c], key, lows, cols, steps=steps)
+        for p, r in steps:
+            _combine(f, track[c], track[p], r)
+        if low is None:
+            dead.append(c)
+        else:
+            lows[low] = c
+    source = GradedBasis(
+        (f"k{n}", m.source.degrees[c]) for n, c in enumerate(dead)
+    )
+    return GradedMatrix(f, source, m.source, [track[c] for c in dead])
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ class PresentationMorphism:
 
 def validate_morphism(m: PresentationMorphism) -> bool:
     """True iff the generator map descends to the quotient modules."""
-    ech = column_echelon(m.dst.incl, change=False)
+    ech = column_echelon(m.dst.incl)
     return all(
         membership(m.phi.apply(m.src.relation(j)), ech)
         for j in range(len(m.src.rels))
@@ -262,7 +262,7 @@ def barcode(p: Presentation, dim=None) -> Barcode:
     depend on which legal column operations reach it, so these are the
     diagonal entries of the graded Smith normal form.
     """
-    ech = column_echelon(p.incl, change=False)
+    ech = column_echelon(p.incl)
     gdeg, rdeg = p.gens.degrees, p.rels.degrees
     bars = [Bar(dim, gdeg[i], rdeg[j]) for i, j in ech.lows.items()]
     bars.extend(
@@ -282,7 +282,7 @@ def minimize(p: Presentation, keep_ephemeral: bool = False) -> Presentation:
     ``keep_ephemeral=True`` to keep such pairs as explicit length-0
     data.  Relations come out monic.
     """
-    lows = column_echelon(p.incl, change=False).lows
+    lows = column_echelon(p.incl).lows
     gdeg, rdeg = p.gens.degrees, p.rels.degrees
     keep = [
         (row, col)

@@ -7,6 +7,7 @@ the library's reduction engine.
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -18,12 +19,14 @@ from persmod import (
     FilteredComplex,
     GradedBasis,
     GradedMatrix,
+    HomogeneousElement,
     Presentation,
     PresentationMorphism,
     PrimeField,
     QQ,
     column_echelon,
     concat_bases,
+    free_kernel,
     graded_boundary,
 )
 
@@ -139,8 +142,6 @@ def random_element(field, rng, basis, degree=None):
     for i in range(len(basis)):
         if basis.degrees[i] <= degree and rng.random() < 0.6:
             coords[i] = random_scalar(field, rng)
-    from persmod import HomogeneousElement
-
     return HomogeneousElement(field, basis, degree, coords)
 
 
@@ -578,7 +579,7 @@ def boundary_pairing_barcode(filtration, field):
     [birth i, inf).
     """
     m = graded_boundary(filtration, field)
-    ech = column_echelon(m, change=False)
+    ech = column_echelon(m)
     births = m.source.degrees
     dims = [len(s.vertices) - 1 for s in filtration.sorted_simplices()]
     bars = [Bar(dims[i], births[i], births[j]) for i, j in ech.lows.items()]
@@ -586,6 +587,98 @@ def boundary_pairing_barcode(filtration, field):
         Bar(dims[i], births[i], INF) for i in ech.zero_cols if i not in ech.lows
     )
     return Barcode(bars)
+
+
+ReductionState = namedtuple(
+    "ReductionState", ["Z", "B", "field", "pivots", "z_columns", "b_columns"]
+)
+"""Cycles Z and boundaries B of a boundary matrix, with the original
+column behind each and the pivot pairing of its column echelon."""
+
+
+def reduce_boundary(m):
+    """Split a boundary matrix into cycles and boundaries.
+
+    The reference route of Zomorodian and Carlsson (2005), rebuilt on
+    the public kernel: the cycles are the ``free_kernel`` columns, one
+    per column that reduces to zero, in processing order; the
+    boundaries are the nonzero columns of ``m`` in processing order,
+    each a boundary of the module one dimension down.
+    """
+    ech = column_echelon(m)
+    b_columns = tuple(j for j in ech.order if m.cols[j])
+    return ReductionState(
+        Z=tuple(free_kernel(m).columns()),
+        B=tuple(m.column(j) for j in b_columns),
+        field=m.field,
+        pivots=dict(ech.lows),
+        z_columns=ech.zero_cols,
+        b_columns=b_columns,
+    )
+
+
+def express_in_columns(x, m):
+    """Coefficients c over ``m.source`` with ``m.apply(c) == x``, or None.
+
+    Appends x to m as a last column, processed after every column of
+    degree <= deg x.  x lies in the column space exactly when that
+    column reduces to zero, and then its kernel column is the only one
+    of degree deg x with a coordinate on x: scaled to -1 there, the
+    rest of it is the answer.
+    """
+    if x.basis != m.target:
+        raise ValueError("element is not over the matrix target basis")
+    f = m.field
+    label = next(
+        lab for lab in (f"x{n}" for n in itertools.count())
+        if lab not in m.source.labels
+    )
+    source = concat_bases(m.source, GradedBasis([(label, x.degree)]))
+    last = m.ncols
+    joined = GradedMatrix(f, source, m.target, [*m.cols, x.coords])
+    for k in free_kernel(joined).columns():
+        if k.degree == x.degree and last in k.coords:
+            scale = f.neg(f.inv(k.coords[last]))
+            coords = {
+                i: f.mul(scale, c) for i, c in k.coords.items() if i != last
+            }
+            return HomogeneousElement(f, m.source, x.degree, coords)
+    return None
+
+
+def cycle_presentation(field, cycles, boundaries):
+    """Present a homology module: generators = cycles, relations = boundaries.
+
+    Each boundary is rewritten in the cycle basis; failure means the
+    input was not a boundary matrix.
+    """
+    zmat = GradedMatrix.from_columns(
+        field,
+        cycles[0].basis if cycles else GradedBasis([]),
+        list(cycles),
+        labels=[f"z{i + 1}" for i in range(len(cycles))],
+    )
+    cols = []
+    for n, b in enumerate(boundaries):
+        coeffs = express_in_columns(b, zmat)
+        if coeffs is None:
+            raise ValueError(
+                f"boundary {n} does not reduce to zero against the cycles"
+            )
+        cols.append(coeffs)
+    incl = GradedMatrix.from_columns(
+        field, zmat.source, cols, labels=[f"r{j + 1}" for j in range(len(cols))]
+    )
+    return Presentation(field, incl)
+
+
+def boundaries_in_cycles(state):
+    """Presentation of homology from a reduction: cycles modulo boundaries.
+
+    Generators are labeled z1, z2, ... at the cycle degrees; relations
+    r1, r2, ... express each boundary over the cycle basis.
+    """
+    return cycle_presentation(state.field, state.Z, state.B)
 
 
 def random_insertion_order(rng, filtration):

@@ -555,10 +555,14 @@ class TestStreamCommand:
         assert "removal" in err
 
     def test_face_must_arrive_first(self, tmp_path, capsys):
-        path = write(tmp_path, "c.flt", "0 ; 0\n0 1 ; 1\n1 ; 0\n")
-        code, _, err = invoke(["stream", path], capsys)
-        assert code == 2
-        assert "missing face" in err
+        # file order is checked before anything is printed: no value
+        # echoes and no insert events
+        path = write(tmp_path, "c.flt", "0 ; 0.5\n0 1 ; 1.5\n1 ; 0.25\n")
+        for flags in ([], ["--emit-events"]):
+            code, out, err = invoke(["stream", *flags, path], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == "error: line 2: simplex (0, 1) is missing face (1,)\n"
 
 
 class TestOpCommand:

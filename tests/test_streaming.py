@@ -11,24 +11,28 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     BOTH_FIELDS,
     audit_stream,
+    complexes,
     random_filtered_complex,
     random_insertion_order,
+    reduce_boundary,
 )
 from persmod import (
     INF,
     Bar,
     BarcodeDelta,
     FilteredComplex,
+    PrimeField,
+    QQ,
     StreamState,
     add_simplex,
     current_barcode,
     graded_boundary,
     persistent_homology,
-    reduce_boundary,
 )
 
 TRIANGLE_TRACE = [
@@ -209,6 +213,20 @@ class TestPermutationInvariance:
                 for s in random_insertion_order(rng, c):
                     state, _ = add_simplex(state, s.vertices, s.birth)
                 assert current_barcode(state) == persistent_homology(c, field)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        drawn=complexes(),
+        rng=st.randoms(use_true_random=False),
+        field=st.sampled_from([QQ, PrimeField(2)]),
+    )
+    def test_drawn_orders_match_batch(self, drawn, rng, field):
+        # drawn births tie often, so arrival order breaks many ties
+        c = FilteredComplex((s.vertices, s.birth) for s in drawn.simplices)
+        state = StreamState(field)
+        for s in random_insertion_order(rng, c):
+            state, _ = add_simplex(state, s.vertices, s.birth)
+        assert current_barcode(state) == persistent_homology(c, field)
 
     def test_invariant_holds_after_every_insertion(self):
         for field in BOTH_FIELDS:
