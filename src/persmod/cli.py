@@ -43,7 +43,6 @@ from .constructions import (
 from .fields import QQ, field_from_string
 from .homology import (
     FilteredComplex,
-    _codim_one_faces,
     _normalized,
     _violation,
     persistent_homology,
@@ -277,6 +276,14 @@ def _readable(labels) -> bool:
     )
 
 
+def _terms(matrix: GradedMatrix, j: int) -> list:
+    """The ``<coeff>t^<e>*<label>`` terms of column j."""
+    return [
+        f"{matrix.field.format(c)}t^{e}*{matrix.target.labels[i]}"
+        for i, c, e in matrix.column(j).terms()
+    ]
+
+
 def format_presentation(p: Presentation) -> str:
     """Render a presentation in the input grammar.
 
@@ -296,10 +303,7 @@ def format_presentation(p: Presentation) -> str:
         for label, degree in zip(p.gens.labels, p.gens.degrees)
     ]
     for j in range(len(p.rels)):
-        terms = [
-            f"{p.field.format(c)}t^{e}*{p.gens.labels[i]}"
-            for i, c, e in p.incl.column(j).terms()
-        ]
+        terms = _terms(p.incl, j)
         if terms:
             lines.append("rel " + " + ".join(terms))
     return "".join(line + "\n" for line in lines)
@@ -405,14 +409,10 @@ def _echo_value_map(value_map):
 
 def _map_lines(matrix: GradedMatrix):
     """``map`` lines describing a matrix column by column."""
-    lines = []
-    for j, label in enumerate(matrix.source.labels):
-        terms = [
-            f"{matrix.field.format(c)}t^{e}*{matrix.target.labels[i]}"
-            for i, c, e in matrix.column(j).terms()
-        ]
-        lines.append(f"map {label} -> " + (" + ".join(terms) or "0"))
-    return lines
+    return [
+        f"map {label} -> " + (" + ".join(_terms(matrix, j)) or "0")
+        for j, label in enumerate(matrix.source.labels)
+    ]
 
 
 def _cmd_barcode(args):
@@ -455,27 +455,24 @@ def _cmd_stream(args):
         raise CliError(
             VALIDATION_ERROR, "stream input cannot carry removal times"
         )
-    arrived = set()
-    for n, s in enumerate(filtration.simplices):
-        for face in _codim_one_faces(s.vertices):
-            if face not in arrived:
-                raise CliError(
-                    VALIDATION_ERROR,
-                    f"line {lines[n]}: simplex {s.vertices} is missing "
-                    f"face {face}",
-                )
-        arrived.add(s.vertices)
-    _echo_value_map(value_map)
+    # insert everything first, so a simplex listed before one of its
+    # faces fails before anything is printed
     state = StreamState(args.field)
-    for s in filtration.simplices:
-        state, delta = add_simplex(state, s.vertices, s.birth)
+    events = []
+    for n, s in enumerate(filtration.simplices):
+        try:
+            state, delta = add_simplex(state, s.vertices, s.birth)
+        except ValueError as e:
+            raise CliError(VALIDATION_ERROR, f"line {lines[n]}: {e}") from None
         if args.emit_events:
             head = " ".join(str(v) for v in s.vertices)
-            print(f"# insert {head} ; {s.birth}")
+            events.append(f"# insert {head} ; {s.birth}\n")
             for bar in sorted(delta.removed, key=lambda b: b.key()):
-                print(f"- {_bar_line(bar)}")
+                events.append(f"- {_bar_line(bar)}\n")
             for bar in sorted(delta.added, key=lambda b: b.key()):
-                print(f"+ {_bar_line(bar)}")
+                events.append(f"+ {_bar_line(bar)}\n")
+    _echo_value_map(value_map)
+    sys.stdout.write("".join(events))
     _print_bars(current_barcode(state))
 
 
@@ -529,19 +526,11 @@ def _cmd_op(args):
         _expect_inputs(args, 2)
         f = parse_morphism(_read(args.inputs[0]), args.field)
         g = parse_morphism(_read(args.inputs[1]), args.field)
-        if f.dst != g.dst:
-            raise CliError(
-                VALIDATION_ERROR, "pullback inputs must share a target"
-            )
         result, _, _ = pullback(f, g)
     elif name == "pushout":
         _expect_inputs(args, 2)
         f = parse_morphism(_read(args.inputs[0]), args.field)
         g = parse_morphism(_read(args.inputs[1]), args.field)
-        if f.src != g.src:
-            raise CliError(
-                VALIDATION_ERROR, "pushout inputs must share a source"
-            )
         result = pushout(f, g)
     else:
         raise CliError(VALIDATION_ERROR, f"unknown operation {name!r}")

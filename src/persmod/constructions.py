@@ -30,28 +30,24 @@ from .linalg import (
     GradedBasis,
     GradedMatrix,
     HomogeneousElement,
+    _echelon_coefficients,
     column_echelon,
     concat_bases,
-    express_in_echelon,
     free_kernel,
     graded_snf,
 )
-from .presentation import INF, Presentation, PresentationMorphism
+from .presentation import INF, Presentation, PresentationMorphism, _annihilators
 
 
-def _fresh_labels(basis: GradedBasis, taken: set) -> list:
-    """Labels for ``basis`` made unique against ``taken`` by priming."""
+def _relabeled(basis: GradedBasis, taken: set) -> GradedBasis:
+    """``basis`` with labels made unique against ``taken`` by priming."""
     labels = []
     for lab in basis.labels:
         while lab in taken:
             lab = lab + "'"
         taken.add(lab)
         labels.append(lab)
-    return labels
-
-
-def _relabeled(basis: GradedBasis, taken: set) -> GradedBasis:
-    return GradedBasis(zip(_fresh_labels(basis, taken), basis.degrees))
+    return GradedBasis(zip(labels, basis.degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +94,8 @@ def image(f: PresentationMorphism) -> Presentation:
     )
     rel_cols = []
     for j in range(iq.ncols):
-        coeffs = express_in_echelon(iq.column(j), ech)
-        rel_cols.append({pos[c]: v for c, v in coeffs.coords.items()})
+        coeffs = _echelon_coefficients(iq.column(j), ech)
+        rel_cols.append({pos[c]: v for c, v in coeffs.items()})
     rels = GradedBasis(
         (f"rel{n}", d) for n, d in enumerate(iq.source.degrees)
     )
@@ -174,7 +170,7 @@ def pullback(f: PresentationMorphism, g: PresentationMorphism):
     Returns (pullback presentation, projection to P, projection to Q).
     """
     if f.dst != g.dst:
-        raise ValueError("pullback needs a common target")
+        raise ValueError("pullback inputs must share a target")
     field = f.src.field
     s = direct_sum(f.src, g.src)
     off = len(f.src.gens)
@@ -194,7 +190,7 @@ def pullback(f: PresentationMorphism, g: PresentationMorphism):
 def pushout(f: PresentationMorphism, g: PresentationMorphism) -> Presentation:
     """Colimit of P <- R -> Q: the cokernel of r -> (f r, -g r)."""
     if f.src != g.src:
-        raise ValueError("pushout needs a common source")
+        raise ValueError("pushout inputs must share a source")
     field = f.src.field
     s = direct_sum(f.dst, g.dst)
     off = len(f.dst.gens)
@@ -252,19 +248,13 @@ def snf_form(p: Presentation) -> SnfForm:
 
 
 def _diagonal(p: Presentation) -> list:
-    """(label, degree, annihilator) of each generator that survives.
-
-    Read off the pivot pairing of one untracked column reduction of the
-    relations, which is the diagonal of the graded Smith normal form:
-    pivot row i of relation j gives annihilator deg rel j - deg gen i,
-    and an unpaired generator is free (INF).  Generators killed on
-    arrival (annihilator t^0) are dropped.
-    """
-    lows = column_echelon(p.incl).lows
-    gdeg, rdeg = p.gens.degrees, p.rels.degrees
-    ann = {i: rdeg[j] - gdeg[i] for i, j in lows.items()}
-    triples = [(lab, deg, ann.get(i, INF)) for i, (lab, deg) in enumerate(p.gens)]
-    return [t for t in triples if t[2] != 0]
+    """(label, degree, annihilator) of each generator that survives;
+    generators killed on arrival (annihilator t^0) are dropped."""
+    return [
+        (lab, deg, a)
+        for (lab, deg), a in zip(p.gens, _annihilators(p))
+        if a != 0
+    ]
 
 
 def _diagonal_presentation(field, gens_with_ann):
@@ -296,32 +286,24 @@ def tensor(p: Presentation, q: Presentation) -> Presentation:
     return _diagonal_presentation(p.field, triples)
 
 
-def tensor_over_k(
-    p: Presentation, q: Presentation, acting_side: str = "left"
-) -> Presentation:
-    """Tensor over k, with the t-action taken from one side only.
+def tensor_over_k(p: Presentation, q: Presentation) -> Presentation:
+    """Tensor over k, with the t-action taken from the left factor p.
 
-    The non-acting factor contributes one k-basis slot per degree where
-    it is alive; each slot yields a degree-shifted copy of the acting
-    factor.  The non-acting factor must die in finite degree, otherwise
-    the result would have infinite rank.
+    The non-acting factor q contributes one k-basis slot per degree
+    where it is alive; each slot yields a degree-shifted copy of p.  So
+    q must die in finite degree, otherwise the result would have
+    infinite rank.
     """
-    if acting_side == "left":
-        acting, passive = p, q
-    elif acting_side == "right":
-        acting, passive = q, p
-    else:
-        raise ValueError(f"acting_side must be left or right, not {acting_side!r}")
-    da, dp = _diagonal(acting), _diagonal(passive)
-    if any(a == INF for _, _, a in dp):
+    dp, dq = _diagonal(p), _diagonal(q)
+    if any(a == INF for _, _, a in dq):
         raise ValueError(
             "non-acting tensor factor must be finite dimensional over k"
         )
     triples = [
         (f"({ql}@{e}.{pl})", pd + e, pa)
-        for ql, qd, qa in dp
+        for ql, qd, qa in dq
         for e in range(qd, qd + qa)
-        for pl, pd, pa in da
+        for pl, pd, pa in dp
     ]
     return _diagonal_presentation(p.field, triples)
 

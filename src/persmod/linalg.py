@@ -523,20 +523,6 @@ def _echelon_coefficients(x: HomogeneousElement, ech: ColumnEchelon):
     return taken
 
 
-def express_in_echelon(x: HomogeneousElement, ech) -> HomogeneousElement | None:
-    """Write x over the reduced columns of a column echelon.
-
-    The coordinate at source index c multiplies reduced column c; zero
-    columns never appear.  Returns None when x is outside the span.
-    """
-    if isinstance(ech, GradedMatrix):
-        ech = column_echelon(ech)
-    taken = _echelon_coefficients(x, ech)
-    if taken is None:
-        return None
-    return HomogeneousElement(x.field, ech.matrix.source, x.degree, taken)
-
-
 def free_kernel(m: GradedMatrix) -> GradedMatrix:
     """A free basis for the kernel of a map between free modules.
 

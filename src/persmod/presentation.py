@@ -12,8 +12,8 @@ run where its change-of-basis matrices are needed.
 
 Length-0 intervals (a = 0) are generators killed on arrival.  They are
 invisible in every degree slice but do appear in the relation data, so
-barcodes carry them flagged as ephemeral and :func:`minimize` removes
-them by default.
+barcodes carry them flagged as ephemeral; the diagonal constructions in
+:mod:`persmod.constructions` drop them.
 
 Two brute-force oracles, :func:`dimension_at` and :func:`rank_t_power`,
 evaluate the presented module degreewise using nothing but dense
@@ -252,55 +252,32 @@ class Barcode:
         return f"Barcode({list(self.bars)!r})"
 
 
+def _annihilators(p: Presentation) -> list:
+    """Each generator's annihilator exponent, from the pivot pairing.
+
+    One untracked column reduction of the inclusion: pivot row i of
+    relation column j gives deg rel j - deg gen i, and a generator row
+    that is no pivot gives INF.  Zero relation columns contribute
+    nothing.  The pairing does not depend on which legal column
+    operations reach it, so these are the diagonal entries of the graded
+    Smith normal form.
+    """
+    ann = [INF] * len(p.gens)
+    gdeg, rdeg = p.gens.degrees, p.rels.degrees
+    for i, j in column_echelon(p.incl).lows.items():
+        ann[i] = rdeg[j] - gdeg[i]
+    return ann
+
+
 def barcode(p: Presentation, dim=None) -> Barcode:
     """Intervals of the presented module, one per generator.
 
-    Reads the pivot pairing of one column reduction of the inclusion: a
-    pivot row i of relation column j gives the bar [deg gen i, deg rel
-    j), and a generator row that is no pivot gives [deg gen i, inf).
-    Zero relation columns contribute nothing.  The pairing does not
-    depend on which legal column operations reach it, so these are the
-    diagonal entries of the graded Smith normal form.
+    Generator i of degree b with annihilator t^a (see
+    :func:`_annihilators`) gives the bar [b, b + a), and [b, inf) when
+    it is free.
     """
-    ech = column_echelon(p.incl)
-    gdeg, rdeg = p.gens.degrees, p.rels.degrees
-    bars = [Bar(dim, gdeg[i], rdeg[j]) for i, j in ech.lows.items()]
-    bars.extend(
-        Bar(dim, gdeg[i], INF) for i in range(len(gdeg)) if i not in ech.lows
-    )
-    return Barcode(bars)
-
-
-def minimize(p: Presentation, keep_ephemeral: bool = False) -> Presentation:
-    """An equivalent diagonal presentation without redundant pairs.
-
-    Rebuilds the presentation from the pivot pairing (see
-    :func:`barcode`) on the paired and unpaired generators, relations
-    in column processing order.  Zero relation columns are dropped, and
-    a pivot on a relation of the generator's own degree cancels its
-    generator against its relation (the quotient does not change); pass
-    ``keep_ephemeral=True`` to keep such pairs as explicit length-0
-    data.  Relations come out monic.
-    """
-    lows = column_echelon(p.incl).lows
-    gdeg, rdeg = p.gens.degrees, p.rels.degrees
-    keep = [
-        (row, col)
-        for row, col in lows.items()
-        if keep_ephemeral or rdeg[col] > gdeg[row]
-    ]
-    kept_rows = sorted(
-        [row for row, _ in keep]
-        + [i for i in range(len(gdeg)) if i not in lows]
-    )
-    gens = GradedBasis((p.gens.labels[i], gdeg[i]) for i in kept_rows)
-    position = {row: n for n, row in enumerate(kept_rows)}
-    cols = [{position[row]: p.field.one} for row, _ in keep]
-    rel_basis = GradedBasis(
-        (f"rel{n}", rdeg[col]) for n, (_, col) in enumerate(keep)
-    )
-    return Presentation(
-        p.field, GradedMatrix(p.field, rel_basis, gens, cols)
+    return Barcode(
+        Bar(dim, d, d + a) for d, a in zip(p.gens.degrees, _annihilators(p))
     )
 
 

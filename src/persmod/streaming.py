@@ -14,11 +14,14 @@ and a chain is only reduced by owners earlier in filtration position.
 
 Filtration ties are broken by arrival order: of two simplices with the
 same value, the one inserted earlier reduces the one inserted later.
+A simplex whose face has not arrived is rejected; faces are checked in
+the lexicographic order that ``FilteredComplex`` uses, so both name the
+same missing face.
 """
 
 from __future__ import annotations
 
-from . import linalg
+from . import homology, linalg
 from .fields import QQ
 from .presentation import INF, Bar, Barcode
 
@@ -109,12 +112,11 @@ class StreamState:
 
 
 def _boundary_chain(state: StreamState, vertices, value):
-    field = state.field
+    """The signed faces of a simplex, each already inserted."""
+    signs = (state.field.one, state.field.neg(state.field.one))
+    d = len(vertices) - 1
     chain = {}
-    if len(vertices) == 1:
-        return chain
-    for i in range(len(vertices)):
-        face = vertices[:i] + vertices[i + 1:]
+    for k, face in enumerate(homology._codim_one_faces(vertices)):
         if face not in state.values:
             raise ValueError(f"simplex {vertices} is missing face {face}")
         if state.values[face] > value:
@@ -122,7 +124,7 @@ def _boundary_chain(state: StreamState, vertices, value):
                 f"face {face} has value {state.values[face]}, after "
                 f"{vertices} at {value}"
             )
-        chain[face] = field.one if i % 2 == 0 else field.neg(field.one)
+        chain[face] = signs[(d - k) % 2]
     return chain
 
 

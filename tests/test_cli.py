@@ -555,8 +555,8 @@ class TestStreamCommand:
         assert "removal" in err
 
     def test_face_must_arrive_first(self, tmp_path, capsys):
-        # file order is checked before anything is printed: no value
-        # echoes and no insert events
+        # every simplex is inserted before anything is printed: no
+        # value echoes and no insert events
         path = write(tmp_path, "c.flt", "0 ; 0.5\n0 1 ; 1.5\n1 ; 0.25\n")
         for flags in ([], ["--emit-events"]):
             code, out, err = invoke(["stream", *flags, path], capsys)

@@ -525,34 +525,21 @@ def _min_rule_bar(*bars):
 class TestTensorOverK:
     def test_field_at_zero_acts_as_unit(self, five_gen_module):
         k0 = Presentation.from_terms(QQ, [("e", 0)], [[(1, 1, "e")]])
-        t = tensor_over_k(five_gen_module, k0, acting_side="left")
+        t = tensor_over_k(five_gen_module, k0)
         assert barcode(t) == barcode(five_gen_module).without_ephemeral()
 
     def test_free_line_times_interval(self):
         t = tensor_over_k(
             Presentation.free(QQ, [("x", 1)]),
             interval(QQ, "u", 0, 2),
-            acting_side="left",
         )
         assert list(t.gens) == [("(u@0.x)", 1), ("(u@1.x)", 2)]
         assert list(barcode(t)) == [Bar(None, 1, INF), Bar(None, 2, INF)]
 
-    def test_right_action_mirrors_left(self, m_mod):
-        q = interval(QQ, "u", 0, 3)
-        assert tensor_over_k(q, m_mod, acting_side="right") == tensor_over_k(
-            m_mod, q, acting_side="left"
-        )
-
     def test_infinite_passive_factor_rejected(self, m_mod):
         free = Presentation.free(QQ, [("x", 1)])
         with pytest.raises(ValueError):
-            tensor_over_k(m_mod, free, acting_side="left")
-        with pytest.raises(ValueError):
-            tensor_over_k(free, m_mod, acting_side="right")
-
-    def test_bad_acting_side_rejected(self, m_mod):
-        with pytest.raises(ValueError):
-            tensor_over_k(m_mod, m_mod, acting_side="middle")
+            tensor_over_k(m_mod, free)
 
     def test_slice_dimension_is_convolution(self):
         for field in BOTH_FIELDS:
@@ -560,7 +547,7 @@ class TestTensorOverK:
             for trial in range(10):
                 p = random_presentation(field, rng, max_gens=4)
                 q = _random_finite_diagonal(field, rng)
-                t = tensor_over_k(p, q, acting_side="left")
+                t = tensor_over_k(p, q)
                 for d in range(-1, degree_bound(p) + degree_bound(q)):
                     want = sum(
                         dimension_at(q, e) * dimension_at(p, d - e)

@@ -1,12 +1,16 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, and so does every entry point the README
+names, so a deletion cannot leave a stale export or a stale doc."""
 
 import importlib
 import pkgutil
+import re
 import types
+from pathlib import Path
 
 import pytest
 
 import persmod
+from persmod import cli
 
 SUBMODULES = sorted(
     info.name
@@ -39,3 +43,53 @@ def test_package_exports_match_bound_names():
     namespace = {}
     exec("from persmod import *", namespace)
     assert set(persmod.__all__) <= set(namespace)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _entry_point_names():
+    """Backticked identifiers in the README's main-entry-point bullets.
+
+    A span counts when it is a dotted name, optionally called, like
+    `persmod.fields` or `PrimeField(p)`; formulas and paths do not.
+    """
+    text = README.read_text()
+    start = text.index("\n\n", text.index("The main entry points")) + 2
+    bullets = text[start:text.index("\n\n", start)]
+    names = []
+    for span in re.findall(r"`([^`]+)`", bullets):
+        found = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", span)
+        if found:
+            names.append(found.group(1))
+    return names
+
+
+def _resolves(name):
+    parts = name.split(".")
+    obj = persmod
+    for part in parts[1:] if parts[0] == "persmod" else parts:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_entry_points_exist():
+    # a README name is a package name, a CLI command or a test
+    tests_dir = Path(__file__).resolve().parent
+    test_defs = set(
+        re.findall(
+            r"^\s*def (test_\w+)",
+            "".join(p.read_text() for p in tests_dir.glob("test_*.py")),
+            re.M,
+        )
+    )
+    names = _entry_point_names()
+    assert len(names) > 30
+    stale = [
+        n
+        for n in names
+        if not _resolves(n) and n not in cli._COMMANDS and n not in test_defs
+    ]
+    assert not stale, f"README entry points name {stale}"

@@ -1,4 +1,4 @@
-"""Presented modules: barcodes, minimization, morphisms, and the
+"""Presented modules: barcodes, diagonal forms, morphisms, and the
 degreewise oracles."""
 
 import random
@@ -20,8 +20,8 @@ from persmod import (
     column_echelon,
     dimension_at,
     graded_snf,
-    minimize,
     rank_t_power,
+    snf_form,
     validate_morphism,
 )
 from helpers import (
@@ -146,10 +146,6 @@ class TestBarcode:
                 lows = column_echelon(p.incl).lows
                 assert list(lows.items()) == [(r, c) for r, c, _ in diagonal]
                 assert barcode(p) == snf_route_barcode(p)
-                kept = [c for _, c, mono in diagonal if mono.exponent > 0]
-                assert minimize(p).rels.degrees == tuple(
-                    p.rels.degrees[c] for c in kept
-                )
                 ephemeral += sum(1 for b in barcode(p) if b.ephemeral)
                 zero_cols += len(p.rels) - len(lows)
         assert ephemeral > 0 and zero_cols > 0
@@ -165,16 +161,21 @@ class TestBarcode:
                 assert barcode(q) == barcode(p)
 
 
+def minimal(p):
+    """The diagonal presentation without length-0 pairs."""
+    return snf_form(p).presentation
+
+
 class TestMinimize:
     def test_already_minimal(self):
         p = Presentation.from_terms(
             QQ, [("a", 0), ("b", 2)], [[(1, 3, "a")], [(1, 1, "b")]]
         )
-        assert minimize(p) == p
+        assert minimal(p) == p
 
     def test_generator_equal_to_relation_cancels(self):
         p = Presentation.from_terms(QQ, [("a", 0), ("b", 1)], [[(1, 0, "b")]])
-        m = minimize(p)
+        m = minimal(p)
         assert m.gens.labels == ("a",)
         assert len(m.rels) == 0
 
@@ -194,27 +195,23 @@ class TestMinimize:
                 [(1, 0, "k6")],
             ],
         )
-        m = minimize(p)
+        m = minimal(p)
         assert m.gens.labels == ("k0", "k1", "k2", "k3")
         assert barcode(m) == bars((5, 10), (2, 11), (1, 12), (0, 13))
-        kept = minimize(p, keep_ephemeral=True)
-        assert kept.gens.labels == ("k0", "k1", "k2", "k3", "k4", "k5", "k6")
-        assert barcode(kept) == barcode(p)
 
     def test_barcode_preserved_up_to_ephemerals(self):
         rng = random.Random(211)
         for field in BOTH_FIELDS:
             for _ in range(40):
                 p = random_presentation(field, rng)
-                assert barcode(minimize(p)) == barcode(p).without_ephemeral()
-                assert barcode(minimize(p, keep_ephemeral=True)) == barcode(p)
+                assert barcode(minimal(p)) == barcode(p).without_ephemeral()
 
     def test_idempotent(self):
         rng = random.Random(213)
         for _ in range(20):
             p = random_presentation(QQ, rng)
-            m = minimize(p)
-            assert minimize(m) == m
+            m = minimal(p)
+            assert minimal(m) == m
 
 
 class TestMorphisms:

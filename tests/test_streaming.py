@@ -79,6 +79,15 @@ class TestAddSimplex:
         with pytest.raises(ValueError, match="missing face"):
             add_simplex(state, (0, 1), 1)
 
+    def test_missing_face_named_as_in_batch(self):
+        # both check faces in lexicographic order
+        with pytest.raises(ValueError) as streamed:
+            add_simplex(StreamState(), (0, 1, 2), 0)
+        with pytest.raises(ValueError) as batch:
+            FilteredComplex([((0, 1, 2), 0)])
+        assert str(streamed.value) == str(batch.value)
+        assert str(streamed.value) == "simplex (0, 1, 2) is missing face (0, 1)"
+
     def test_duplicate_rejected(self):
         state, _ = add_simplex(StreamState(), (0,), 0)
         with pytest.raises(ValueError, match="twice"):
