@@ -2,9 +2,11 @@
 
 Every computation in this package is homogeneous, so the only ring
 elements that ever appear are monomials c*t^e with c in the ground
-field k.  Two fields are supported: the rationals (exact ``Fraction``
-scalars) and the prime fields Z/p (ints reduced mod p).  There is no
-floating point anywhere.
+field k.  Two fields are supported: the rationals and the prime fields
+Z/p (ints reduced mod p).  A rational scalar is an ``int`` while it is
+integral and a ``fractions.Fraction`` once a division leaves a
+remainder, so chains that start at +-1 run on int arithmetic.  There
+is no floating point anywhere.
 
     >>> F = field_from_string("Zp:5")
     >>> F.inv(F.scalar(2))
@@ -12,6 +14,8 @@ floating point anywhere.
     >>> Q = field_from_string("Q")
     >>> Q.add(Q.parse("1/2"), Q.parse("1/3"))
     Fraction(5, 6)
+    >>> Q.div(6, -3), Q.div(1, 3)
+    (-2, Fraction(1, 3))
     >>> Monomial(Q.scalar(3), 2)
     Monomial(3, 2)
     >>> Monomial(Q.zero, 5)
@@ -27,18 +31,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _canon(q: Fraction):
+    """A rational as an ``int`` when it is integral, else unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals:
-    """The field of rational numbers; scalars are ``fractions.Fraction``."""
+    """The field of rational numbers.
+
+    A scalar is an ``int`` while it is integral and a ``Fraction``
+    otherwise; ``scalar``, ``parse`` and ``div`` of two ints return
+    that canonical form.  ``add``, ``sub``, ``mul`` and ``neg`` are
+    the plain operators: a result they make from a ``Fraction`` may be
+    an integral ``Fraction``, which compares, hashes and prints like
+    the ``int``.
+    """
 
     __slots__ = ()
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def scalar(self, value) -> Fraction:
+    def scalar(self, value):
         """Coerce an int (or anything Fraction accepts) to a scalar."""
-        return Fraction(value)
+        if type(value) is int:
+            return value
+        return _canon(Fraction(value))
 
     def add(self, a, b):
         return a + b
@@ -55,15 +74,21 @@ class Rationals:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        # Rationals.div, not self.div: a subclass that wraps div (to
+        # count divisions, say) must not see inverses as divisions
+        return Rationals.div(self, 1, a)
 
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
+        if type(a) is int and type(b) is int:
+            # never a / b: on ints that is a float
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
         return a / b
 
-    def parse(self, text: str) -> Fraction:
-        return Fraction(text)
+    def parse(self, text: str):
+        return _canon(Fraction(text))
 
     def format(self, a) -> str:
         return str(a)

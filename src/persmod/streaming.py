@@ -87,7 +87,7 @@ class StreamState:
         Creators whose class is still alive.
     """
 
-    __slots__ = ("field", "values", "chains", "pairing", "cycles", "_seq")
+    __slots__ = ("field", "values", "chains", "pairing", "cycles", "_keys")
 
     def __init__(self, field=QQ):
         self.field = field
@@ -95,14 +95,14 @@ class StreamState:
         self.chains = {}
         self.pairing = {}
         self.cycles = set()
-        self._seq = {}
+        self._keys = {}
 
     def __len__(self):
         return len(self.values)
 
     def key(self, simplex):
         """Filtration position: value first, arrival order on ties."""
-        return (self.values[simplex], self._seq[simplex])
+        return self._keys[simplex]
 
     def __repr__(self):
         return (
@@ -147,19 +147,20 @@ def add_simplex(state: StreamState, vertices, value):
     if vertices in state.values:
         raise ValueError(f"simplex {vertices} inserted twice")
     chain = _boundary_chain(state, vertices, value)
-    state._seq[vertices] = len(state._seq)
+    state._keys[vertices] = (value, len(state._keys))
     state.values[vertices] = value
 
     field = state.field
+    key = state._keys.__getitem__
     added = []
     removed = []
     carrier = vertices
     while True:
         # reduce against chains earlier in the filtration than carrier
-        before = state.key(carrier)
+        before = key(carrier)
         leading = linalg._reduce(
-            field, chain, state.key, state.pairing, state.chains,
-            usable=lambda owner: state.key(owner) < before,
+            field, chain, key, state.pairing, state.chains,
+            usable=lambda owner: key(owner) < before,
         )
         if leading is None:
             state.cycles.add(carrier)

@@ -24,6 +24,7 @@ from persmod import (
     PresentationMorphism,
     PrimeField,
     QQ,
+    Rationals,
     column_echelon,
     concat_bases,
     free_kernel,
@@ -146,6 +147,30 @@ def random_element(field, rng, basis, degree=None):
 
 
 BOTH_FIELDS = (QQ, PrimeField(5))
+
+
+class FractionQ(Rationals):
+    """Q with every scalar a ``Fraction``, integral ones too.
+
+    The oracle for ``QQ``'s int fast path: the same field, so it
+    compares equal to ``QQ``, but no scalar it makes is ever an int.
+    """
+
+    __slots__ = ()
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def scalar(self, value):
+        return Fraction(value)
+
+    def div(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero")
+        return Fraction(a) / b
+
+    def parse(self, text):
+        return Fraction(text)
 
 
 def random_presentation(field, rng, max_gens=8, max_degree=10, max_rels=None):

@@ -1,16 +1,40 @@
-"""Coefficient fields and monomial arithmetic."""
+"""Coefficient fields and monomial arithmetic.
+
+Rational scalars stay ``int`` while integral; the fast-path tests run
+kernels, images, Smith forms and streams under ``QQ`` and under
+``helpers.FractionQ``, whose scalars are always ``Fraction``, and
+require equal results.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    FractionQ,
+    random_filtered_complex,
+    random_graded_matrix,
+    random_insertion_order,
+    random_presentation,
+    random_valid_morphism,
+)
 from persmod import (
+    GradedMatrix,
     Monomial,
+    Presentation,
+    PresentationMorphism,
     PrimeField,
     QQ,
     Rationals,
+    StreamState,
+    add_simplex,
+    current_barcode,
     field_from_string,
+    free_kernel,
+    image,
+    snf_form,
 )
 
 
@@ -29,7 +53,7 @@ class TestRationals:
 
     def test_inverse(self):
         assert QQ.inv(Fraction(3, 4)) == Fraction(4, 3)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
             QQ.inv(QQ.zero)
 
     def test_characteristic_zero(self):
@@ -38,6 +62,140 @@ class TestRationals:
     def test_instances_compare_equal(self):
         assert Rationals() == QQ
         assert hash(Rationals()) == hash(QQ)
+
+
+SCALARS = st.one_of(
+    st.integers(-40, 40), st.fractions(-40, 40, max_denominator=12)
+)
+
+
+class TestRationalScalarTypes:
+    def test_inexact_division_of_ints_is_a_fraction(self):
+        third = QQ.div(1, 3)
+        assert type(third) is Fraction and third == Fraction(1, 3)
+        assert type(QQ.div(-6, 4)) is Fraction
+        assert QQ.div(-6, 4) == Fraction(-3, 2)
+
+    def test_exact_division_of_ints_is_an_int(self):
+        q = QQ.div(6, -3)
+        assert type(q) is int and q == -2
+
+    def test_integral_values_are_ints(self):
+        assert type(QQ.zero) is int and type(QQ.one) is int
+        assert type(QQ.parse("4/2")) is int and QQ.parse("4/2") == 2
+        assert type(QQ.scalar(Fraction(6, 3))) is int
+        assert QQ.scalar(Fraction(6, 3)) == 2
+        assert type(QQ.parse("-3/6")) is Fraction
+
+    def test_inverse_of_an_int(self):
+        assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+        assert type(QQ.inv(4)) is Fraction and QQ.inv(4) == Fraction(1, 4)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(a=SCALARS, b=SCALARS)
+    def test_ops_agree_with_fraction_arithmetic(self, a, b):
+        # a drawn Fraction may be integral, so mixed operands occur
+        fa, fb = Fraction(a), Fraction(b)
+        pairs = [
+            (QQ.add(a, b), fa + fb),
+            (QQ.sub(a, b), fa - fb),
+            (QQ.mul(a, b), fa * fb),
+            (QQ.neg(a), -fa),
+            (QQ.scalar(a), fa),
+            (QQ.parse(str(a)), fa),
+        ]
+        if b:
+            pairs += [(QQ.div(a, b), fa / fb), (QQ.inv(b), 1 / fb)]
+        for got, want in pairs:
+            assert type(got) in (int, Fraction)
+            assert got == want
+        if b and type(a) is int and type(b) is int:
+            assert (type(QQ.div(a, b)) is int) == (a % b == 0)
+
+
+FRACTION_Q = FractionQ()
+
+
+@pytest.fixture
+def inexact_divisions(monkeypatch):
+    """Records each ``Rationals.div`` of two ints that gave a Fraction."""
+    seen = []
+    base = Rationals.div
+
+    def div(self, a, b):
+        q = base(self, a, b)
+        if type(a) is int and type(b) is int and type(q) is Fraction:
+            seen.append((a, b))
+        return q
+
+    monkeypatch.setattr(Rationals, "div", div)
+    return seen
+
+
+def over(field, m):
+    """``m`` with every entry coerced by ``field.scalar``."""
+    cols = [{i: field.scalar(c) for i, c in col.items()} for col in m.cols]
+    return GradedMatrix(field, m.source, m.target, cols)
+
+
+def morphism_over(field, f):
+    src = Presentation(field, over(field, f.src.incl))
+    dst = Presentation(field, over(field, f.dst.incl))
+    return PresentationMorphism(src, dst, over(field, f.phi))
+
+
+class TestIntFastPath:
+    """``QQ`` and ``FractionQ`` agree.
+
+    The kernel, image and SNF cases each divide two ints inexactly;
+    stream chains start at +-1, and the seeded streams never do.
+    """
+
+    def test_free_kernel(self, inexact_divisions):
+        rng = random.Random(71)
+        for _ in range(80):
+            m = random_graded_matrix(QQ, rng)
+            assert free_kernel(over(QQ, m)) == free_kernel(over(FRACTION_Q, m))
+        assert inexact_divisions
+
+    def test_image(self, inexact_divisions):
+        rng = random.Random(72)
+        for _ in range(40):
+            f = random_valid_morphism(QQ, rng)
+            fast = image(morphism_over(QQ, f))
+            assert fast == image(morphism_over(FRACTION_Q, f))
+        assert inexact_divisions
+
+    def test_snf_form(self, inexact_divisions):
+        rng = random.Random(73)
+        for _ in range(60):
+            p = random_presentation(QQ, rng)
+            fast = snf_form(Presentation(QQ, over(QQ, p.incl)))
+            slow = snf_form(Presentation(FRACTION_Q, over(FRACTION_Q, p.incl)))
+            assert fast.presentation == slow.presentation
+            assert fast.to_new == slow.to_new
+            assert fast.from_new == slow.from_new
+            assert fast.annihilators == slow.annihilators
+        assert inexact_divisions
+
+    def test_stream_replay(self):
+        rng = random.Random(74)
+        for _ in range(60):
+            c = random_filtered_complex(rng)
+            order = random_insertion_order(rng, c)
+            fast, slow = StreamState(QQ), StreamState(FRACTION_Q)
+            for s in order:
+                fast, delta = add_simplex(fast, s.vertices, s.birth)
+                slow, oracle_delta = add_simplex(slow, s.vertices, s.birth)
+                assert delta == oracle_delta
+            assert fast.chains == slow.chains
+            assert fast.pairing == slow.pairing
+            assert current_barcode(fast) == current_barcode(slow)
+            assert all(
+                type(c) is Fraction
+                for chain in slow.chains.values()
+                for c in chain.values()
+            )
 
 
 class TestPrimeField:

@@ -20,6 +20,7 @@ from helpers import (
     random_filtered_complex,
     random_insertion_order,
     reduce_boundary,
+    rips_complex,
 )
 from persmod import (
     INF,
@@ -236,6 +237,18 @@ class TestPermutationInvariance:
         for s in random_insertion_order(rng, c):
             state, _ = add_simplex(state, s.vertices, s.birth)
         assert current_barcode(state) == persistent_homology(c, field)
+
+    def test_rips_chains_stay_int_over_q(self):
+        # boundary chains start at +-1; a Fraction here means Q
+        # arithmetic has left its int fast path
+        rng = random.Random(47)
+        c = rips_complex(rng, 12)
+        state = StreamState(QQ)
+        for s in random_insertion_order(rng, c):
+            state, _ = add_simplex(state, s.vertices, s.birth)
+        assert state.chains
+        for chain in state.chains.values():
+            assert all(type(coeff) is int for coeff in chain.values())
 
     def test_invariant_holds_after_every_insertion(self):
         for field in BOTH_FIELDS:
