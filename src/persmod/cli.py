@@ -381,10 +381,16 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="ascii") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return data.decode("ascii")
     except OSError as e:
         raise CliError(PARSE_ERROR, str(e)) from None
+    except UnicodeDecodeError as e:
+        # count lines as _content_lines does; the text before e.start is ASCII
+        n = len((data[: e.start] + b"x").decode("ascii").splitlines())
+        bad = f"line {n}: non-ASCII byte {data[e.start]:#04x}"
+        raise CliError(PARSE_ERROR, bad) from None
 
 
 def _format_grade(value) -> str:

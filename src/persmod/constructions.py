@@ -17,9 +17,9 @@ assume every generator carries an independent annihilator.  It reads
 each generator's annihilator off the pivot pairing of one untracked
 column reduction of the relations, the diagonal of the graded Smith
 normal form.  Generators killed instantly (annihilator t^0) span zero
-summands and are dropped.  :func:`snf_form` runs the full graded Smith
-normal form instead, for callers that need its change-of-basis
-matrices to map elements through.
+summands and are dropped.  :func:`snf_form` runs the graded Smith
+normal form instead, for callers that need its change of generator
+basis to map elements through.
 """
 
 from __future__ import annotations

@@ -103,6 +103,24 @@ class Rationals:
         return hash("Q")
 
 
+# Miller-Rabin on these bases is exact below the bound: the bound is the
+# least composite that passes them all (Sorenson and Webster, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below the exact bound."""
+    if n < 2 or any(n % b == 0 for b in _MILLER_RABIN_BASES):
+        return n in _MILLER_RABIN_BASES
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return all(
+        pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+        for b in _MILLER_RABIN_BASES
+    )
+
+
 class PrimeField:
     """The prime field Z/p; scalars are ints in the range [0, p).
 
@@ -116,7 +134,10 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MILLER_RABIN_EXACT_BELOW:
+            limit = _MILLER_RABIN_EXACT_BELOW
+            raise ValueError(f"prime modulus must be below {limit}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 

@@ -383,18 +383,19 @@ def torsion_homology(tcc: TorsionChainComplex) -> Barcode:
     this package and not the homology of the complex alive at each
     grade.
     """
-    field = tcc.chains.field
-    chain_at = {
-        p: _restrict_presentation(tcc, p)
-        for p in range(tcc.max_dimension + 1)
+    top = tcc.max_dimension
+    chain_at = {p: _restrict_presentation(tcc, p) for p in range(top + 1)}
+    chain_at[-1] = chain_at[top + 1] = Presentation.free(tcc.chains.field, [])
+    # block[p], the boundary C_p -> C_(p-1), serves both H_p and H_(p-1)
+    block = {
+        p: _boundary_block(tcc, p, chain_at[p].gens, chain_at[p - 1].gens)
+        for p in range(top + 2)
     }
-    chain_at[-1] = Presentation.free(field, [])
     bars = []
-    for p in range(tcc.max_dimension + 1):
-        block = _boundary_block(tcc, p, chain_at[p].gens, chain_at[p - 1].gens)
-        above = chain_at.get(p + 1, Presentation.free(field, []))
-        arriving = _boundary_block(tcc, p + 1, above.gens, chain_at[p].gens)
-        quotient = cokernel(PresentationMorphism(above, chain_at[p], arriving))
-        h = kernel(PresentationMorphism(quotient, chain_at[p - 1], block))[0]
+    for p in range(top + 1):
+        quotient = cokernel(
+            PresentationMorphism(chain_at[p + 1], chain_at[p], block[p + 1])
+        )
+        h = kernel(PresentationMorphism(quotient, chain_at[p - 1], block[p]))[0]
         bars.extend(barcode(h, dim=p))
     return Barcode(bars)

@@ -561,63 +561,38 @@ def free_kernel(m: GradedMatrix) -> GradedMatrix:
 class SnfResult:
     """Graded Smith normal form data for a matrix F.
 
-    ``reduced`` is S @ F @ T where S (``row_change``) and T
-    (``col_change``) are graded-invertible; their inverses are tracked
-    alongside.  ``diagonal`` lists (row, col, pivot monomial) in
-    treatment order; rows and columns are reported in the original index
-    space (bases are never permuted, only marked).  ``free_rows`` are
-    target rows with no pivot (infinite classes when F presents a
-    module); ``zero_cols`` are source columns that reduced to zero.
+    S (``row_change``, inverse ``row_change_inv``) is graded-invertible,
+    and S @ F @ T is diagonal for a graded-invertible T that is not
+    built.  ``diagonal`` lists its entries as (row, col, pivot monomial)
+    in treatment order, in the original index space.  A row with no
+    entry is a free generator when F presents a module.
 
-    The recovered generator basis is given by the columns of
-    ``row_change_inv``: new generator j equals that column read over the
-    original target basis.
+    New generator j is column j of ``row_change_inv`` read over the
+    original target basis; a diagonal entry c*t^e in row j means that
+    t^e times it is a relation and no lower power of t is.
     """
 
-    __slots__ = (
-        "matrix",
-        "reduced",
-        "row_change",
-        "row_change_inv",
-        "col_change",
-        "col_change_inv",
-        "diagonal",
-        "free_rows",
-        "zero_cols",
-    )
+    __slots__ = ("row_change", "row_change_inv", "diagonal")
 
-    def __init__(self, matrix, reduced, s, s_inv, t, t_inv, diagonal, free_rows, zero_cols):
-        self.matrix = matrix
-        self.reduced = reduced
+    def __init__(self, s, s_inv, diagonal):
         self.row_change = s
         self.row_change_inv = s_inv
-        self.col_change = t
-        self.col_change_inv = t_inv
         self.diagonal = diagonal
-        self.free_rows = free_rows
-        self.zero_cols = zero_cols
-
-    def new_generators(self):
-        """Recovered target basis, one element per original row."""
-        return self.row_change_inv.columns()
-
-    def pivot_exponents(self):
-        return [mono.exponent for _, _, mono in self.diagonal]
 
 
 def graded_snf(m: GradedMatrix) -> SnfResult:
-    """Diagonalize a graded matrix by legal row and column operations.
+    """Diagonalize a graded matrix, tracking only the row operations.
 
     Untreated columns are visited in ascending (degree, position) order.
     A nonzero column's pivot is its bottom-most entry in degree-sorted
-    row order (the smallest power of t, ties to the later row).  The
-    pivot's column is cleared with row operations and its row with
-    column operations, then both are marked finished; marked rows and
-    columns are never touched again.  Every operation factor carries a
-    nonnegative t-exponent by construction.
+    row order (the smallest power of t, ties to the later row).  Row
+    operations, recorded in S, clear the rest of its column; the column
+    operations that clear its row from later columns then only delete
+    those entries, so T is not needed.  Every operation factor carries
+    a nonnegative t-exponent by construction.
     """
     f = m.field
-    src, tgt = m.source, m.target
+    tgt = m.target
     cols = [dict(col) for col in m.cols]
     rows: list[set] = [set() for _ in range(len(tgt))]
     for j, col in enumerate(cols):
@@ -626,8 +601,6 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
 
     s_rows = [{i: f.one} for i in range(len(tgt))]
     s_inv_cols = [{i: f.one} for i in range(len(tgt))]
-    t_cols = [{j: f.one} for j in range(len(src))]
-    t_inv_rows = [{j: f.one} for j in range(len(src))]
 
     def row_op(i, p, r):
         # row_i -= r * row_p; legal because deg target[p] >= deg target[i]
@@ -646,41 +619,22 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
 
     key = _pivot_rank(tgt).__getitem__
     diagonal = []
-    zero_cols = []
-    for c in src.sorted_indices():
+    for c in m.source.sorted_indices():
         col = cols[c]
         if not col:
-            zero_cols.append(c)
             continue
         p = max(col, key=key)
         for i in [i for i in col if i != p]:
             row_op(i, p, f.div(col[i], col[p]))
-        # col is now {p: pivot}: clearing row p leaves only entry (p, c2)
-        for c2 in [j for j in rows[p] if j != c]:
-            # col_c2 -= r * col_c; legal because deg source[c2] >= deg source[c]
-            assert src.degrees[c2] >= src.degrees[c]
-            r = f.div(cols[c2].pop(p), col[p])
-            rows[p].discard(c2)
-            _combine(f, t_cols[c2], t_cols[c], r)
-            _combine(f, t_inv_rows[c], t_inv_rows[c2], f.neg(r))
-        diagonal.append((p, c, Monomial(col[p], src.degrees[c] - tgt.degrees[p])))
+        # col is now {p: pivot}: clearing row p only deletes entries
+        rows[p].discard(c)
+        for c2 in rows[p]:
+            del cols[c2][p]
+        diagonal.append(
+            (p, c, Monomial(col[p], m.source.degrees[c] - tgt.degrees[p]))
+        )
 
-    pivot_rows = {p for p, _, _ in diagonal}
-    free_rows = tuple(i for i in range(len(tgt)) if i not in pivot_rows)
-
-    reduced = GradedMatrix(f, src, tgt, cols)
-    s = GradedMatrix(f, tgt, tgt, _rows_to_cols(s_rows, len(tgt)))
+    s_entries = {(i, j): c for i, row in enumerate(s_rows) for j, c in row.items()}
+    s = GradedMatrix.from_entries(f, tgt, tgt, s_entries)
     s_inv = GradedMatrix(f, tgt, tgt, s_inv_cols)
-    t = GradedMatrix(f, src, src, t_cols)
-    t_inv = GradedMatrix(f, src, src, _rows_to_cols(t_inv_rows, len(src)))
-    return SnfResult(
-        m, reduced, s, s_inv, t, t_inv, tuple(diagonal), free_rows, tuple(zero_cols)
-    )
-
-
-def _rows_to_cols(rows, ncols):
-    cols = [dict() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            cols[j][i] = c
-    return cols
+    return SnfResult(s, s_inv, tuple(diagonal))

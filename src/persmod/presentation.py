@@ -8,7 +8,7 @@ degree b+a contributes the interval module k[t]/(t^a) shifted to
 [b, b+a), and an unpaired generator contributes a free summand, the
 infinite interval [b, inf).  The pairing is the diagonal of the graded
 Smith normal form (:func:`persmod.linalg.graded_snf`), which is only
-run where its change-of-basis matrices are needed.
+run where its change of generator basis is needed.
 
 Length-0 intervals (a = 0) are generators killed on arrival.  They are
 invisible in every degree slice but do appear in the relation data, so

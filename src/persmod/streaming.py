@@ -76,8 +76,9 @@ class StreamState:
 
     Attributes
     ----------
-    values : dict
-        Simplex (sorted vertex tuple) -> filtration value.
+    positions : dict
+        Simplex (sorted vertex tuple) -> (filtration value, arrival
+        index), its filtration position; each simplex is stored once.
     chains : dict
         Killing simplex -> reduced boundary chain, a mapping from
         simplices to nonzero scalars.
@@ -87,26 +88,25 @@ class StreamState:
         Creators whose class is still alive.
     """
 
-    __slots__ = ("field", "values", "chains", "pairing", "cycles", "_keys")
+    __slots__ = ("field", "positions", "chains", "pairing", "cycles")
 
     def __init__(self, field=QQ):
         self.field = field
-        self.values = {}
+        self.positions = {}
         self.chains = {}
         self.pairing = {}
         self.cycles = set()
-        self._keys = {}
 
     def __len__(self):
-        return len(self.values)
+        return len(self.positions)
 
     def key(self, simplex):
         """Filtration position: value first, arrival order on ties."""
-        return self._keys[simplex]
+        return self.positions[simplex]
 
     def __repr__(self):
         return (
-            f"StreamState({len(self.values)} simplices, "
+            f"StreamState({len(self.positions)} simplices, "
             f"{len(self.pairing)} pairs, {len(self.cycles)} cycles)"
         )
 
@@ -117,11 +117,12 @@ def _boundary_chain(state: StreamState, vertices, value):
     d = len(vertices) - 1
     chain = {}
     for k, face in enumerate(homology._codim_one_faces(vertices)):
-        if face not in state.values:
+        if face not in state.positions:
             raise ValueError(f"simplex {vertices} is missing face {face}")
-        if state.values[face] > value:
+        face_value = state.positions[face][0]
+        if face_value > value:
             raise ValueError(
-                f"face {face} has value {state.values[face]}, after "
+                f"face {face} has value {face_value}, after "
                 f"{vertices} at {value}"
             )
         chain[face] = signs[(d - k) % 2]
@@ -129,8 +130,8 @@ def _boundary_chain(state: StreamState, vertices, value):
 
 
 def _interval(state: StreamState, creator, killer=None) -> Bar:
-    death = INF if killer is None else state.values[killer]
-    return Bar(len(creator) - 1, state.values[creator], death)
+    death = INF if killer is None else state.positions[killer][0]
+    return Bar(len(creator) - 1, state.positions[creator][0], death)
 
 
 def add_simplex(state: StreamState, vertices, value):
@@ -144,14 +145,13 @@ def add_simplex(state: StreamState, vertices, value):
     vertices = tuple(sorted(vertices))
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"repeated vertex in simplex {vertices}")
-    if vertices in state.values:
+    if vertices in state.positions:
         raise ValueError(f"simplex {vertices} inserted twice")
     chain = _boundary_chain(state, vertices, value)
-    state._keys[vertices] = (value, len(state._keys))
-    state.values[vertices] = value
+    state.positions[vertices] = (value, len(state.positions))
 
     field = state.field
-    key = state._keys.__getitem__
+    key = state.positions.__getitem__
     added = []
     removed = []
     carrier = vertices

@@ -29,6 +29,7 @@ from persmod import (
     concat_bases,
     free_kernel,
     graded_boundary,
+    membership,
 )
 
 
@@ -209,6 +210,40 @@ def hand_built_presentations(field):
     yield Presentation.from_terms(
         field, [("a", 0), ("b", 0)], [[(1, 0, "a"), (1, 0, "b")]] * 2
     )
+
+
+def assert_snf_certificate(m, snf):
+    """Check a graded SNF of ``m`` with no SNF code.
+
+    S and its inverse must invert each other, the diagonal must hold at
+    most one entry per row and per column with the exponents the degrees
+    imply, and S @ m must span what the diagonal matrix D spans, as
+    S @ m @ T == D for an invertible T requires.  A span ignores units,
+    so each pivot coefficient is checked as an entry of S @ m: T only
+    adds earlier pivot columns, which vanish in later pivot rows.
+    """
+    s, s_inv = snf.row_change, snf.row_change_inv
+    ident = GradedMatrix.identity(m.field, m.target)
+    assert s @ s_inv == ident and s_inv @ s == ident
+    rows = [p for p, _, _ in snf.diagonal]
+    cols = [c for _, c, _ in snf.diagonal]
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    sm = s @ m
+    entries = {}
+    for p, c, mono in snf.diagonal:
+        assert mono.exponent == m.source.degrees[c] - m.target.degrees[p] >= 0
+        assert mono.coeff and sm.entry(p, c) == mono.coeff
+        entries[(p, c)] = mono.coeff
+    d = GradedMatrix.from_entries(m.field, m.source, m.target, entries)
+    sm_ech, d_ech = column_echelon(sm), column_echelon(d)
+    assert all(membership(x, d_ech) for x in sm.columns())
+    assert all(membership(x, sm_ech) for x in d.columns())
+
+
+def free_rows(m, snf):
+    """Target rows that hold no diagonal entry."""
+    pivots = {p for p, _, _ in snf.diagonal}
+    return tuple(i for i in range(m.nrows) if i not in pivots)
 
 
 def degree_bound(p):
@@ -743,11 +778,11 @@ def audit_stream(state):
     assert owners == set(state.pairing.values())
     assert not creators & state.cycles
     assert not owners & (creators | state.cycles)
-    assert owners | creators | state.cycles == set(state.values)
+    assert owners | creators | state.cycles == set(state.positions)
     creator_of = {killer: c for c, killer in state.pairing.items()}
     for creator, killer in state.pairing.items():
         assert max(state.chains[killer], key=state.key) == creator
-    for simplex in state.values:
+    for simplex in state.positions:
         chain = {}
         for i in range(len(simplex)):
             face = simplex[:i] + simplex[i + 1 :]

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -793,7 +794,13 @@ COMPLEX_TEXT = _text(
 MODULE_TEXT = _text(
     _lines_of(TORSION_MODULE, FIVE_GEN_MODULE, SHIFT_MORPHISM)
 )
-FIELDS = st.sampled_from(["Q", "Zp:2", "Zp:5"])
+# Any Zp: spec: most are rejected (exit 2) and the rest run over a
+# prime field; every modulus drawn is cheap to test for primality.
+FIELDS = st.one_of(
+    st.sampled_from(["Q", "Zp:2", "Zp:5", f"Zp:{10**18 + 3}"]),
+    st.integers(min_value=-3, max_value=10**30).map(lambda p: f"Zp:{p}"),
+    st.text(max_size=8).map(lambda s: f"Zp:{s}"),
+)
 
 
 @pytest.fixture(scope="module")
@@ -858,6 +865,68 @@ class TestPresentationLabels:
         assert err.startswith("error: generator label 'a b'")
         assert err.count("\n") == 1
         assert not out_path.exists()
+
+
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+class TestNonAsciiInput:
+    """A byte outside ASCII is a parse error at its line, not a crash."""
+
+    def assert_parse_error(self, argv, capsys, lineno):
+        code, out, err = invoke(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: line {lineno}: non-ASCII byte 0xc3\n"
+
+    def test_complex(self, tmp_path, capsys):
+        path = write_bytes(tmp_path, "c.flt", b"0 ; 0\n\xc3\xa9 ; 1\n")
+        self.assert_parse_error(["barcode", path], capsys, 2)
+
+    def test_presentation(self, tmp_path, capsys):
+        data = TORSION_MODULE.encode("ascii") + b"gen \xc3\xa9 3\n"
+        path = write_bytes(tmp_path, "m.pmod", data)
+        self.assert_parse_error(["presentation-barcode", path], capsys, 5)
+
+    def test_morphism(self, tmp_path, capsys):
+        data = SHIFT_MORPHISM.encode("ascii")
+        data = data.replace(b"> 1t^1*u", b"> 1t^1*\xc3\xa9")
+        path = write_bytes(tmp_path, "f.pmap", data)
+        out_path = tmp_path / "k.pmod"
+        argv = ["op", "kernel", path, "-o", str(out_path)]
+        self.assert_parse_error(argv, capsys, 8)
+        assert not out_path.exists()
+
+
+class TestFieldSpec:
+    def test_huge_modulus_is_one_error_line(self, tmp_path, capsys):
+        path = write(tmp_path, "c.flt", FIG_COMPLEX)
+        spec = "Zp:1" + "0" * 400
+        code, out, err = invoke(["--field", spec, "barcode", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_large_prime_accepted_quickly(self, tmp_path, capsys):
+        path = write(tmp_path, "c.flt", FIG_COMPLEX)
+        started = time.monotonic()
+        code, out, _ = invoke(
+            ["--field", f"Zp:{10**18 + 3}", "barcode", path], capsys
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 0
+        assert out == invoke(["barcode", path], capsys)[1]
+
+    def test_large_composite_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "c.flt", FIG_COMPLEX)
+        code, _, err = invoke(
+            ["--field", f"Zp:{10**18 + 1}", "barcode", path], capsys
+        )
+        assert code == 2
+        assert err == f"error: {10**18 + 1} is not prime\n"
 
 
 class TestCliContract:

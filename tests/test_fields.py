@@ -205,8 +205,21 @@ class TestPrimeField:
                 PrimeField(bad)
 
     def test_accepts_primes(self):
-        for p in [2, 3, 5, 7, 97, 101]:
+        for p in [2, 3, 5, 7, 97, 101, 10**18 + 3]:
             assert PrimeField(p).char == p
+
+    def test_rejects_strong_pseudoprimes(self):
+        # the least composites that pass Miller-Rabin on the first 9 and
+        # on the first 12 prime bases
+        for bad in [3825123056546413051, 318665857834031151167461]:
+            with pytest.raises(ValueError, match="not prime"):
+                PrimeField(bad)
+
+    def test_modulus_bound(self):
+        # the least composite passing all 13 bases, and far beyond it
+        for big in [3317044064679887385961981, 10**400]:
+            with pytest.raises(ValueError, match="must be below"):
+                PrimeField(big)
 
     def test_scalar_normalizes(self):
         f = PrimeField(7)

@@ -27,6 +27,7 @@ from persmod import (
 from helpers import (
     BOTH_FIELDS,
     degree_bound,
+    free_rows,
     hand_built_presentations,
     random_change_of_basis,
     random_presentation,
@@ -45,7 +46,7 @@ def snf_route_barcode(p):
         Bar(None, degs[row], degs[row] + mono.exponent)
         for row, _, mono in snf.diagonal
     ]
-    out += [Bar(None, degs[row], INF) for row in snf.free_rows]
+    out += [Bar(None, degs[row], INF) for row in free_rows(p.incl, snf)]
     return Barcode(out)
 
 

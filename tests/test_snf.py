@@ -8,9 +8,16 @@ from persmod import (
     GradedMatrix,
     HomogeneousElement,
     QQ,
+    column_echelon,
     graded_snf,
+    membership,
 )
-from helpers import BOTH_FIELDS, random_graded_matrix
+from helpers import (
+    BOTH_FIELDS,
+    assert_snf_certificate,
+    free_rows,
+    random_graded_matrix,
+)
 
 
 def one(n=1):
@@ -50,13 +57,13 @@ class TestWorkedExample:
             ("v", "r3", one(), 1),
             ("y", "r4", one(-1), 3),
         ]
-        assert snf.free_rows == (0,)  # x survives with no relation
-        assert snf.zero_cols == ()
+        assert free_rows(m, snf) == (0,)  # x survives with no relation
+        assert sorted(c for _, c, _ in snf.diagonal) == [0, 1, 2, 3]
 
     def test_new_generators(self):
         m = self.matrix()
         snf = graded_snf(m)
-        gens = snf.new_generators()
+        gens = snf.row_change_inv.columns()
         tgt = m.target
 
         def elem(degree, coords):
@@ -70,14 +77,7 @@ class TestWorkedExample:
 
     def test_change_identities(self):
         m = self.matrix()
-        snf = graded_snf(m)
-        assert snf.row_change @ m @ snf.col_change == snf.reduced
-        ident_t = GradedMatrix.identity(QQ, m.target)
-        ident_s = GradedMatrix.identity(QQ, m.source)
-        assert snf.row_change @ snf.row_change_inv == ident_t
-        assert snf.row_change_inv @ snf.row_change == ident_t
-        assert snf.col_change @ snf.col_change_inv == ident_s
-        assert snf.col_change_inv @ snf.col_change == ident_s
+        assert_snf_certificate(m, graded_snf(m))
 
 
 class TestCycleRelationExample:
@@ -117,18 +117,14 @@ class TestCycleRelationExample:
             ("z6", "r6", 1),
             ("z5", "r7", 3),
         ]
-        assert [m.source.labels[c] for c in snf.zero_cols] == ["r4", "r5"]
-        assert [m.target.labels[i] for i in snf.free_rows] == ["z1"]
+        treated = {c for _, c, _ in snf.diagonal}
+        zero_cols = [l for c, l in enumerate(m.source.labels) if c not in treated]
+        assert zero_cols == ["r4", "r5"]
+        assert [m.target.labels[i] for i in free_rows(m, snf)] == ["z1"]
 
     def test_reduced_is_diagonal(self):
-        snf = graded_snf(self.matrix())
-        expected_support = {(p, c) for p, c, _ in snf.diagonal}
-        support = {
-            (i, j)
-            for j, col in enumerate(snf.reduced.cols)
-            for i in col
-        }
-        assert support == expected_support
+        m = self.matrix()
+        assert_snf_certificate(m, graded_snf(m))
 
 
 class TestSnfProperties:
@@ -137,61 +133,39 @@ class TestSnfProperties:
         for field in BOTH_FIELDS:
             for _ in range(60):
                 m = random_graded_matrix(field, rng)
-                snf = graded_snf(m)
-
-                # change matrices certify the reduction
-                assert snf.row_change @ m @ snf.col_change == snf.reduced
-
-                # inverses really invert
-                it = GradedMatrix.identity(field, m.target)
-                isrc = GradedMatrix.identity(field, m.source)
-                assert snf.row_change @ snf.row_change_inv == it
-                assert snf.col_change @ snf.col_change_inv == isrc
-
-                # at most one entry per row and per column, at the pivots
-                support = {
-                    (i, j)
-                    for j, col in enumerate(snf.reduced.cols)
-                    for i in col
-                }
-                assert support == {(p, c) for p, c, _ in snf.diagonal}
-                rows = [p for p, _, _ in snf.diagonal]
-                cols = [c for _, c, _ in snf.diagonal]
-                assert len(set(rows)) == len(rows)
-                assert len(set(cols)) == len(cols)
-
-                # bookkeeping covers everything exactly once
-                assert sorted(cols + list(snf.zero_cols)) == list(range(m.ncols))
-                assert sorted(rows + list(snf.free_rows)) == list(range(m.nrows))
-
-                # pivot monomials match the reduced matrix
-                for p, c, mono in snf.diagonal:
-                    assert snf.reduced.monomial(p, c) == mono
+                assert_snf_certificate(m, graded_snf(m))
 
     def test_zero_matrix(self):
         src = GradedBasis([("r1", 2), ("r2", 5)])
         tgt = GradedBasis([("x", 1)])
-        snf = graded_snf(GradedMatrix.zero(QQ, src, tgt))
+        m = GradedMatrix.zero(QQ, src, tgt)
+        snf = graded_snf(m)
         assert snf.diagonal == ()
-        assert snf.free_rows == (0,)
-        assert set(snf.zero_cols) == {0, 1}
+        assert free_rows(m, snf) == (0,)
+        assert snf.row_change == GradedMatrix.identity(QQ, tgt)
 
     def test_empty_sides(self):
-        snf = graded_snf(
-            GradedMatrix.zero(QQ, GradedBasis([]), GradedBasis([("x", 0)]))
-        )
+        m = GradedMatrix.zero(QQ, GradedBasis([]), GradedBasis([("x", 0)]))
+        snf = graded_snf(m)
         assert snf.diagonal == ()
-        assert snf.free_rows == (0,)
+        assert free_rows(m, snf) == (0,)
 
     def test_new_generators_express_reduced_relations(self):
-        # D = S F T means column c of F T equals pivot monomial times the
-        # recovered generator for its pivot row
+        # F T = S^-1 D: coeff * t^e * g'_p spans what column c of F T
+        # does, so it is a relation and t^(e-1) * g'_p is not
         rng = random.Random(103)
-        for _ in range(30):
-            m = random_graded_matrix(QQ, rng)
-            snf = graded_snf(m)
-            mixed = m @ snf.col_change
-            gens = snf.new_generators()
-            for p, c, mono in snf.diagonal:
-                expected = gens[p].scale(mono.coeff).times_t(mono.exponent)
-                assert mixed.column(c) == expected
+        for field in BOTH_FIELDS:
+            for _ in range(30):
+                m = random_graded_matrix(field, rng)
+                snf = graded_snf(m)
+                relations = column_echelon(m)
+                gens = snf.row_change_inv.columns()
+                for p, c, mono in snf.diagonal:
+                    g = gens[p]
+                    assert membership(
+                        g.scale(mono.coeff).times_t(mono.exponent), relations
+                    )
+                    if mono.exponent >= 1:
+                        assert not membership(
+                            g.times_t(mono.exponent - 1), relations
+                        )
