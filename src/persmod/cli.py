@@ -43,8 +43,8 @@ from .constructions import (
 from .fields import QQ, field_from_string
 from .homology import (
     FilteredComplex,
+    _face_index,
     _normalized,
-    _violation,
     persistent_homology,
     relative_complex,
     torsion_homology,
@@ -91,10 +91,19 @@ def _content_lines(text):
 
 
 def _parse_value(token: str, lineno: int):
-    try:
+    """The value of a token: int() if it reads the token, else float().
+
+    Decimal digits go straight to int(), and a token holding '.', 'e'
+    or 'E', which int() never reads, straight to float(), so a valid
+    value costs no exception.  Non-finite floats are rejected.
+    """
+    if token.isdecimal():  # not isdigit(): int() rejects superscripts
         return int(token)
-    except ValueError:
-        pass
+    if not ("." in token or "e" in token or "E" in token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
     try:
         value = float(token)
     except ValueError:
@@ -119,46 +128,48 @@ def _load_complex(text):
     line of each simplex.  A complex that breaks a rule is reported at
     the line of the simplex at fault, with the values as written there.
     """
-    rows = []
+    lines = []
+    entries = []
     for n, line in _content_lines(text):
-        parts = [part.strip() for part in line.split(";")]
+        parts = line.split(";")
         if len(parts) not in (2, 3):
             raise CliError(
                 PARSE_ERROR,
                 f"line {n}: expected 'v0 v1 ... ; birth [; removal]'",
             )
         try:
-            vertices = tuple(int(v) for v in parts[0].split())
+            vertices = tuple(map(int, parts[0].split()))
         except ValueError:
             raise CliError(
-                PARSE_ERROR, f"line {n}: bad vertex in {parts[0]!r}"
+                PARSE_ERROR, f"line {n}: bad vertex in {parts[0].strip()!r}"
             ) from None
-        if not vertices or any(v < 0 for v in vertices):
+        if not vertices or min(vertices) < 0:
             raise CliError(
                 PARSE_ERROR, f"line {n}: vertices must be nonnegative integers"
             )
-        values = [_parse_value(part, n) for part in parts[1:]]
-        rows.append((n, vertices, values))
+        entry = [vertices, _parse_value(parts[1].strip(), n)]
+        if len(parts) == 3:
+            entry.append(_parse_value(parts[2].strip(), n))
+        lines.append(n)
+        entries.append(entry)
     value_map = None
-    if any(not isinstance(v, int) for _, _, values in rows for v in values):
-        distinct = sorted({v for _, _, values in rows for v in values})
-        value_map = {v: rank for rank, v in enumerate(distinct)}
-        rows = [
-            (n, vertices, [value_map[v] for v in values])
-            for n, vertices, values in rows
-        ]
-    entries = [(vertices, *values) for _, vertices, values in rows]
+    if any(type(v) is float for entry in entries for v in entry[1:]):
+        distinct = sorted({v for entry in entries for v in entry[1:]})
+        value_map = dict(zip(distinct, range(len(distinct))))
+        rank = value_map.__getitem__
+        for entry in entries:
+            entry[1:] = map(rank, entry[1:])
     try:
         filtration = FilteredComplex(entries)
     except ValueError:
         raw = {rank: v for v, rank in (value_map or {}).items()}
-        at, message = _violation(
+        _, (at, message) = _face_index(
             [_normalized(e) for e in entries], lambda v: raw.get(v, v)
         )
         raise CliError(
-            VALIDATION_ERROR, f"line {rows[at][0]}: {message}"
+            VALIDATION_ERROR, f"line {lines[at]}: {message}"
         ) from None
-    return filtration, value_map, tuple(n for n, _, _ in rows)
+    return filtration, value_map, tuple(lines)
 
 
 def parse_complex(text: str) -> FilteredComplex:
@@ -276,11 +287,17 @@ def _readable(labels) -> bool:
     )
 
 
-def _terms(matrix: GradedMatrix, j: int) -> list:
-    """The ``<coeff>t^<e>*<label>`` terms of column j."""
+def _column_terms(matrix: GradedMatrix) -> list:
+    """For each column, its ``<coeff>t^<e>*<label>`` terms by row."""
+    fmt = matrix.field.format
+    labels = matrix.target.labels
+    degrees = matrix.target.degrees
     return [
-        f"{matrix.field.format(c)}t^{e}*{matrix.target.labels[i]}"
-        for i, c, e in matrix.column(j).terms()
+        [
+            f"{fmt(col[i])}t^{degree - degrees[i]}*{labels[i]}"
+            for i in sorted(col)
+        ]
+        for col, degree in zip(matrix.cols, matrix.source.degrees)
     ]
 
 
@@ -302,8 +319,7 @@ def format_presentation(p: Presentation) -> str:
         f"gen {label} {degree}"
         for label, degree in zip(p.gens.labels, p.gens.degrees)
     ]
-    for j in range(len(p.rels)):
-        terms = _terms(p.incl, j)
+    for terms in _column_terms(p.incl):
         if terms:
             lines.append("rel " + " + ".join(terms))
     return "".join(line + "\n" for line in lines)
@@ -403,26 +419,34 @@ def _bar_line(bar) -> str:
 
 
 def _print_bars(bars):
-    for bar in bars:
-        print(_bar_line(bar))
+    sys.stdout.write("".join(_bar_line(bar) + "\n" for bar in bars))
 
 
 def _echo_value_map(value_map):
     if value_map:
-        for value, rank in value_map.items():
-            print(f"# value {value} -> {rank}")
+        sys.stdout.write(
+            "".join(
+                f"# value {value} -> {rank}\n"
+                for value, rank in value_map.items()
+            )
+        )
 
 
 def _map_lines(matrix: GradedMatrix):
     """``map`` lines describing a matrix column by column."""
     return [
-        f"map {label} -> " + (" + ".join(_terms(matrix, j)) or "0")
-        for j, label in enumerate(matrix.source.labels)
+        f"map {label} -> " + (" + ".join(terms) or "0")
+        for label, terms in zip(matrix.source.labels, _column_terms(matrix))
     ]
 
 
 def _cmd_barcode(args):
-    filtration, value_map, _ = _load_complex(_read(args.input))
+    filtration, value_map = _load_complex(_read(args.input))[:2]
+    if filtration.has_removals:
+        raise CliError(
+            VALIDATION_ERROR,
+            "barcode input cannot carry removal times; use 'persmod relative'",
+        )
     bars = persistent_homology(filtration, args.field)
     _echo_value_map(value_map)
     _print_bars(bars)
@@ -438,16 +462,13 @@ def _cmd_snf(args):
     form = snf_form(p)
     sys.stdout.write(format_presentation(form.presentation))
     if args.dump:
-        print("# to_new")
-        for line in _map_lines(form.to_new):
-            print(line)
-        print("# from_new")
-        for line in _map_lines(form.from_new):
-            print(line)
+        lines = ["# to_new", *_map_lines(form.to_new)]
+        lines += ["# from_new", *_map_lines(form.from_new)]
+        sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _cmd_relative(args):
-    filtration, value_map, _ = _load_complex(_read(args.input))
+    filtration, value_map = _load_complex(_read(args.input))[:2]
     bars = torsion_homology(relative_complex(filtration, args.field))
     if not args.keep_ephemeral:
         bars = bars.without_ephemeral()

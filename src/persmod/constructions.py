@@ -313,7 +313,12 @@ def dual(p: Presentation) -> Presentation:
 
     A torsion generator at degree b with annihilator t^a dualizes to a
     generator at degree -b with the same annihilator; free generators
-    dualize to free generators.
+    dualize to free generators.  On bars, [a, b) goes to
+    [-a, -a + (b - a)) and [a, inf) to [-a, inf).
+
+    This is not Hom(-, k[t]), which is 0 on a torsion bar, and not the
+    Matlis dual, which sends [a, b) to [-b + 1, -a + 1): it keeps each
+    bar's length and negates its birth.
     """
     triples = [(f"{lab}*", -deg, a) for lab, deg, a in _diagonal(p)]
     return _diagonal_presentation(p.field, triples)

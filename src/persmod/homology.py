@@ -68,13 +68,15 @@ class FilteredComplex:
     1
     """
 
-    __slots__ = ("simplices",)
+    __slots__ = ("simplices", "_faces")
 
     def __init__(self, simplices):
         self.simplices = tuple(map(_normalized, simplices))
-        found = _violation(self.simplices)
-        if found is not None:
-            raise ValueError(found[1])
+        # _faces[n]: input positions of the codimension-one faces of
+        # simplex n, in the order of _codim_one_faces
+        self._faces, broken = _face_index(self.simplices)
+        if broken is not None:
+            raise ValueError(broken[1])
 
     @property
     def has_removals(self) -> bool:
@@ -84,17 +86,14 @@ class FilteredComplex:
     def max_dimension(self) -> int:
         return max((len(s.vertices) - 1 for s in self.simplices), default=-1)
 
+    def _order(self):
+        """Input positions in filtration order (see sorted_simplices)."""
+        keys = [(b, len(vertices)) for vertices, b, _ in self.simplices]
+        return sorted(range(len(keys)), key=keys.__getitem__)  # stable
+
     def sorted_simplices(self):
         """Filtration order: by birth, then dimension, then input order."""
-        order = sorted(
-            range(len(self.simplices)),
-            key=lambda n: (
-                self.simplices[n].birth,
-                len(self.simplices[n].vertices),
-                n,
-            ),
-        )
-        return [self.simplices[n] for n in order]
+        return [self.simplices[n] for n in self._order()]
 
     def __len__(self):
         return len(self.simplices)
@@ -120,43 +119,51 @@ def _normalized(entry) -> Simplex:
     return Simplex(tuple(sorted(vertices)), birth, removal)
 
 
-def _violation(simplices, show=lambda value: value):
-    """The first rule a list of simplices breaks, or None.
+def _face_index(simplices, show=lambda value: value):
+    """The face index of a list of simplices and the first rule broken.
 
-    Returns (position, message): the index of the simplex at fault and
-    a message that prints each birth or removal time through ``show``.
+    Returns (faces, broken).  When every rule holds, broken is None and
+    faces[n] holds the positions in ``simplices`` of the
+    codimension-one faces of simplex n, in the order of
+    ``_codim_one_faces``.  Otherwise faces is None and broken is
+    (position, message): the index of the simplex at fault and a
+    message that prints each birth or removal time through ``show``.
     """
-    by_vertices = {}
-    for n, s in enumerate(simplices):
-        vertices, birth, removal = s
+    position = {}
+    for n, (vertices, birth, removal) in enumerate(simplices):
         if len(set(vertices)) != len(vertices):
-            return n, f"repeated vertex in simplex {vertices}"
+            return None, (n, f"repeated vertex in simplex {vertices}")
         if birth < 0:
-            return n, f"simplex {vertices} born at {show(birth)} < 0"
+            return None, (n, f"simplex {vertices} born at {show(birth)} < 0")
         if removal < birth:
-            return n, (
+            return None, (n, (
                 f"simplex {vertices} removed at {show(removal)} before "
                 f"its birth {show(birth)}"
-            )
-        if vertices in by_vertices:
-            return n, f"simplex {vertices} listed twice"
-        by_vertices[vertices] = s
+            ))
+        if vertices in position:
+            return None, (n, f"simplex {vertices} listed twice")
+        position[vertices] = n
+    faces = []
     for n, (vertices, birth, removal) in enumerate(simplices):
+        at = []
         for face in _codim_one_faces(vertices):
-            other = by_vertices.get(face)
-            if other is None:
-                return n, f"simplex {vertices} is missing face {face}"
-            if other.birth > birth:
-                return n, (
-                    f"face {face} born at {show(other.birth)}, after "
+            m = position.get(face)
+            if m is None:
+                return None, (n, f"simplex {vertices} is missing face {face}")
+            _, face_birth, face_removal = simplices[m]
+            if face_birth > birth:
+                return None, (n, (
+                    f"face {face} born at {show(face_birth)}, after "
                     f"{vertices} at {show(birth)}"
-                )
-            if other.removal < removal:
-                return n, (
-                    f"face {face} removed at {show(other.removal)}, before "
+                ))
+            if face_removal < removal:
+                return None, (n, (
+                    f"face {face} removed at {show(face_removal)}, before "
                     f"{vertices} at {show(removal)}"
-                )
-    return None
+                ))
+            at.append(m)
+        faces.append(tuple(at))
+    return tuple(faces), None
 
 
 def _codim_one_faces(vertices):
@@ -178,17 +185,19 @@ def graded_boundary(filtration: FilteredComplex, field=QQ) -> GradedMatrix:
     t-power equal to the difference of their births.  Vertex columns
     are zero.
     """
-    ordered = filtration.sorted_simplices()
+    order = filtration._order()
+    ordered = [filtration.simplices[n] for n in order]
     basis = GradedBasis(
         (simplex_label(s.vertices), s.birth) for s in ordered
     )
-    index = {s.vertices: i for i, s in enumerate(ordered)}
+    index = [0] * len(order)
     signs = (field.one, field.neg(field.one))
     entries = {}
-    for j, s in enumerate(ordered):
-        d = len(s.vertices) - 1
-        for k, face in enumerate(_codim_one_faces(s.vertices)):
-            entries[(index[face], j)] = signs[(d - k) % 2]
+    for j, n in enumerate(order):
+        index[n] = j  # faces precede cofaces in filtration order
+        d = len(ordered[j].vertices) - 1
+        for k, m in enumerate(filtration._faces[n]):
+            entries[(index[m], j)] = signs[(d - k) % 2]
     return GradedMatrix.from_entries(field, basis, basis, entries)
 
 
@@ -216,16 +225,7 @@ def persistent_homology(filtration: FilteredComplex, field=QQ) -> Barcode:
             "complex has removal times; use relative_complex and "
             "torsion_homology"
         )
-    simplices = filtration.sorted_simplices()[::-1]
-    index = {s.vertices: r for r, s in enumerate(simplices)}
-    signs = (field.one, field.neg(field.one))
-    cols = [{} for _ in simplices]
-    by_dim = [[] for _ in range(filtration.max_dimension + 1)]
-    for r, (vertices, _, _) in enumerate(simplices):
-        d = len(vertices) - 1
-        by_dim[d].append(r)
-        for k, face in enumerate(_codim_one_faces(vertices)):
-            cols[index[face]][r] = signs[(d - k) % 2]
+    births, cols, by_dim = _coboundary(filtration, field)
     lows: dict[int, int] = {}
     bars = []
     for p, rs in enumerate(by_dim):
@@ -237,9 +237,38 @@ def persistent_homology(filtration: FilteredComplex, field=QQ) -> Barcode:
             death = INF
             if low is not None:
                 lows[low] = r
-                death = simplices[low].birth
-            bars.append(Bar(p, simplices[r].birth, death))
+                death = births[low]
+            bars.append(Bar(p, births[r], death))
     return Barcode(bars)
+
+
+def _coboundary(filtration: FilteredComplex, field):
+    """(births, cols, by_dim) indexed by r, the position from the end
+    of the filtration order: cols[r] maps each cofacet's r to its sign,
+    and by_dim[p] lists the r of the p-simplices in ascending order.
+
+    One pass in filtration order, where faces precede their cofaces,
+    so a face's r is known when a coface lists it.
+    """
+    order = filtration._order()
+    last = len(order) - 1
+    rank = [0] * len(order)
+    births = [0] * len(order)
+    signs = (field.one, field.neg(field.one))
+    cols = [{} for _ in order]
+    by_dim = [[] for _ in range(filtration.max_dimension + 1)]
+    for i, n in enumerate(order):
+        r = last - i
+        rank[n] = r
+        vertices, birth, _ = filtration.simplices[n]
+        births[r] = birth
+        d = len(vertices) - 1
+        by_dim[d].append(r)
+        for k, m in enumerate(filtration._faces[n]):
+            cols[rank[m]][r] = signs[(d - k) % 2]
+    for rs in by_dim:
+        rs.reverse()
+    return births, cols, by_dim
 
 
 class TorsionChainComplex:

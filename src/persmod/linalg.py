@@ -53,13 +53,15 @@ class GradedBasis:
 
     def __init__(self, elements):
         elements = list(elements)
-        self.labels = tuple(str(lab) for lab, _ in elements)
-        self.degrees = tuple(int(deg) for _, deg in elements)
-        self._index = {}
-        for i, lab in enumerate(self.labels):
-            if lab in self._index:
-                raise ValueError(f"duplicate basis label {lab!r}")
-            self._index[lab] = i
+        self.labels = tuple([str(lab) for lab, _ in elements])
+        self.degrees = tuple([int(deg) for _, deg in elements])
+        self._index = dict(zip(self.labels, range(len(self.labels))))
+        if len(self._index) != len(self.labels):
+            seen = set()
+            for lab in self.labels:
+                if lab in seen:
+                    raise ValueError(f"duplicate basis label {lab!r}")
+                seen.add(lab)
 
     def __len__(self):
         return len(self.labels)

@@ -649,6 +649,84 @@ def boundary_pairing_barcode(filtration, field):
     return Barcode(bars)
 
 
+def boundary_by_vertices(filtration, field):
+    """``graded_boundary`` rebuilt from vertex tuples alone.
+
+    Rows and columns in filtration order; each face is found by
+    dropping vertex ``omit`` and looked up by its vertex tuple, with
+    sign (-1)^omit.  Shares no face index with ``FilteredComplex``.
+    """
+    ordered = filtration.sorted_simplices()
+    basis = GradedBasis((".".join(map(str, s.vertices)), s.birth) for s in ordered)
+    row = {s.vertices: i for i, s in enumerate(ordered)}
+    entries = {}
+    for j, s in enumerate(ordered):
+        if len(s.vertices) < 2:
+            continue
+        for omit in range(len(s.vertices)):
+            face = s.vertices[:omit] + s.vertices[omit + 1 :]
+            entries[(row[face], j)] = field.one if omit % 2 == 0 else field.neg(field.one)
+    return GradedMatrix.from_entries(field, basis, basis, entries)
+
+
+def scrambled(filtration, rng):
+    """The same complex, listed in a random order with every vertex
+    tuple in a random order, as ``(vertices, birth[, removal])`` entries."""
+    entries = []
+    for vertices, birth, removal in filtration.simplices:
+        vertices = list(vertices)
+        rng.shuffle(vertices)
+        tail = () if removal == INF else (removal,)
+        entries.append((tuple(vertices), birth, *tail))
+    rng.shuffle(entries)
+    return entries
+
+
+def int_then_float(token, lineno):
+    """A filtration value by the plain rule the CLI reader must keep:
+    int() if it reads the token, else a finite float().  Raises
+    ValueError with the CLI's message otherwise."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad filtration value {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno}: non-finite filtration value {token!r}")
+    return value
+
+
+def element_terms(matrix, j):
+    """The ``<coeff>t^<e>*<label>`` terms of column j, read through a
+    validating ``HomogeneousElement``."""
+    return [
+        f"{matrix.field.format(c)}t^{e}*{matrix.target.labels[i]}"
+        for i, c, e in matrix.column(j).terms()
+    ]
+
+
+def element_presentation_text(p):
+    """``format_presentation`` of a readable presentation, term by term
+    through ``element_terms``."""
+    lines = [f"gen {label} {degree}" for label, degree in p.gens]
+    for j in range(len(p.rels)):
+        terms = element_terms(p.incl, j)
+        if terms:
+            lines.append("rel " + " + ".join(terms))
+    return "".join(line + "\n" for line in lines)
+
+
+def element_map_lines(matrix):
+    """The ``map`` lines of ``snf --dump``, through ``element_terms``."""
+    return [
+        f"map {label} -> " + (" + ".join(element_terms(matrix, j)) or "0")
+        for j, label in enumerate(matrix.source.labels)
+    ]
+
+
 ReductionState = namedtuple(
     "ReductionState", ["Z", "B", "field", "pivots", "z_columns", "b_columns"]
 )

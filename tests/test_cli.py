@@ -22,6 +22,9 @@ import persmod
 from helpers import (
     BOTH_FIELDS,
     complexes,
+    element_map_lines,
+    element_presentation_text,
+    int_then_float,
     random_filtered_complex,
     random_presentation,
 )
@@ -45,6 +48,7 @@ from persmod import (
 )
 from persmod.cli import (
     CliError,
+    _parse_value,
     format_complex,
     format_presentation,
     main,
@@ -183,17 +187,66 @@ class TestParseComplex:
         with pytest.raises(CliError) as err:
             parse_complex("0 1\n")
         assert err.value.code == 1
+        assert str(err.value) == (
+            "line 1: expected 'v0 v1 ... ; birth [; removal]'"
+        )
 
     def test_bad_vertex(self):
         with pytest.raises(CliError) as err:
             parse_complex("a b ; 1\n")
         assert err.value.code == 1
+        assert str(err.value) == "line 1: bad vertex in 'a b'"
 
     def test_invariant_violation_is_validation_error(self):
         with pytest.raises(CliError) as err:
             parse_complex("0 ; 0\n0 1 ; 1\n")
         assert err.value.code == 2
-        assert "missing face" in str(err.value)
+        assert str(err.value) == "line 2: simplex (0, 1) is missing face (1,)"
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("0 ; 0.5\n a b ; 1.5\n", 1, "line 2: bad vertex in 'a b'"),
+            ("0 ; 0.5\n0 1\n", 1,
+             "line 2: expected 'v0 v1 ... ; birth [; removal]'"),
+            ("0 ; 0.5\n1 -2 ; 1.5\n", 1,
+             "line 2: vertices must be nonnegative integers"),
+            ("0 ; 0.5\n# again\n0 ; 1.5\n", 2,
+             "line 3: simplex (0,) listed twice"),
+            ("0 ; 0.5\n1 0 ; 1.5\n", 2,
+             "line 2: simplex (0, 1) is missing face (1,)"),
+            ("0 ; 0.25\n1 ; 2.5\n1 0 ; 1.5\n", 2,
+             "line 3: face (1,) born at 2.5, after (0, 1) at 1.5"),
+            ("0 ; 0.5 ; 1.5\n1 ; 0.5\n1 0 ; 0.75 ; 2.5\n", 2,
+             "line 3: face (0,) removed at 1.5, before (0, 1) at 2.5"),
+        ],
+    )
+    def test_error_lines(self, tmp_path, capsys, text, code, message):
+        # values are rank-discretised; messages show them as written
+        path = write(tmp_path, "c.flt", text)
+        for command in ("barcode", "relative", "stream"):
+            assert invoke([command, path], capsys) == (
+                code, "", f"error: {message}\n"
+            )
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "7", "-3", "+5", "1_000", " 4 ", "0.5", "1e5", "2E-3", "-0.0",
+            "nan", "inf", "Infinity", "1e999", "", "1.2.3", "0x10",
+            "\u00b2", "\u0663", "1_0.5", "-inf", "5.", ".5e-1",
+        ],
+    )
+    def test_value_reader_matches_int_then_float(self, token):
+        try:
+            want = int_then_float(token, 4)
+        except ValueError as e:
+            with pytest.raises(CliError) as err:
+                _parse_value(token, 4)
+            assert (err.value.code, str(err.value)) == (1, str(e))
+        else:
+            got = _parse_value(token, 4)
+            assert (type(got), repr(got)) == (type(want), repr(want))
 
     def test_round_trip(self):
         rng = random.Random(2)
@@ -376,9 +429,12 @@ class TestBarcodeCommand:
 
     def test_removals_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "c.flt", DISSOLVING_COMPLEX)
-        code, _, err = invoke(["barcode", path], capsys)
-        assert code == 2
-        assert "removal" in err
+        assert invoke(["barcode", path], capsys) == (
+            2,
+            "",
+            "error: barcode input cannot carry removal times; "
+            "use 'persmod relative'\n",
+        )
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = invoke(["barcode", str(tmp_path / "no.flt")], capsys)
@@ -765,6 +821,34 @@ class TestRoundTrips:
             "wedge:2": lambda: exterior_power(p, 2),
         }[op]()
         assert_round_trip(result)
+
+
+class TestFormatterOracle:
+    def test_text_matches_element_terms(self, tmp_path, capsys):
+        # presentations, their duals (negative degrees) and snf --dump
+        # change maps, written term by term through HomogeneousElement
+        multi_term = negative = 0
+        for field in (QQ, PrimeField(5)):
+            rng = random.Random(53)
+            for n in range(40):
+                p = random_presentation(field, rng)
+                for q in (p, dual(p)):
+                    text = format_presentation(q)
+                    assert text == element_presentation_text(q)
+                    multi_term += " + " in text
+                    negative += any(d < 0 for d in q.gens.degrees)
+                path = write(tmp_path, f"p{n}.pmod", format_presentation(p))
+                args = ["--field", repr(field), "snf", path, "--dump"]
+                code, out, _ = invoke(args, capsys)
+                form = snf_form(parse_presentation(format_presentation(p), field))
+                lines = ["# to_new", *element_map_lines(form.to_new)]
+                lines += ["# from_new", *element_map_lines(form.from_new)]
+                assert (code, out) == (
+                    0,
+                    element_presentation_text(form.presentation)
+                    + "".join(line + "\n" for line in lines),
+                )
+        assert multi_term > 0 and negative > 0
 
 
 def _lines_of(*texts):

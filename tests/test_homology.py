@@ -17,6 +17,7 @@ from helpers import (
     ReductionState,
     betti_numbers,
     boundaries_in_cycles,
+    boundary_by_vertices,
     boundary_pairing_barcode,
     complexes,
     cycle_presentation,
@@ -25,6 +26,7 @@ from helpers import (
     random_filtered_complex,
     reduce_boundary,
     rips_complex,
+    scrambled,
 )
 from persmod import (
     INF,
@@ -453,6 +455,29 @@ class TestPersistentHomology:
                 assert bars == boundary_pairing_barcode(c, field)
                 ephemeral += sum(b.ephemeral for b in bars)
         assert ephemeral > 0
+
+    def test_face_index_on_scrambled_input(self):
+        # FilteredComplex indexes faces by input position, so list the
+        # simplices out of filtration order and each vertex tuple out of
+        # order ("1 0 ; 2"); the boundary must equal the one rebuilt
+        # from vertex tuples, and the barcode the boundary pairing's
+        rng = random.Random(47)
+        unsorted = 0
+        for field in (PrimeField(2), PrimeField(5), QQ):
+            cases = [rips_complex(rng, 9)]
+            for n in range(60):
+                c = random_filtered_complex(rng, max_vertices=4 + n % 4)
+                cases.append(coarsened(c, 3) if n % 2 else c)
+            for c in cases:
+                entries = scrambled(c, rng)
+                unsorted += sum(list(e[0]) != sorted(e[0]) for e in entries)
+                s = FilteredComplex(entries)
+                assert sorted(s.simplices) == sorted(c.simplices)
+                assert graded_boundary(s, field) == boundary_by_vertices(s, field)
+                bars = persistent_homology(s, field)
+                assert bars == boundary_pairing_barcode(s, field)
+                assert bars == persistent_homology(c, field)
+        assert unsorted > 0
 
     def test_one_bar_per_cycle(self):
         for field in BOTH_FIELDS:

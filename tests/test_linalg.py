@@ -41,8 +41,16 @@ class TestGradedBasis:
             simple_basis.index("nope")
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            GradedBasis([("a", 0), ("a", 1)])
+        # the message names the first label seen twice, scanning in order
+        for elements, label in [
+            ([("a", 0), ("a", 1)], "a"),
+            ([("a", 0), ("b", 1), ("a", 2)], "a"),
+            ([("b", 0), ("a", 1), ("a", 2), ("b", 3)], "a"),
+            ([("a", 0), ("b", 1), ("a", 2), ("b", 3)], "a"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                GradedBasis(elements)
+            assert str(err.value) == f"duplicate basis label {label!r}"
 
     def test_sorted_indices_stable_on_ties(self):
         b = GradedBasis([("x", 2), ("y", 0), ("z", 2)])
