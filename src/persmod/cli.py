@@ -189,8 +189,12 @@ def format_complex(filtration: FilteredComplex) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _parse_term(token: str, lineno: int, field):
-    """One term ``<coeff>t^<e>*<name>`` -> (coeff, exponent, name)."""
+def _parse_term(token: str, lineno: int, field, coeffs):
+    """One term ``<coeff>t^<e>*<name>`` -> (coeff, exponent, name).
+
+    ``coeffs`` maps each coefficient text already read in this file to
+    its scalar, so a text is parsed once per file.
+    """
     head, sep, name = token.partition("*")
     coeff_text, tsep, exp_text = head.partition("t^")
     if not sep or not name or not tsep:
@@ -210,26 +214,28 @@ def _parse_term(token: str, lineno: int, field):
             PARSE_ERROR, f"line {lineno}: negative exponent in {token!r}"
         )
     if coeff_text:
-        try:
-            coeff = field.parse(coeff_text)
-        except (ValueError, ZeroDivisionError):
-            raise CliError(
-                PARSE_ERROR,
-                f"line {lineno}: bad coefficient in {token!r}",
-            ) from None
+        coeff = coeffs.get(coeff_text)
+        if coeff is None:
+            try:
+                coeff = coeffs[coeff_text] = field.parse(coeff_text)
+            except (ValueError, ZeroDivisionError):
+                raise CliError(
+                    PARSE_ERROR,
+                    f"line {lineno}: bad coefficient in {token!r}",
+                ) from None
     else:
         coeff = field.one
     return coeff, exponent, name
 
 
-def _parse_terms(text: str, lineno: int, field):
+def _parse_terms(text: str, lineno: int, field, coeffs):
     return [
-        _parse_term(token.strip(), lineno, field)
+        _parse_term(token.strip(), lineno, field, coeffs)
         for token in text.split("+")
     ]
 
 
-def _parse_presentation_lines(pairs, field) -> Presentation:
+def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
     gens = []
     rels = []
     for n, line in pairs:
@@ -256,7 +262,7 @@ def _parse_presentation_lines(pairs, field) -> Presentation:
                 )
             gens.append((tokens[0], degree))
         elif keyword == "rel":
-            rels.append(_parse_terms(rest, n, field))
+            rels.append(_parse_terms(rest, n, field, coeffs))
         else:
             raise CliError(
                 PARSE_ERROR, f"line {n}: unknown directive {keyword!r}"
@@ -269,7 +275,7 @@ def _parse_presentation_lines(pairs, field) -> Presentation:
 
 def parse_presentation(text: str, field=QQ) -> Presentation:
     """Parse presentation text; see the module docstring for grammar."""
-    return _parse_presentation_lines(_content_lines(text), field)
+    return _parse_presentation_lines(_content_lines(text), field, {})
 
 
 def _readable(labels) -> bool:
@@ -344,8 +350,9 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
                 f"line {n}: expected a 'source', 'target', or 'maps' header",
             )
         current.append((n, line))
-    src = _parse_presentation_lines(sections["source"], field)
-    dst = _parse_presentation_lines(sections["target"], field)
+    coeffs = {}  # one coefficient table for the whole file
+    src = _parse_presentation_lines(sections["source"], field, coeffs)
+    dst = _parse_presentation_lines(sections["target"], field, coeffs)
     entries = {}
     mapped = set()
     for n, line in sections["maps"]:
@@ -369,7 +376,8 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
                 PARSE_ERROR, f"line {n}: generator {name!r} mapped twice"
             )
         mapped.add(j)
-        for coeff, exponent, label in _parse_terms(terms_text, n, field):
+        terms = _parse_terms(terms_text, n, field, coeffs)
+        for coeff, exponent, label in terms:
             try:
                 i = dst.gens.index(label)
             except KeyError as e:
@@ -381,9 +389,10 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
                     f"line {n}: term on {label!r} must have exponent "
                     f"{implied} to preserve degree, got {exponent}",
                 )
-            entries[(i, j)] = field.add(
-                entries.get((i, j), field.zero), field.scalar(coeff)
-            )
+            c = field.scalar(coeff)
+            if (i, j) in entries:
+                c = field.add(entries[(i, j)], c)
+            entries[(i, j)] = c
     phi = GradedMatrix.from_entries(field, src.gens, dst.gens, entries)
     morphism = PresentationMorphism(src, dst, phi)
     if not validate_morphism(morphism):

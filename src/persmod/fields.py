@@ -8,6 +8,12 @@ integral and a ``fractions.Fraction`` once a division leaves a
 remainder, so chains that start at +-1 run on int arithmetic.  There
 is no floating point anywhere.
 
+Every field also has ``submul(a, r, c)``, the exact ``a - r*c`` that
+each column operation makes once per entry.  Over Z/p it is an int
+in [0, p).  Over Q it keeps the canonical form: on canonical scalars
+it returns an ``int`` when the result is integral and a ``Fraction``
+otherwise.
+
     >>> F = field_from_string("Zp:5")
     >>> F.inv(F.scalar(2))
     3
@@ -16,6 +22,8 @@ is no floating point anywhere.
     Fraction(5, 6)
     >>> Q.div(6, -3), Q.div(1, 3)
     (-2, Fraction(1, 3))
+    >>> Q.submul(1, Q.parse("1/2"), 2), Q.submul(0, Q.parse("2/3"), 1)
+    (0, Fraction(-2, 3))
     >>> Monomial(Q.scalar(3), 2)
     Monomial(3, 2)
     >>> Monomial(Q.zero, 5)
@@ -29,6 +37,7 @@ Euclidean algorithm is never needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def _canon(q: Fraction):
@@ -44,7 +53,9 @@ class Rationals:
     that canonical form.  ``add``, ``sub``, ``mul`` and ``neg`` are
     the plain operators: a result they make from a ``Fraction`` may be
     an integral ``Fraction``, which compares, hashes and prints like
-    the ``int``.
+    the ``int``.  ``submul(a, r, c)`` is ``a - r*c``: the plain
+    operators when ``r`` and ``c`` are ints, and otherwise an ``int``
+    if the result is integral and a reduced ``Fraction`` if not.
     """
 
     __slots__ = ()
@@ -57,6 +68,8 @@ class Rationals:
         """Coerce an int (or anything Fraction accepts) to a scalar."""
         if type(value) is int:
             return value
+        if type(value) is Fraction:
+            return _canon(value)
         return _canon(Fraction(value))
 
     def add(self, a, b):
@@ -67,6 +80,20 @@ class Rationals:
 
     def mul(self, a, b):
         return a * b
+
+    def submul(self, a, r, c):
+        if type(r) is int and type(c) is int:
+            return a - r * c
+        # one fraction from the raw numerators and denominators, reduced
+        # by one gcd, instead of a reduced product and a reduced difference
+        ad = a.denominator
+        d = r.denominator * c.denominator
+        num = a.numerator * d - r.numerator * c.numerator * ad
+        den = ad * d
+        g = gcd(num, den)
+        if g == den:
+            return num // g
+        return Fraction(num // g, den // g)
 
     def neg(self, a):
         return -a
@@ -164,6 +191,9 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def submul(self, a, r, c):
+        return (a - r * c) % self.p
 
     def neg(self, a):
         return (-a) % self.p

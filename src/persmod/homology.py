@@ -185,7 +185,11 @@ def graded_boundary(filtration: FilteredComplex, field=QQ) -> GradedMatrix:
     t-power equal to the difference of their births.  Vertex columns
     are zero.
     """
-    order = filtration._order()
+    return _boundary_in_order(filtration, filtration._order(), field)
+
+
+def _boundary_in_order(filtration, order, field) -> GradedMatrix:
+    """``graded_boundary`` with the filtration order given."""
     ordered = [filtration.simplices[n] for n in order]
     basis = GradedBasis(
         (simplex_label(s.vertices), s.birth) for s in ordered
@@ -332,10 +336,9 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
     grade g exactly when the boundary descends; for p >= 1 and a
     boundary that does not descend it is a choice of this package.
     """
-    ordered = filtration.sorted_simplices()
-    basis = GradedBasis(
-        (simplex_label(s.vertices), s.birth) for s in ordered
-    )
+    order = filtration._order()
+    boundary = _boundary_in_order(filtration, order, field)
+    ordered = [filtration.simplices[n] for n in order]
     removed = sorted(
         (i for i, s in enumerate(ordered) if s.removal != INF),
         key=lambda i: (ordered[i].removal, i),
@@ -344,12 +347,10 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
         (f"rel{n}", ordered[i].removal) for n, i in enumerate(removed)
     )
     incl = GradedMatrix(
-        field, rels, basis, [{i: field.one} for i in removed]
+        field, rels, boundary.source, [{i: field.one} for i in removed]
     )
     dims = (len(s.vertices) - 1 for s in ordered)
-    return TorsionChainComplex(
-        Presentation(field, incl), graded_boundary(filtration, field), dims
-    )
+    return TorsionChainComplex(Presentation(field, incl), boundary, dims)
 
 
 def _restrict_presentation(tcc: TorsionChainComplex, p: int) -> Presentation:

@@ -317,8 +317,9 @@ class GradedMatrix:
         f = self.field
         out = {}
         for j, xc in x.coords.items():
+            nx = f.neg(xc)
             for i, mc in self.cols[j].items():
-                out[i] = f.add(out.get(i, f.zero), f.mul(mc, xc))
+                out[i] = f.submul(out.get(i, f.zero), nx, mc)
         return HomogeneousElement(f, self.target, x.degree, out)
 
     def matmul(self, other: "GradedMatrix") -> "GradedMatrix":
@@ -330,8 +331,9 @@ class GradedMatrix:
         for j in range(other.ncols):
             out = {}
             for k, oc in other.cols[j].items():
+                noc = f.neg(oc)
                 for i, sc in self.cols[k].items():
-                    out[i] = f.add(out.get(i, f.zero), f.mul(sc, oc))
+                    out[i] = f.submul(out.get(i, f.zero), noc, sc)
             cols.append(out)
         return GradedMatrix(f, other.source, self.target, cols)
 
@@ -479,7 +481,7 @@ def _reduce(field, col, key, lows, cols, usable=None, steps=None):
 def _combine(field, col, other, r):
     """In place: col -= r * other, dropping zeros."""
     for i, c in other.items():
-        new = field.sub(col.get(i, field.zero), field.mul(r, c))
+        new = field.submul(col.get(i, field.zero), r, c)
         if new:
             col[i] = new
         else:
@@ -609,7 +611,7 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
         assert tgt.degrees[p] >= tgt.degrees[i]
         for j in list(rows[p]):
             col = cols[j]
-            new = f.sub(col.get(i, f.zero), f.mul(r, col[p]))
+            new = f.submul(col.get(i, f.zero), r, col[p])
             if new:
                 col[i] = new
                 rows[i].add(j)

@@ -91,7 +91,9 @@ class Presentation:
                     raise ValueError(
                         f"relation {n} mixes degrees {degree} and {d}"
                     )
-                c = field.add(col.get(i, field.zero), field.scalar(coeff))
+                c = field.scalar(coeff)
+                if i in col:
+                    c = field.add(col[i], c)
                 col[i] = c
             cols.append(col)
             degrees.append(degree)

@@ -170,6 +170,9 @@ class FractionQ(Rationals):
             raise ZeroDivisionError("division by zero")
         return Fraction(a) / b
 
+    def submul(self, a, r, c):
+        return Fraction(a) - Fraction(r) * c
+
     def parse(self, text):
         return Fraction(text)
 

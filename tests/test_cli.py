@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,14 +310,42 @@ class TestParsePresentation:
         assert "line 2" in str(err.value)
 
     def test_zero_denominator_reports_line(self, tmp_path, capsys):
+        # the same bad text again on line 3: line 2 is the one reported
+        text = "gen x 1\nrel 1/0t^1*x\nrel 1/0t^2*x\n"
         with pytest.raises(CliError) as err:
-            parse_presentation("gen x 1\nrel 1/0t^1*x\n")
+            parse_presentation(text)
         assert err.value.code == 1
         assert "line 2" in str(err.value)
-        path = write(tmp_path, "m.pmod", "gen x 1\nrel 1/0t^1*x\n")
+        path = write(tmp_path, "m.pmod", text)
         code, out, err = invoke(["presentation-barcode", path], capsys)
         assert (code, out) == (1, "")
         assert err == "error: line 2: bad coefficient in '1/0t^1*x'\n"
+
+    def test_repeated_coefficient_text(self, tmp_path, capsys):
+        # one text four times in a file, and again in a second file
+        text = (
+            "gen x 0\ngen y 1\n"
+            "rel -2/3t^2*x + -2/3t^1*y\nrel -2/3t^3*x + -4/6t^2*y\n"
+        )
+        third = Fraction(-2, 3)
+        want = Presentation.from_terms(
+            QQ, [("x", 0), ("y", 1)],
+            [[(third, 2, "x"), (third, 1, "y")],
+             [(third, 3, "x"), (third, 2, "y")]],
+        )
+        assert parse_presentation(text) == want
+        assert parse_presentation(text) == want
+        # a table kept across files would hand Z/5's 2 to Q
+        seven = "gen x 0\nrel 7t^1*x\n"
+        assert parse_presentation(seven, PrimeField(5)).incl.cols == ({0: 2},)
+        assert parse_presentation(seven).incl.cols == ({0: 7},)
+        path = write(tmp_path, "p.pmod", text)
+        code, _, err = invoke(
+            ["op", "dsum", path, path, "-o", str(tmp_path / "s.pmod")], capsys
+        )
+        assert (code, err) == (0, "")
+        summed = format_presentation(direct_sum(want, want))
+        assert (tmp_path / "s.pmod").read_text() == summed
 
     def test_round_trip(self):
         for field in BOTH_FIELDS:
@@ -387,6 +416,24 @@ class TestParseMorphism:
         with pytest.raises(CliError) as err:
             parse_morphism(text)
         assert err.value.code == 1
+
+    def test_coefficient_text_shared_across_sections(self):
+        text = (
+            "source\ngen x 0\nrel 3/2t^2*x\n"
+            "target\ngen u 0\nrel 3/2t^2*u\n"
+            "maps\nmap x -> 3/2t^0*u + 3/2t^0*u\n"
+        )
+        f = parse_morphism(text)
+        three_halves = Fraction(3, 2)
+        assert f.src.incl.cols == ({0: three_halves},)
+        assert f.dst.incl.cols == ({0: three_halves},)
+        assert f.phi.cols == ({0: 3},)
+        bad = text.replace("3/2", "3/0")
+        with pytest.raises(CliError) as err:
+            parse_morphism(bad)
+        assert (err.value.code, str(err.value)) == (
+            1, "line 3: bad coefficient in '3/0t^2*x'"
+        )
 
     def test_map_that_does_not_descend_rejected(self):
         text = (

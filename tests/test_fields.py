@@ -92,14 +92,15 @@ class TestRationalScalarTypes:
         assert type(QQ.inv(4)) is Fraction and QQ.inv(4) == Fraction(1, 4)
 
     @settings(derandomize=True, max_examples=300)
-    @given(a=SCALARS, b=SCALARS)
-    def test_ops_agree_with_fraction_arithmetic(self, a, b):
+    @given(a=SCALARS, b=SCALARS, c=SCALARS)
+    def test_ops_agree_with_fraction_arithmetic(self, a, b, c):
         # a drawn Fraction may be integral, so mixed operands occur
-        fa, fb = Fraction(a), Fraction(b)
+        fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
         pairs = [
             (QQ.add(a, b), fa + fb),
             (QQ.sub(a, b), fa - fb),
             (QQ.mul(a, b), fa * fb),
+            (QQ.submul(a, b, c), fa - fb * fc),
             (QQ.neg(a), -fa),
             (QQ.scalar(a), fa),
             (QQ.parse(str(a)), fa),
@@ -111,6 +112,12 @@ class TestRationalScalarTypes:
             assert got == want
         if b and type(a) is int and type(b) is int:
             assert (type(QQ.div(a, b)) is int) == (a % b == 0)
+        got = QQ.submul(a, b, c)
+        if type(a) is int and type(b) is int and type(c) is int:
+            assert type(got) is int
+        elif type(b) is not int or type(c) is not int:
+            # made from the raw parts, so canonical
+            assert (type(got) is int) == (got.denominator == 1)
 
 
 FRACTION_Q = FractionQ()
@@ -243,6 +250,7 @@ class TestPrimeField:
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
             assert f.sub(a, b) == f.add(a, f.neg(b))
+            assert f.submul(a, b, c) == f.sub(a, f.mul(b, c))
             if b:
                 assert f.mul(f.div(a, b), b) == a
 
