@@ -8,11 +8,14 @@ integral and a ``fractions.Fraction`` once a division leaves a
 remainder, so chains that start at +-1 run on int arithmetic.  There
 is no floating point anywhere.
 
-Every field also has ``submul(a, r, c)``, the exact ``a - r*c`` that
-each column operation makes once per entry.  Over Z/p it is an int
-in [0, p).  Over Q it keeps the canonical form: on canonical scalars
-it returns an ``int`` when the result is integral and a ``Fraction``
-otherwise.
+Every field has one column operation, ``combine(col, other, r)``: in
+place, the sparse column ``col`` (a dict from row to nonzero scalar)
+becomes ``col - r*other``, and entries that cancel are dropped.  Every
+column update of the reductions goes through it.  ``submul(a, r, c)``
+is its per-entry form, the exact ``a - r*c`` that the row operation of
+the graded Smith normal form makes.  Over Z/p both give ints in
+[0, p).  Over Q both keep the canonical form: on canonical scalars an
+``int`` when the result is integral and a ``Fraction`` otherwise.
 
     >>> F = field_from_string("Zp:5")
     >>> F.inv(F.scalar(2))
@@ -24,6 +27,14 @@ otherwise.
     (-2, Fraction(1, 3))
     >>> Q.submul(1, Q.parse("1/2"), 2), Q.submul(0, Q.parse("2/3"), 1)
     (0, Fraction(-2, 3))
+    >>> col = {0: 1, 1: Q.parse("1/2"), 2: 3}
+    >>> Q.combine(col, {0: 2, 1: Q.parse("1/4"), 3: 1}, Q.parse("1/2"))
+    >>> col
+    {1: Fraction(3, 8), 2: 3, 3: Fraction(-1, 2)}
+    >>> col = {0: 4, 1: 2}
+    >>> F.combine(col, {0: 2, 2: 1}, 2)
+    >>> col
+    {1: 2, 2: 3}
     >>> Monomial(Q.scalar(3), 2)
     Monomial(3, 2)
     >>> Monomial(Q.zero, 5)
@@ -45,6 +56,31 @@ def _canon(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
 
+_new = object.__new__
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """The ``Fraction`` num/den of a coprime pair with den > 1.
+
+    Sets the two slots of a bare ``Fraction`` instead of calling the
+    constructor, which would run a second gcd and its type dispatch on
+    a pair that is already reduced.  ``tests/test_fields.py`` pins the
+    slot layout this relies on.
+    """
+    q = _new(Fraction)
+    q._numerator = num
+    q._denominator = den
+    return q
+
+
+def _quotient(num: int, den: int):
+    """num/den, for den > 0, in canonical form, reduced by one gcd."""
+    g = gcd(num, den)
+    if g == den:
+        return num // g
+    return _fraction(num // g, den // g)
+
+
 class Rationals:
     """The field of rational numbers.
 
@@ -53,9 +89,15 @@ class Rationals:
     that canonical form.  ``add``, ``sub``, ``mul`` and ``neg`` are
     the plain operators: a result they make from a ``Fraction`` may be
     an integral ``Fraction``, which compares, hashes and prints like
-    the ``int``.  ``submul(a, r, c)`` is ``a - r*c``: the plain
-    operators when ``r`` and ``c`` are ints, and otherwise an ``int``
-    if the result is integral and a reduced ``Fraction`` if not.
+    the ``int``.
+
+    ``combine(col, other, r)``, the one column operation, makes each
+    entry ``a - r*c`` of ``col - r*other`` with the plain operators
+    when ``a``, ``r`` and ``c`` are ints, and otherwise from the raw
+    numerators and denominators with one gcd: an ``int`` if the result
+    is integral and a reduced ``Fraction`` if not.  ``submul(a, r, c)``
+    is the same arithmetic for one entry, and ``div`` builds its
+    ``Fraction`` results the same way.
     """
 
     __slots__ = ()
@@ -88,12 +130,39 @@ class Rationals:
         # by one gcd, instead of a reduced product and a reduced difference
         ad = a.denominator
         d = r.denominator * c.denominator
-        num = a.numerator * d - r.numerator * c.numerator * ad
-        den = ad * d
-        g = gcd(num, den)
-        if g == den:
-            return num // g
-        return Fraction(num // g, den // g)
+        return _quotient(
+            a.numerator * d - r.numerator * c.numerator * ad, ad * d
+        )
+
+    def combine(self, col, other, r):
+        """In place: col -= r * other, dropping zeros."""
+        get = col.get
+        rn = r.numerator
+        rd = r.denominator
+        for i, c in other.items():
+            a = get(i, 0)
+            if rd == 1 and type(c) is int and type(a) is int:
+                new = a - rn * c
+            else:
+                if type(a) is int:
+                    an, ad = a, 1
+                else:
+                    an, ad = a._numerator, a._denominator
+                if type(c) is int:
+                    cn, d = c, rd
+                else:
+                    cn, d = c._numerator, rd * c._denominator
+                num = an * d - rn * cn * ad
+                den = ad * d
+                g = gcd(num, den)
+                if g != den:
+                    col[i] = _fraction(num // g, den // g)
+                    continue
+                new = num // g
+            if new:
+                col[i] = new
+            else:
+                col.pop(i, None)
 
     def neg(self, a):
         return -a
@@ -111,8 +180,15 @@ class Rationals:
         if type(a) is int and type(b) is int:
             # never a / b: on ints that is a float
             q, r = divmod(a, b)
-            return Fraction(a, b) if r else q
-        return a / b
+            if not r:
+                return q
+            num, den = a, b
+        else:
+            num = a.numerator * b.denominator
+            den = a.denominator * b.numerator
+        if den < 0:
+            num, den = -num, -den
+        return _quotient(num, den)
 
     def parse(self, text: str):
         return _canon(Fraction(text))
@@ -194,6 +270,17 @@ class PrimeField:
 
     def submul(self, a, r, c):
         return (a - r * c) % self.p
+
+    def combine(self, col, other, r):
+        """In place: col -= r * other, dropping zeros."""
+        p = self.p
+        get = col.get
+        for i, c in other.items():
+            new = (get(i, 0) - r * c) % p
+            if new:
+                col[i] = new
+            else:
+                col.pop(i, None)
 
     def neg(self, a):
         return (-a) % self.p

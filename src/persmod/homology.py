@@ -259,8 +259,12 @@ def _coboundary(filtration: FilteredComplex, field):
     rank = [0] * len(order)
     births = [0] * len(order)
     signs = (field.one, field.neg(field.one))
-    cols = [{} for _ in order]
-    by_dim = [[] for _ in range(filtration.max_dimension + 1)]
+    top = filtration.max_dimension
+    # a top-dimensional simplex has no cofacet, and reducing an empty
+    # column never writes to it, so they all share one
+    no_cofacets = {}
+    cols = [no_cofacets] * len(order)
+    by_dim = [[] for _ in range(top + 1)]
     for i, n in enumerate(order):
         r = last - i
         rank[n] = r
@@ -268,6 +272,8 @@ def _coboundary(filtration: FilteredComplex, field):
         births[r] = birth
         d = len(vertices) - 1
         by_dim[d].append(r)
+        if d < top:
+            cols[r] = {}
         for k, m in enumerate(filtration._faces[n]):
             cols[rank[m]][r] = signs[(d - k) % 2]
     for rs in by_dim:

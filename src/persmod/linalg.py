@@ -317,9 +317,7 @@ class GradedMatrix:
         f = self.field
         out = {}
         for j, xc in x.coords.items():
-            nx = f.neg(xc)
-            for i, mc in self.cols[j].items():
-                out[i] = f.submul(out.get(i, f.zero), nx, mc)
+            f.combine(out, self.cols[j], f.neg(xc))
         return HomogeneousElement(f, self.target, x.degree, out)
 
     def matmul(self, other: "GradedMatrix") -> "GradedMatrix":
@@ -331,9 +329,7 @@ class GradedMatrix:
         for j in range(other.ncols):
             out = {}
             for k, oc in other.cols[j].items():
-                noc = f.neg(oc)
-                for i, sc in self.cols[k].items():
-                    out[i] = f.submul(out.get(i, f.zero), noc, sc)
+                f.combine(out, self.cols[k], f.neg(oc))
             cols.append(out)
         return GradedMatrix(f, other.source, self.target, cols)
 
@@ -410,16 +406,20 @@ class ColumnEchelon:
         Columns that reduced to zero, in processing order.
     order : tuple
         The column processing order (ascending degree, then position).
+    key : callable
+        Row index -> its place in the target's (degree, index) order;
+        a column's low is ``max(col, key=key)``.
     """
 
-    __slots__ = ("matrix", "reduced", "lows", "zero_cols", "order")
+    __slots__ = ("matrix", "reduced", "lows", "zero_cols", "order", "key")
 
-    def __init__(self, matrix, reduced, lows, zero_cols, order):
+    def __init__(self, matrix, reduced, lows, zero_cols, order, key):
         self.matrix = matrix
         self.reduced = reduced
         self.lows = lows
         self.zero_cols = zero_cols
         self.order = order
+        self.key = key
 
 
 def column_echelon(m: GradedMatrix) -> ColumnEchelon:
@@ -444,7 +444,7 @@ def column_echelon(m: GradedMatrix) -> ColumnEchelon:
         else:
             lows[low] = c
     reduced = GradedMatrix(f, m.source, m.target, cols)
-    return ColumnEchelon(m, reduced, lows, tuple(zero_cols), order)
+    return ColumnEchelon(m, reduced, lows, tuple(zero_cols), order, key)
 
 
 def _pivot_rank(basis: GradedBasis) -> list:
@@ -472,20 +472,10 @@ def _reduce(field, col, key, lows, cols, usable=None, steps=None):
             return low
         pivot = cols[owner]
         r = field.div(col[low], pivot[low])
-        _combine(field, col, pivot, r)
+        field.combine(col, pivot, r)
         if steps is not None:
             steps.append((owner, r))
     return None
-
-
-def _combine(field, col, other, r):
-    """In place: col -= r * other, dropping zeros."""
-    for i, c in other.items():
-        new = field.submul(col.get(i, field.zero), r, c)
-        if new:
-            col[i] = new
-        else:
-            col.pop(i, None)
 
 
 def membership(x: HomogeneousElement, sub) -> bool:
@@ -500,26 +490,25 @@ def membership(x: HomogeneousElement, sub) -> bool:
         sub = column_echelon(sub)
     if x.basis != sub.matrix.target:
         raise ValueError("element is not over the matrix target basis")
-    return _echelon_coefficients(x, sub) is not None
+    return _reduce_in(x, sub) is None
+
+
+def _reduce_in(x: HomogeneousElement, ech: ColumnEchelon, steps=None):
+    """Clear a copy of x against the pivot owners of degree at most
+    deg x, so every multiple carries a nonnegative t-exponent; returns
+    the bottom coordinate that no such owner holds, or None."""
+    degrees = ech.matrix.source.degrees
+    return _reduce(
+        x.field, dict(x.coords), ech.key, ech.lows, ech.reduced.cols,
+        usable=lambda p: degrees[p] <= x.degree, steps=steps,
+    )
 
 
 def _echelon_coefficients(x: HomogeneousElement, ech: ColumnEchelon):
-    """Coefficients of x over the reduced columns, or None if outside.
-
-    Clears x's bottom coordinate against the pivot owners of degree at
-    most deg x, so every multiple carries a nonnegative t-exponent; a
-    bottom coordinate that no such owner holds leaves x outside.
-    """
+    """Coefficients of x over the reduced columns, or None if outside."""
     f = x.field
-    coords = dict(x.coords)
-    key = _pivot_rank(x.basis).__getitem__
-    degrees = ech.matrix.source.degrees
     steps = []
-    low = _reduce(
-        f, coords, key, ech.lows, ech.reduced.cols,
-        usable=lambda p: degrees[p] <= x.degree, steps=steps,
-    )
-    if low is not None:
+    if _reduce_in(x, ech, steps) is not None:
         return None
     taken: dict[int, object] = {}
     for p, r in steps:
@@ -546,7 +535,7 @@ def free_kernel(m: GradedMatrix) -> GradedMatrix:
         steps = []
         low = _reduce(f, cols[c], key, lows, cols, steps=steps)
         for p, r in steps:
-            _combine(f, track[c], track[p], r)
+            f.combine(track[c], track[p], r)
         if low is None:
             dead.append(c)
         else:
@@ -618,8 +607,8 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
             else:
                 col.pop(i, None)
                 rows[i].discard(j)
-        _combine(f, s_rows[i], s_rows[p], r)
-        _combine(f, s_inv_cols[p], s_inv_cols[i], f.neg(r))
+        f.combine(s_rows[i], s_rows[p], r)
+        f.combine(s_inv_cols[p], s_inv_cols[i], f.neg(r))
 
     key = _pivot_rank(tgt).__getitem__
     diagonal = []

@@ -180,7 +180,7 @@ def add_simplex(state: StreamState, vertices, value):
         added.append(_interval(state, leading, carrier))
         displaced = state.chains.pop(owner)
         ratio = field.div(displaced[leading], chain[leading])
-        linalg._combine(field, displaced, chain, ratio)
+        field.combine(displaced, chain, ratio)
         carrier, chain = owner, displaced
     return state, BarcodeDelta(added, removed)
 

@@ -173,6 +173,14 @@ class FractionQ(Rationals):
     def submul(self, a, r, c):
         return Fraction(a) - Fraction(r) * c
 
+    def combine(self, col, other, r):
+        for i, c in other.items():
+            new = Fraction(col.get(i, 0)) - Fraction(r) * c
+            if new:
+                col[i] = new
+            else:
+                col.pop(i, None)
+
     def parse(self, text):
         return Fraction(text)
 

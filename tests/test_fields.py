@@ -8,6 +8,7 @@ require equal results.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ from persmod import (
     image,
     snf_form,
 )
+from persmod.fields import _fraction
 
 
 class TestRationals:
@@ -118,6 +120,133 @@ class TestRationalScalarTypes:
         elif type(b) is not int or type(c) is not int:
             # made from the raw parts, so canonical
             assert (type(got) is int) == (got.denominator == 1)
+
+
+def _random_q(rng):
+    """An int or a Fraction, which may be integral."""
+    if rng.random() < 0.5:
+        return rng.randint(-6, 6)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+
+def _canonical_q(rng):
+    """An int when integral, else a Fraction."""
+    return QQ.scalar(_random_q(rng))
+
+
+def _random_column(rng, rows, draw):
+    col = {}
+    for i in range(rows):
+        if rng.random() < 0.6:
+            c = draw(rng)
+            if c:
+                col[i] = c
+    return col
+
+
+class TestCombine:
+    """``combine`` is the entry-by-entry ``sub(a, mul(r, c))``."""
+
+    @staticmethod
+    def _expected(field, col, other, r):
+        want = dict(col)
+        for i, c in other.items():
+            new = field.sub(want.get(i, field.zero), field.mul(r, c))
+            if new:
+                want[i] = new
+            else:
+                want.pop(i, None)
+        return want
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+    def test_matches_entrywise_arithmetic(self, field):
+        rng = random.Random(13)
+        if field.char:
+            draw = lambda g: field.scalar(g.randint(-9, 9))
+        else:
+            draw = _canonical_q
+        cancelled = 0
+        for _ in range(400):
+            col = _random_column(rng, 8, draw)
+            other = _random_column(rng, 8, draw)
+            r = draw(rng)
+            if not r:
+                r = field.neg(field.one)
+            if rng.random() < 0.3 and other:
+                # make one entry cancel exactly
+                i = rng.choice(sorted(other))
+                col[i] = field.mul(r, other[i])
+            want = self._expected(field, col, other, r)
+            cancelled += len(set(col) - set(want))
+            field.combine(col, other, r)
+            assert col == want
+            assert all(col.values())
+        assert cancelled > 50
+
+    def test_rational_entries_are_canonical(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            col = _random_column(rng, 8, _canonical_q)
+            other = _random_column(rng, 8, _canonical_q)
+            r = _canonical_q(rng) or Fraction(-3, 2)
+            QQ.combine(col, other, r)
+            for c in col.values():
+                assert type(c) in (int, Fraction)
+                assert (type(c) is int) == (Fraction(c).denominator == 1)
+
+    def test_integral_fraction_operands(self):
+        # integral Fractions, which add/mul may make, still give ints
+        col = {0: Fraction(3), 1: Fraction(1, 2)}
+        QQ.combine(col, {0: Fraction(1), 1: Fraction(1, 2), 2: 2}, Fraction(2))
+        assert col == {0: 1, 1: Fraction(-1, 2), 2: -4}
+        assert [type(c) for c in col.values()] == [int, Fraction, int]
+
+    def test_fraction_q_stays_fraction(self):
+        col = {0: Fraction(1), 1: Fraction(2)}
+        FRACTION_Q.combine(col, {0: Fraction(1), 1: Fraction(1)}, Fraction(1))
+        assert col == {1: 1} and type(col[1]) is Fraction
+
+
+class TestFractionBuilder:
+    def test_slot_layout(self):
+        # fields._fraction sets these two slots directly
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+    def test_matches_constructor(self):
+        rng = random.Random(19)
+        checked = 0
+        while checked < 500:
+            num = rng.randint(-10**6, 10**6)
+            den = rng.randint(2, 10**6)
+            if gcd(num, den) != 1:
+                continue
+            checked += 1
+            got, want = _fraction(num, den), Fraction(num, den)
+            assert type(got) is Fraction
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want) and str(got) == str(want)
+            assert (got.numerator, got.denominator) == (num, den)
+            other = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            assert got + other == want + other
+            assert got * other == want * other
+            assert got - 1 == want - 1 and -got == -want
+            assert (got < other) == (want < other)
+
+    def test_division(self):
+        rng = random.Random(23)
+        for _ in range(500):
+            a, b = _random_q(rng), _random_q(rng)
+            if not b:
+                b = -rng.randint(1, 6)
+            got = QQ.div(a, b)
+            want = Fraction(a) / b
+            assert got == want
+            assert (type(got) is int) == (want.denominator == 1)
+            if type(got) is Fraction:
+                assert got.denominator > 1
+                assert gcd(got.numerator, got.denominator) == 1
+        assert QQ.div(Fraction(3, 4), Fraction(-9, 8)) == Fraction(-2, 3)
+        assert type(QQ.div(Fraction(3, 4), Fraction(-3, 8))) is int
 
 
 FRACTION_Q = FractionQ()
