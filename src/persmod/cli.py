@@ -24,6 +24,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import repeat
 
 from .constructions import (
     cokernel,
@@ -293,18 +294,27 @@ def _readable(labels) -> bool:
     )
 
 
-def _column_terms(matrix: GradedMatrix) -> list:
-    """For each column, its ``<coeff>t^<e>*<label>`` terms by row."""
+def _write_columns(parts: list, matrix: GradedMatrix, heads, empty) -> None:
+    """Append one line per column of ``matrix`` to ``parts``.
+
+    A line is its head, then the column's ``<coeff>t^<e>*<label>`` terms
+    by row, joined by `` + ``.  A zero column has no terms: it gets the
+    line head + ``empty``, or no line when ``empty`` is None.
+    """
     fmt = matrix.field.format
     labels = matrix.target.labels
     degrees = matrix.target.degrees
-    return [
-        [
-            f"{fmt(col[i])}t^{degree - degrees[i]}*{labels[i]}"
-            for i in sorted(col)
-        ]
-        for col, degree in zip(matrix.cols, matrix.source.degrees)
-    ]
+    append = parts.append
+    for head, col, degree in zip(heads, matrix.cols, matrix.source.degrees):
+        if not col:
+            if empty is not None:
+                append(f"{head}{empty}\n")
+            continue
+        sep = head
+        for i in sorted(col):
+            append(f"{sep}{fmt(col[i])}t^{degree - degrees[i]}*{labels[i]}")
+            sep = " + "
+        append("\n")
 
 
 def format_presentation(p: Presentation) -> str:
@@ -314,6 +324,13 @@ def format_presentation(p: Presentation) -> str:
     omitted; they do not constrain the module.  A generator label that
     the parser could not read back (empty, or not printable ASCII, or
     holding a blank, ``#``, ``+`` or ``->``) raises ValueError.
+
+    >>> print(format_presentation(parse_presentation(
+    ...     "gen x 1\\ngen y 2\\nrel 1t^2*x + -1/2t^1*y"
+    ... )), end="")
+    gen x 1
+    gen y 2
+    rel 1t^2*x + -1/2t^1*y
     """
     if not _readable(p.gens.labels):
         label = next(lab for lab in p.gens.labels if not _readable([lab]))
@@ -321,14 +338,12 @@ def format_presentation(p: Presentation) -> str:
             f"generator label {label!r} cannot be written: labels must "
             "be printable ASCII without blanks, '#', '+' or '->'"
         )
-    lines = [
-        f"gen {label} {degree}"
+    parts = [
+        f"gen {label} {degree}\n"
         for label, degree in zip(p.gens.labels, p.gens.degrees)
     ]
-    for terms in _column_terms(p.incl):
-        if terms:
-            lines.append("rel " + " + ".join(terms))
-    return "".join(line + "\n" for line in lines)
+    _write_columns(parts, p.incl, repeat("rel "), None)
+    return "".join(parts)
 
 
 def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
@@ -441,14 +456,6 @@ def _echo_value_map(value_map):
         )
 
 
-def _map_lines(matrix: GradedMatrix):
-    """``map`` lines describing a matrix column by column."""
-    return [
-        f"map {label} -> " + (" + ".join(terms) or "0")
-        for label, terms in zip(matrix.source.labels, _column_terms(matrix))
-    ]
-
-
 def _cmd_barcode(args):
     filtration, value_map = _load_complex(_read(args.input))[:2]
     if filtration.has_removals:
@@ -471,9 +478,14 @@ def _cmd_snf(args):
     form = snf_form(p)
     sys.stdout.write(format_presentation(form.presentation))
     if args.dump:
-        lines = ["# to_new", *_map_lines(form.to_new)]
-        lines += ["# from_new", *_map_lines(form.from_new)]
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        parts = []
+        for name, matrix in [
+            ("to_new", form.to_new), ("from_new", form.from_new)
+        ]:
+            parts.append(f"# {name}\n")
+            heads = [f"map {label} -> " for label in matrix.source.labels]
+            _write_columns(parts, matrix, heads, "0")
+        sys.stdout.write("".join(parts))
 
 
 def _cmd_relative(args):

@@ -24,7 +24,7 @@ basis to map elements through.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, starmap
 
 from .linalg import (
     GradedBasis,
@@ -259,15 +259,16 @@ def _diagonal(p: Presentation) -> list:
 
 def _diagonal_presentation(field, gens_with_ann):
     """Presentation from (label, degree, annihilator exponent) triples."""
-    gens = GradedBasis((lab, deg) for lab, deg, _ in gens_with_ann)
+    gens = GradedBasis([(lab, deg) for lab, deg, _ in gens_with_ann])
+    one = field.one
+    rels = []
     cols = []
-    degrees = []
     for n, (_, deg, a) in enumerate(gens_with_ann):
         if a != INF:
-            cols.append({n: field.one})
-            degrees.append(deg + a)
-    rels = GradedBasis((f"rel{n}", d) for n, d in enumerate(degrees))
-    return Presentation(field, GradedMatrix(field, rels, gens, cols))
+            rels.append((f"rel{len(cols)}", deg + a))
+            cols.append({n: one})
+    incl = GradedMatrix(field, GradedBasis(rels), gens, cols)
+    return Presentation(field, incl)
 
 
 def tensor(p: Presentation, q: Presentation) -> Presentation:
@@ -341,12 +342,8 @@ def _power(p: Presentation, m: int, name: str, choose, sep: str):
     if m == 1:
         return _diagonal_presentation(p.field, gens)
     triples = [
-        (
-            "(" + sep.join(g[0] for g in choice) + ")",
-            sum(g[1] for g in choice),
-            min(g[2] for g in choice),
-        )
-        for choice in choose(gens, m)
+        ("(" + sep.join(labels) + ")", sum(degrees), min(anns))
+        for labels, degrees, anns in starmap(zip, choose(gens, m))
     ]
     return _diagonal_presentation(p.field, triples)
 

@@ -191,6 +191,21 @@ class Rationals:
         return _quotient(num, den)
 
     def parse(self, text: str):
+        # -digits and -digits/digits in ASCII skip Fraction's regex and
+        # its second normalisation; every other text goes to Fraction
+        num, slash, den = text.partition("/")
+        if (
+            text.isascii()
+            and (num[1:] if num[:1] == "-" else num).isdigit()
+            and (not slash or den.isdigit())
+        ):
+            n = int(num)
+            if not slash:
+                return n
+            d = int(den)
+            if not d:
+                raise ZeroDivisionError(f"Fraction({n}, 0)")
+            return _quotient(n, d)
         return _canon(Fraction(text))
 
     def format(self, a) -> str:

@@ -228,18 +228,23 @@ class GradedMatrix:
     __slots__ = ("field", "source", "target", "cols")
 
     def __init__(self, field, source: GradedBasis, target: GradedBasis, cols):
+        sdeg = source.degrees
+        tdeg = target.degrees
         clean = []
         for j, col in enumerate(cols):
-            d = {}
-            for i, c in dict(col).items():
-                if not c:
-                    continue
-                if source.degrees[j] - target.degrees[i] < 0:
-                    raise ValueError(
-                        f"entry ({target.labels[i]}, {source.labels[j]}) implies "
-                        f"exponent {source.degrees[j] - target.degrees[i]} < 0"
-                    )
-                d[i] = c
+            # the one copy of the caller's column (a mapping or pairs);
+            # a second, filtered copy only when it holds a zero scalar
+            d = dict(col)
+            if not all(d.values()):
+                d = {i: c for i, c in d.items() if c}
+            if d:
+                deg = sdeg[j]
+                for i in d:
+                    if tdeg[i] > deg:
+                        raise ValueError(
+                            f"entry ({target.labels[i]}, {source.labels[j]}) "
+                            f"implies exponent {deg - tdeg[i]} < 0"
+                        )
             clean.append(d)
         if len(clean) != len(source):
             raise ValueError("column count does not match source basis")

@@ -41,9 +41,11 @@ from persmod import (
     direct_sum,
     dual,
     exterior_power,
+    hom,
     image,
     kernel,
     snf_form,
+    symmetric_power,
     tensor,
     tensor_over_k,
 )
@@ -712,6 +714,19 @@ class TestOpCommand:
             assert code == 0, f"{op}: {err}"
             parse_presentation((tmp_path / f"{op.replace(':', '_')}.pmod").read_text())
 
+    def test_hom_rejects_colliding_pair_labels(self, tmp_path, capsys):
+        # (x*, y*.z) and (x*.y*, z) both print as (x*.y*.z); the diagonal
+        # constructions keep the generator basis's label check
+        p_path = write(tmp_path, "p.pmod", "gen x*.y 0\ngen x 0\n")
+        q_path = write(tmp_path, "q.pmod", "gen z 0\ngen y*.z 0\n")
+        out_path = tmp_path / "h.pmod"
+        code, out, err = invoke(
+            ["op", "hom", p_path, q_path, "-o", str(out_path)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate basis label '(x*.y*.z)'\n"
+        assert not out_path.exists()
+
     def test_pullback_requires_shared_target(self, tmp_path, capsys):
         f_path = write(tmp_path, "f.pmap", SHIFT_MORPHISM)
         g_path = write(
@@ -871,6 +886,16 @@ class TestRoundTrips:
 
 
 class TestFormatterOracle:
+    @staticmethod
+    def _snf_dump_oracle(q):
+        """``snf --dump`` of q, written through ``element_terms``."""
+        form = snf_form(q)
+        lines = ["# to_new", *element_map_lines(form.to_new)]
+        lines += ["# from_new", *element_map_lines(form.from_new)]
+        return element_presentation_text(form.presentation) + "".join(
+            line + "\n" for line in lines
+        )
+
     def test_text_matches_element_terms(self, tmp_path, capsys):
         # presentations, their duals (negative degrees) and snf --dump
         # change maps, written term by term through HomogeneousElement
@@ -887,15 +912,45 @@ class TestFormatterOracle:
                 path = write(tmp_path, f"p{n}.pmod", format_presentation(p))
                 args = ["--field", repr(field), "snf", path, "--dump"]
                 code, out, _ = invoke(args, capsys)
-                form = snf_form(parse_presentation(format_presentation(p), field))
-                lines = ["# to_new", *element_map_lines(form.to_new)]
-                lines += ["# from_new", *element_map_lines(form.from_new)]
-                assert (code, out) == (
-                    0,
-                    element_presentation_text(form.presentation)
-                    + "".join(line + "\n" for line in lines),
-                )
+                parsed = parse_presentation(format_presentation(p), field)
+                assert (code, out) == (0, self._snf_dump_oracle(parsed))
         assert multi_term > 0 and negative > 0
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+    def test_construction_outputs(self, field, tmp_path, capsys):
+        # the diagonal constructions' outputs and seeded presentations
+        # (zero and multi-term relation columns), written and dumped
+        rng = random.Random(61)
+        seen = {"zero rel": 0, "multi-term rel": 0, "zero map": 0}
+        for n in range(10):
+            p = random_presentation(field, rng, max_gens=5)
+            q = random_presentation(field, rng, max_gens=4)
+            gens = [
+                (f"u{i}", rng.randint(0, 4)) for i in range(rng.randint(1, 3))
+            ]
+            torsion = Presentation.from_terms(
+                field, gens, [[(1, rng.randint(1, 3), lab)] for lab, _ in gens]
+            )
+            outputs = [
+                p, q, tensor(p, q), hom(p, q), dual(p),
+                tensor_over_k(p, torsion), symmetric_power(p, 2),
+                *(exterior_power(p, m) for m in (1, 2, 3)),
+            ]
+            for k, out in enumerate(outputs):
+                text = format_presentation(out)
+                assert text == element_presentation_text(out)
+                cols = out.incl.cols
+                seen["zero rel"] += not all(cols)
+                seen["multi-term rel"] += any(len(c) > 1 for c in cols)
+                path = write(tmp_path, f"o{n}_{k}.pmod", text)
+                code, dumped, _ = invoke(
+                    ["--field", repr(field), "snf", path, "--dump"], capsys
+                )
+                assert (code, dumped) == (
+                    0, self._snf_dump_oracle(parse_presentation(text, field))
+                )
+                seen["zero map"] += " -> 0\n" in dumped
+        assert min(seen.values()) > 0, seen
 
 
 def _lines_of(*texts):

@@ -37,7 +37,7 @@ from persmod import (
     image,
     snf_form,
 )
-from persmod.fields import _fraction
+from persmod.fields import _canon, _fraction
 
 
 class TestRationals:
@@ -247,6 +247,60 @@ class TestFractionBuilder:
                 assert gcd(got.numerator, got.denominator) == 1
         assert QQ.div(Fraction(3, 4), Fraction(-9, 8)) == Fraction(-2, 3)
         assert type(QQ.div(Fraction(3, 4), Fraction(-3, 8))) is int
+
+
+def _outcome(parse, text):
+    """``parse(text)``, or the class of the exception it raises."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+class TestRationalParse:
+    EDGE_TEXTS = [
+        "-0", "0/5", "007", "1/0", "3/-4", "+3", "1_0", "1.5", "1e3",
+        "-0/0", "-12/0", "-6/4", "6/-4", "-", "/", "3/", "/4", "--3",
+        "-/4", "1/2/3", "", " 3", "3 ", "٣", "3/٤", "²", "00/007",
+    ]
+
+    def _assert_same(self, text):
+        got = _outcome(QQ.parse, text)
+        want = _outcome(lambda t: _canon(Fraction(t)), text)
+        # a scalar of the same type, or the same exception class
+        assert type(got) is type(want) and got == want, text
+        if type(got) is Fraction:
+            assert got.denominator > 1, text
+            assert gcd(got.numerator, got.denominator) == 1, text
+
+    def test_edge_texts(self):
+        for text in self.EDGE_TEXTS:
+            self._assert_same(text)
+        with pytest.raises(ZeroDivisionError, match=r"^Fraction\(-12, 0\)$"):
+            QQ.parse("-12/0")
+
+    def test_seeded_texts_match_fraction(self):
+        rng = random.Random(29)
+        alphabet = "0123456789-/+._e "
+        for _ in range(3000):
+            kind = rng.randrange(3)
+            if kind == 0:
+                # well-formed -digits or -digits/digits, zero denominators too
+                text = rng.choice(["", "-"]) + str(rng.randint(0, 10**9))
+                if rng.random() < 0.7:
+                    text += "/" + "0" * rng.randrange(2) + str(
+                        rng.randint(0, 10**6)
+                    )
+            elif kind == 1:
+                text = "".join(
+                    rng.choice(alphabet) for _ in range(rng.randint(1, 6))
+                )
+            else:
+                # a well-formed text with one character changed
+                text = list(f"{rng.randint(-999, 999)}/{rng.randint(1, 999)}")
+                text[rng.randrange(len(text))] = rng.choice(alphabet)
+                text = "".join(text)
+            self._assert_same(text)
 
 
 FRACTION_Q = FractionQ()

@@ -131,6 +131,43 @@ class TestGradedMatrix:
         with pytest.raises(ValueError):
             GradedMatrix.from_entries(QQ, src, tgt, {(0, 0): Fraction(1)})
 
+    def test_first_illegal_entry_is_named(self):
+        # column order first, then the order the entries were given in;
+        # a zero scalar is dropped before its exponent is looked at
+        src = GradedBasis([("r", 3), ("s", 1), ("u", 0)])
+        tgt = GradedBasis([("x", 1), ("y", 2), ("z", 4)])
+        cases = [
+            ({1: 0, 2: 5, 0: 2}, "entry (z, s) implies exponent -3 < 0"),
+            ({0: 2, 2: 5, 1: 3}, "entry (z, s) implies exponent -3 < 0"),
+            ({1: 3, 2: 5}, "entry (y, s) implies exponent -1 < 0"),
+            ({0: 2, 1: Fraction(0), 2: 0},
+             "entry (z, u) implies exponent -4 < 0"),
+        ]
+        for col, message in cases:
+            with pytest.raises(ValueError) as caught:
+                GradedMatrix(QQ, src, tgt, [{0: 1}, col, {2: 1}])
+            assert str(caught.value) == message
+
+    def test_columns_are_copied_and_cleaned(self):
+        src = GradedBasis([("r", 3), ("s", 2), ("u", 2)])
+        tgt = GradedBasis([("x", 1), ("y", 2)])
+        first = {0: 2}
+        pairs = [(1, Fraction(1, 2)), (0, Fraction(0)), (0, 3)]
+        zeros = {0: 0, 1: 5}
+        m = GradedMatrix(QQ, src, tgt, [first, iter(pairs), zeros])
+        assert m.cols == ({0: 2}, {1: Fraction(1, 2), 0: 3}, {1: 5})
+        assert list(m.cols[1]) == [1, 0]
+        assert zeros == {0: 0, 1: 5}
+        first[1] = 7
+        first[0] = 5
+        zeros[1] = 1
+        assert m.cols[0] == {0: 2} and m.cols[2] == {1: 5}
+        # a later pair for the same row wins, also when it is zero
+        m = GradedMatrix(QQ, src, tgt, [[(0, 1), (0, 0)], {}, {}])
+        assert m.cols == ({}, {}, {})
+        with pytest.raises(ValueError, match="^column count does not match"):
+            GradedMatrix(QQ, src, tgt, [{0: 1}])
+
     def test_apply_tracks_exponents(self):
         # f(r) = t^2 x + y with deg r = 3, deg x = 1, deg y = 3;
         # then f(t r) = t^3 x + t y.
