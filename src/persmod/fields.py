@@ -11,11 +11,10 @@ is no floating point anywhere.
 Every field has one column operation, ``combine(col, other, r)``: in
 place, the sparse column ``col`` (a dict from row to nonzero scalar)
 becomes ``col - r*other``, and entries that cancel are dropped.  Every
-column update of the reductions goes through it.  ``submul(a, r, c)``
-is its per-entry form, the exact ``a - r*c`` that the row operation of
-the graded Smith normal form makes.  Over Z/p both give ints in
-[0, p).  Over Q both keep the canonical form: on canonical scalars an
-``int`` when the result is integral and a ``Fraction`` otherwise.
+column update of the reductions and of the graded Smith normal form
+goes through it.  Over Z/p it gives ints in [0, p).  Over Q it keeps
+the canonical form: on canonical scalars an ``int`` when an entry is
+integral and a ``Fraction`` otherwise.
 
     >>> F = field_from_string("Zp:5")
     >>> F.inv(F.scalar(2))
@@ -25,8 +24,6 @@ the graded Smith normal form makes.  Over Z/p both give ints in
     Fraction(5, 6)
     >>> Q.div(6, -3), Q.div(1, 3)
     (-2, Fraction(1, 3))
-    >>> Q.submul(1, Q.parse("1/2"), 2), Q.submul(0, Q.parse("2/3"), 1)
-    (0, Fraction(-2, 3))
     >>> col = {0: 1, 1: Q.parse("1/2"), 2: 3}
     >>> Q.combine(col, {0: 2, 1: Q.parse("1/4"), 3: 1}, Q.parse("1/2"))
     >>> col
@@ -95,8 +92,7 @@ class Rationals:
     entry ``a - r*c`` of ``col - r*other`` with the plain operators
     when ``a``, ``r`` and ``c`` are ints, and otherwise from the raw
     numerators and denominators with one gcd: an ``int`` if the result
-    is integral and a reduced ``Fraction`` if not.  ``submul(a, r, c)``
-    is the same arithmetic for one entry, and ``div`` builds its
+    is integral and a reduced ``Fraction`` if not.  ``div`` builds its
     ``Fraction`` results the same way.
     """
 
@@ -122,17 +118,6 @@ class Rationals:
 
     def mul(self, a, b):
         return a * b
-
-    def submul(self, a, r, c):
-        if type(r) is int and type(c) is int:
-            return a - r * c
-        # one fraction from the raw numerators and denominators, reduced
-        # by one gcd, instead of a reduced product and a reduced difference
-        ad = a.denominator
-        d = r.denominator * c.denominator
-        return _quotient(
-            a.numerator * d - r.numerator * c.numerator * ad, ad * d
-        )
 
     def combine(self, col, other, r):
         """In place: col -= r * other, dropping zeros."""
@@ -272,7 +257,14 @@ class PrimeField:
         return 1
 
     def scalar(self, value) -> int:
-        return int(value) % self.p
+        """Reduce an integer (or anything integral that Fraction
+        accepts) mod p; a value that is not an integer is an error."""
+        if type(value) is int:
+            return value % self.p
+        q = Fraction(value)
+        if q.denominator != 1:
+            raise ValueError(f"scalar of {self!r} must be an integer, got {value!r}")
+        return q.numerator % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -282,9 +274,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def submul(self, a, r, c):
-        return (a - r * c) % self.p
 
     def combine(self, col, other, r):
         """In place: col -= r * other, dropping zeros."""

@@ -40,7 +40,8 @@ class GradedBasis:
     """An ordered, labeled basis of a free graded module.
 
     Labels must be unique.  Degrees are arbitrary integers; negative
-    degrees occur naturally in dual modules.
+    degrees occur naturally in dual modules.  An integral value such as
+    ``1.0`` reads as its int, and any other value is an error.
 
     >>> b = GradedBasis([("x", 1), ("y", 2)])
     >>> b.degree(1)
@@ -54,7 +55,12 @@ class GradedBasis:
     def __init__(self, elements):
         elements = list(elements)
         self.labels = tuple([str(lab) for lab, _ in elements])
-        self.degrees = tuple([int(deg) for _, deg in elements])
+        raw = tuple([deg for _, deg in elements])
+        self.degrees = tuple(map(int, raw))
+        if self.degrees != raw:
+            for lab, deg, d in zip(self.labels, raw, self.degrees):
+                if d != deg:
+                    raise ValueError(f"{lab!r} has degree {deg!r}, not an integer")
         self._index = dict(zip(self.labels, range(len(self.labels))))
         if len(self._index) != len(self.labels):
             seen = set()
@@ -579,55 +585,52 @@ class SnfResult:
 
 
 def graded_snf(m: GradedMatrix) -> SnfResult:
-    """Diagonalize a graded matrix, tracking only the row operations.
+    """Diagonalize a graded matrix by column operations, tracking only S.
 
-    Untreated columns are visited in ascending (degree, position) order.
-    A nonzero column's pivot is its bottom-most entry in degree-sorted
-    row order (the smallest power of t, ties to the later row).  Row
-    operations, recorded in S, clear the rest of its column; the column
-    operations that clear its row from later columns then only delete
-    those entries, so T is not needed.  Every operation factor carries
-    a nonnegative t-exponent by construction.
+    Columns are visited in ascending (degree, position) order.  Each is
+    first cleared on every earlier pivot row by a ``combine`` with that
+    pivot's column, in treatment order; a pivot column holds no entry on
+    an earlier pivot row, so one pass clears them all.  A column left
+    nonzero takes as pivot its bottom-most entry in degree-sorted row
+    order (the smallest power of t, ties to the later row), and S
+    records the change of generators that clears its other entries; T,
+    the column operations, is not kept.  Every operation factor carries
+    a nonnegative t-exponent by construction.  On the worked example of
+    ``tests/test_snf.py``, generator x (row 0) stays free:
+
+    >>> from persmod.fields import QQ
+    >>> gens = GradedBasis([("x", 1), ("y", 1), ("z", 2), ("u", 3), ("v", 3)])
+    >>> rels = GradedBasis([("r1", 2), ("r2", 3), ("r3", 4), ("r4", 4)])
+    >>> cols = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 3: 1},
+    ...         {1: 1, 2: 1, 4: 1}, {1: 1, 2: 1, 3: 1}]
+    >>> snf = graded_snf(GradedMatrix(QQ, rels, gens, cols))
+    >>> [(p, c, d.exponent) for p, c, d in snf.diagonal]
+    [(2, 0, 0), (3, 1, 0), (4, 2, 1), (1, 3, 3)]
+    >>> sorted({0, 1, 2, 3, 4} - {p for p, _, _ in snf.diagonal})
+    [0]
     """
     f = m.field
     tgt = m.target
-    cols = [dict(col) for col in m.cols]
-    rows: list[set] = [set() for _ in range(len(tgt))]
-    for j, col in enumerate(cols):
-        for i in col:
-            rows[i].add(j)
-
     s_rows = [{i: f.one} for i in range(len(tgt))]
     s_inv_cols = [{i: f.one} for i in range(len(tgt))]
-
-    def row_op(i, p, r):
-        # row_i -= r * row_p; legal because deg target[p] >= deg target[i]
-        assert tgt.degrees[p] >= tgt.degrees[i]
-        for j in list(rows[p]):
-            col = cols[j]
-            new = f.submul(col.get(i, f.zero), r, col[p])
-            if new:
-                col[i] = new
-                rows[i].add(j)
-            else:
-                col.pop(i, None)
-                rows[i].discard(j)
-        f.combine(s_rows[i], s_rows[p], r)
-        f.combine(s_inv_cols[p], s_inv_cols[i], f.neg(r))
-
     key = _pivot_rank(tgt).__getitem__
+    pivots = []  # (pivot row, column as treated), in treatment order
     diagonal = []
     for c in m.source.sorted_indices():
-        col = cols[c]
+        col = dict(m.cols[c])
+        for i, e in pivots:
+            if i in col:
+                f.combine(col, e, f.div(col[i], e[i]))
         if not col:
             continue
         p = max(col, key=key)
-        for i in [i for i in col if i != p]:
-            row_op(i, p, f.div(col[i], col[p]))
-        # col is now {p: pivot}: clearing row p only deletes entries
-        rows[p].discard(c)
-        for c2 in rows[p]:
-            del cols[c2][p]
+        for i in col:
+            if i != p:
+                # S: row i -= r * row p, legal as deg tgt[p] >= deg tgt[i]
+                r = f.div(col[i], col[p])
+                f.combine(s_rows[i], s_rows[p], r)
+                f.combine(s_inv_cols[p], s_inv_cols[i], f.neg(r))
+        pivots.append((p, col))
         diagonal.append(
             (p, c, Monomial(col[p], m.source.degrees[c] - tgt.degrees[p]))
         )

@@ -20,11 +20,13 @@ from persmod import (
     GradedBasis,
     GradedMatrix,
     HomogeneousElement,
+    Monomial,
     Presentation,
     PresentationMorphism,
     PrimeField,
     QQ,
     Rationals,
+    SnfResult,
     column_echelon,
     concat_bases,
     free_kernel,
@@ -170,9 +172,6 @@ class FractionQ(Rationals):
             raise ZeroDivisionError("division by zero")
         return Fraction(a) / b
 
-    def submul(self, a, r, c):
-        return Fraction(a) - Fraction(r) * c
-
     def combine(self, col, other, r):
         for i, c in other.items():
             new = Fraction(col.get(i, 0)) - Fraction(r) * c
@@ -255,6 +254,87 @@ def free_rows(m, snf):
     """Target rows that hold no diagonal entry."""
     pivots = {p for p, _, _ in snf.diagonal}
     return tuple(i for i in range(m.nrows) if i not in pivots)
+
+
+def row_operation_snf(m):
+    """The graded SNF by row operations: the reference for ``graded_snf``.
+
+    Columns are treated in ascending (degree, position) order.  A
+    nonzero column's pivot is its entry in the row of highest (degree,
+    index); row operations, recorded in S and S^-1, clear the rest of
+    the column, and the pivot row is then deleted from later columns.
+    Every entry is made as ``f.sub(a, f.mul(r, c))`` and put in the
+    field's canonical form with ``f.scalar``, so nothing here runs the
+    fields' ``combine``.
+    """
+    f = m.field
+    tgt = m.target
+    cols = [dict(col) for col in m.cols]
+    rows = [set() for _ in tgt.labels]
+    for j, col in enumerate(cols):
+        for i in col:
+            rows[i].add(j)
+    s_rows = [{i: f.one} for i in range(len(tgt))]
+    s_inv_cols = [{i: f.one} for i in range(len(tgt))]
+
+    def minus(a, r, c):
+        return f.scalar(f.sub(a, f.mul(r, c)))
+
+    def axpy(x, y, r):
+        for k, c in y.items():
+            new = minus(x.get(k, f.zero), r, c)
+            if new:
+                x[k] = new
+            else:
+                x.pop(k, None)
+
+    def row_op(i, p, r):
+        # row_i -= r * row_p, on the matrix and on S; S^-1 gets the
+        # inverse column operation
+        for j in list(rows[p]):
+            col = cols[j]
+            new = minus(col.get(i, f.zero), r, col[p])
+            if new:
+                col[i] = new
+                rows[i].add(j)
+            else:
+                col.pop(i, None)
+                rows[i].discard(j)
+        axpy(s_rows[i], s_rows[p], r)
+        axpy(s_inv_cols[p], s_inv_cols[i], f.neg(r))
+
+    diagonal = []
+    for c in m.source.sorted_indices():
+        col = cols[c]
+        if not col:
+            continue
+        p = max(col, key=lambda i: (tgt.degrees[i], i))
+        for i in [i for i in col if i != p]:
+            row_op(i, p, f.div(col[i], col[p]))
+        # col is now {p: pivot}: clearing row p only deletes entries
+        rows[p].discard(c)
+        for c2 in rows[p]:
+            del cols[c2][p]
+        diagonal.append(
+            (p, c, Monomial(col[p], m.source.degrees[c] - tgt.degrees[p]))
+        )
+    s_entries = {(i, j): c for i, row in enumerate(s_rows) for j, c in row.items()}
+    s = GradedMatrix.from_entries(f, tgt, tgt, s_entries)
+    s_inv = GradedMatrix(f, tgt, tgt, s_inv_cols)
+    return SnfResult(s, s_inv, tuple(diagonal))
+
+
+def snf_exactly(snf):
+    """An SNF's S, S^-1 and diagonal with the type of every scalar:
+    ``repr`` tells the int 2 from ``Fraction(2, 1)``."""
+    def matrix(mat):
+        return [sorted((i, repr(c)) for i, c in col.items()) for col in mat.cols]
+
+    return (
+        matrix(snf.row_change),
+        matrix(snf.row_change_inv),
+        [(p, c, repr(d.coeff), d.exponent) for p, c, d in snf.diagonal],
+    )
 
 
 def degree_bound(p):

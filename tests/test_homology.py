@@ -602,6 +602,13 @@ class TestTorsionHomology:
                 (1, 5, 6), (1, 12, 12), (1, 13, 13), (2, 10, 10),
             ]
 
+    def test_non_integral_grade_is_rejected(self):
+        # the torsion chains are graded by integers: a birth of 0.5 must
+        # be an error, not the bar [0, 2)
+        c = FilteredComplex([((0,), 0.5, 2.5)])
+        with pytest.raises(ValueError, match="'0' has degree 0.5"):
+            torsion_homology(relative_complex(c))
+
     def test_matches_dense_homology_oracle(self, dissolving_triangle):
         # every dimension at every grade, against K / (K & (Rel_p + B_p))
         # counted by dense slice ranks; most of these boundaries do not

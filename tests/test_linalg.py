@@ -1,6 +1,7 @@
 """Graded bases, homogeneous elements, matrices, and column reductions."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,17 @@ class TestGradedBasis:
             with pytest.raises(ValueError) as err:
                 GradedBasis(elements)
             assert str(err.value) == f"duplicate basis label {label!r}"
+
+    def test_degrees_must_be_integers(self):
+        # an integral value reads as its int; int() must not truncate
+        # any other value
+        b = GradedBasis([("x", 1.0), ("y", Fraction(4, 2)), ("z", -3)])
+        assert b.degrees == (1, 2, -3)
+        assert all(type(d) is int for d in b.degrees)
+        for bad in [0.5, Fraction(7, 2), -2.5]:
+            message = re.escape(f"'y' has degree {bad!r}")
+            with pytest.raises(ValueError, match=message):
+                GradedBasis([("x", 1), ("y", bad)])
 
     def test_sorted_indices_stable_on_ties(self):
         b = GradedBasis([("x", 2), ("y", 0), ("z", 2)])

@@ -7,6 +7,7 @@ from persmod import (
     GradedBasis,
     GradedMatrix,
     HomogeneousElement,
+    PrimeField,
     QQ,
     column_echelon,
     graded_snf,
@@ -17,6 +18,9 @@ from helpers import (
     assert_snf_certificate,
     free_rows,
     random_graded_matrix,
+    random_presentation,
+    row_operation_snf,
+    snf_exactly,
 )
 
 
@@ -125,6 +129,26 @@ class TestCycleRelationExample:
     def test_reduced_is_diagonal(self):
         m = self.matrix()
         assert_snf_certificate(m, graded_snf(m))
+
+
+class TestRowOperationOracle:
+    """``graded_snf`` changes the matrix by column operations only; the
+    row-operation SNF it replaced must give the same S, S^-1 and
+    diagonal, scalar types included."""
+
+    def test_equals_row_operation_snf(self):
+        rng = random.Random(107)
+        fields = (QQ, PrimeField(5), PrimeField(2))
+        for k in range(3000):
+            field = fields[k % 3]
+            if k % 2:
+                m = random_graded_matrix(
+                    field, rng, rng.randint(1, 24), rng.randint(1, 24),
+                    density=rng.choice((0.2, 0.5, 0.9)),
+                )
+            else:
+                m = random_presentation(field, rng, max_gens=14, max_rels=18).incl
+            assert snf_exactly(graded_snf(m)) == snf_exactly(row_operation_snf(m))
 
 
 class TestSnfProperties:
