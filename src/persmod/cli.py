@@ -44,6 +44,7 @@ from .constructions import (
 from .fields import QQ, field_from_string
 from .homology import (
     FilteredComplex,
+    _descent_failure,
     _face_index,
     _normalized,
     persistent_homology,
@@ -62,7 +63,6 @@ from .streaming import StreamState, add_simplex, current_barcode
 
 __all__ = [
     "CliError",
-    "format_complex",
     "format_presentation",
     "main",
     "parse_complex",
@@ -163,9 +163,8 @@ def _load_complex(text):
     try:
         filtration = FilteredComplex(entries)
     except ValueError:
-        raw = {rank: v for v, rank in (value_map or {}).items()}
         _, (at, message) = _face_index(
-            [_normalized(e) for e in entries], lambda v: raw.get(v, v)
+            [_normalized(e) for e in entries], _as_written(value_map)
         )
         raise CliError(
             VALIDATION_ERROR, f"line {lines[at]}: {message}"
@@ -173,21 +172,15 @@ def _load_complex(text):
     return filtration, value_map, tuple(lines)
 
 
+def _as_written(value_map):
+    """A filtration value as the input wrote it, before any ranking."""
+    raw = {rank: v for v, rank in (value_map or {}).items()}
+    return lambda v: raw.get(v, v)
+
+
 def parse_complex(text: str) -> FilteredComplex:
     """Parse filtered-complex text; see the module docstring for grammar."""
     return _load_complex(text)[0]
-
-
-def format_complex(filtration: FilteredComplex) -> str:
-    """Render a complex in the input grammar, one simplex per line."""
-    lines = []
-    for s in filtration.simplices:
-        head = " ".join(str(v) for v in s.vertices)
-        if s.removal == INF:
-            lines.append(f"{head} ; {s.birth}")
-        else:
-            lines.append(f"{head} ; {s.birth} ; {s.removal}")
-    return "".join(line + "\n" for line in lines)
 
 
 def _parse_term(token: str, lineno: int, field, coeffs):
@@ -489,10 +482,16 @@ def _cmd_snf(args):
 
 
 def _cmd_relative(args):
-    filtration, value_map = _load_complex(_read(args.input))[:2]
+    filtration, value_map, lines = _load_complex(_read(args.input))
     bars = torsion_homology(relative_complex(filtration, args.field))
     if not args.keep_ephemeral:
         bars = bars.without_ephemeral()
+    failure = _descent_failure(filtration, _as_written(value_map))
+    if failure is not None:
+        sys.stderr.write(
+            f"warning: line {lines[failure[0]]}: {failure[1]}; bars of "
+            "dimension >= 1 are torsion-chain homology, not slice homology\n"
+        )
     _echo_value_map(value_map)
     _print_bars(bars)
 

@@ -29,7 +29,6 @@ from itertools import combinations, combinations_with_replacement, starmap
 from .linalg import (
     GradedBasis,
     GradedMatrix,
-    HomogeneousElement,
     _echelon_coefficients,
     column_echelon,
     concat_bases,
@@ -113,12 +112,13 @@ def cokernel(f: PresentationMorphism) -> Presentation:
     )
 
 
-def _kernel_step(main: GradedMatrix, modders: GradedMatrix):
+def _kernel_step(main: GradedMatrix, modders: GradedMatrix, prefix: str):
     """Elements of the main source whose image lies in the modders' span.
 
     Takes the free kernel of [main | -modders] and projects it to the
-    main block; elements with zero projection are pure syzygies of the
-    modders and present nothing, so they are pruned.
+    main block; columns with zero projection are pure syzygies of the
+    modders and present nothing, so they are pruned.  The projections
+    are the columns prefix0, prefix1, ... of the matrix returned.
     """
     field = main.field
     taken: set = set()
@@ -130,37 +130,27 @@ def _kernel_step(main: GradedMatrix, modders: GradedMatrix):
     stacked = GradedMatrix(field, concat_bases(a, b), main.target, cols)
     k = free_kernel(stacked)
     na = main.ncols
-    out = []
-    for j in range(k.ncols):
-        proj = {i: v for i, v in k.cols[j].items() if i < na}
+    kept = []
+    for col, degree in zip(k.cols, k.source.degrees):
+        proj = {i: v for i, v in col.items() if i < na}
         if proj:
-            out.append(
-                HomogeneousElement(field, main.source, k.source.degrees[j], proj)
-            )
-    return out
+            kept.append((proj, degree))
+    source = GradedBasis((f"{prefix}{n}", d) for n, (_, d) in enumerate(kept))
+    return GradedMatrix(field, source, main.source, [c for c, _ in kept])
 
 
 def kernel(f: PresentationMorphism):
-    """The kernel of f, in two steps.
+    """The kernel of f, in two steps of ``_kernel_step``.
 
-    Step 1 finds a free basis F_K for the elements of F_P that phi maps
-    into i_Q(G_Q) (these are the elements presenting kernel members).
-    Step 2 finds the relations: combinations of F_K that land in
-    i_P(G_P).  Returns the kernel presentation and its inclusion
-    morphism into f.src.
+    Step 1 finds a free basis F_K, labeled k0, k1, ..., for the
+    elements of F_P that phi maps into i_Q(G_Q) (these are the elements
+    presenting kernel members).  Step 2 finds the relations rel0, rel1,
+    ...: combinations of F_K that land in i_P(G_P).  Returns the kernel
+    presentation and its inclusion morphism into f.src.
     """
-    field = f.src.field
     p = f.src
-    members = _kernel_step(f.phi, f.dst.incl)
-    incl_matrix = GradedMatrix.from_columns(
-        field, p.gens, members, [f"k{n}" for n in range(len(members))]
-    )
-    relations = _kernel_step(incl_matrix, p.incl)
-    rel_matrix = GradedMatrix.from_columns(
-        field, incl_matrix.source, relations,
-        [f"rel{n}" for n in range(len(relations))],
-    )
-    pres = Presentation(field, rel_matrix)
+    incl_matrix = _kernel_step(f.phi, f.dst.incl, "k")
+    pres = Presentation(p.field, _kernel_step(incl_matrix, p.incl, "rel"))
     return pres, PresentationMorphism(pres, p, incl_matrix)
 
 
@@ -227,10 +217,6 @@ class SnfForm:
         self.to_new = to_new
         self.from_new = from_new
         self.annihilators = annihilators
-
-    @property
-    def gens(self) -> GradedBasis:
-        return self.presentation.gens
 
 
 def snf_form(p: Presentation) -> SnfForm:

@@ -354,10 +354,6 @@ class Monomial:
         self.coeff = coeff
         self.exponent = exponent
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeff
-
     def __eq__(self, other):
         return (
             isinstance(other, Monomial)

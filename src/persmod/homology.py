@@ -87,13 +87,10 @@ class FilteredComplex:
         return max((len(s.vertices) - 1 for s in self.simplices), default=-1)
 
     def _order(self):
-        """Input positions in filtration order (see sorted_simplices)."""
+        """Input positions in filtration order (birth, dimension, input
+        order), which ``persistent_homology`` reverses."""
         keys = [(b, len(vertices)) for vertices, b, _ in self.simplices]
         return sorted(range(len(keys)), key=keys.__getitem__)  # stable
-
-    def sorted_simplices(self):
-        """Filtration order: by birth, then dimension, then input order."""
-        return [self.simplices[n] for n in self._order()]
 
     def __len__(self):
         return len(self.simplices)
@@ -336,7 +333,8 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
     removal time, which is r or later.  So the boundary descends to
     these torsion chains only where every removed simplex shares its
     removal time with each of its faces; elsewhere ``validate_morphism``
-    on the boundary returns False.  The complex is built either way.
+    on the boundary returns False, and ``_descent_failure`` names the
+    first simplex at fault.  The complex is built either way.
     ``torsion_homology`` of it is torsion-chain homology, which equals
     the homology of the slice complex {birth <= g < removal} at every
     grade g exactly when the boundary descends; for p >= 1 and a
@@ -357,6 +355,23 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
     )
     dims = (len(s.vertices) - 1 for s in ordered)
     return TorsionChainComplex(Presentation(field, incl), boundary, dims)
+
+
+def _descent_failure(filtration: FilteredComplex, show=lambda value: value):
+    """None when the boundary descends to the torsion chains (see
+    ``relative_complex``), else (position, message) for the first simplex
+    in input order with a face removed later, naming its first such face
+    and printing each removal time through ``show``."""
+    simplices = filtration.simplices
+    for n, (vertices, _, removal) in enumerate(simplices):
+        for m in filtration._faces[n]:  # faces of a kept simplex are kept
+            face, _, face_removal = simplices[m]
+            if face_removal != removal:
+                return n, (
+                    f"face {face} of simplex {vertices} is removed at "
+                    f"{show(face_removal)}, after {vertices} at {show(removal)}"
+                )
+    return None
 
 
 def _restrict_presentation(tcc: TorsionChainComplex, p: int) -> Presentation:

@@ -44,8 +44,8 @@ class GradedBasis:
     ``1.0`` reads as its int, and any other value is an error.
 
     >>> b = GradedBasis([("x", 1), ("y", 2)])
-    >>> b.degree(1)
-    2
+    >>> b.degrees
+    (1, 2)
     >>> b.index("x")
     0
     """
@@ -74,9 +74,6 @@ class GradedBasis:
 
     def __iter__(self):
         return iter(zip(self.labels, self.degrees))
-
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
 
     def index(self, label: str) -> int:
         try:
@@ -112,88 +109,36 @@ class HomogeneousElement:
 
     ``coords`` maps basis index -> nonzero field scalar; the coordinate
     at index i stands for scalar * t^(degree - deg basis[i]).  The
-    element validates that every implied exponent is nonnegative.
+    element validates that its degree is an integer, as ``GradedBasis``
+    does, and that every implied exponent is nonnegative.
     """
 
     __slots__ = ("field", "basis", "degree", "coords")
 
     def __init__(self, field, basis: GradedBasis, degree: int, coords):
+        d = int(degree)
+        if d != degree:
+            raise ValueError(f"element degree {degree!r} is not an integer")
         clean = {}
         for i, c in dict(coords).items():
             if not c:
                 continue
-            if degree - basis.degrees[i] < 0:
+            if d < basis.degrees[i]:
                 raise ValueError(
                     f"coordinate at {basis.labels[i]!r} (degree "
                     f"{basis.degrees[i]}) implies a negative t-exponent in an "
-                    f"element of degree {degree}"
+                    f"element of degree {d}"
                 )
             clean[i] = c
         self.field = field
         self.basis = basis
-        self.degree = int(degree)
+        self.degree = d
         self.coords = clean
-
-    @classmethod
-    def zero(cls, field, basis, degree):
-        return cls(field, basis, degree, {})
-
-    @classmethod
-    def generator(cls, field, basis, label):
-        i = basis.index(label)
-        return cls(field, basis, basis.degrees[i], {i: field.one})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def monomial_at(self, i: int) -> Monomial:
-        """Coefficient at basis index i as a monomial in k[t]."""
-        c = self.coords.get(i, self.field.zero)
-        if not c:
-            return Monomial(self.field.zero, 0)
-        return Monomial(c, self.degree - self.basis.degrees[i])
 
     def terms(self):
         """Yield (index, scalar, exponent) sorted by basis position."""
         for i in sorted(self.coords):
             yield i, self.coords[i], self.degree - self.basis.degrees[i]
-
-    def low(self):
-        """Index of the bottom-most coordinate in degree order, or None."""
-        if not self.coords:
-            return None
-        return max(self.coords, key=self.basis.sort_key)
-
-    def add(self, other) -> "HomogeneousElement":
-        self._check_compatible(other)
-        coords = dict(self.coords)
-        for i, c in other.coords.items():
-            coords[i] = self.field.add(coords.get(i, self.field.zero), c)
-        return HomogeneousElement(self.field, self.basis, self.degree, coords)
-
-    def sub(self, other) -> "HomogeneousElement":
-        return self.add(other.scale(self.field.neg(self.field.one)))
-
-    def scale(self, scalar) -> "HomogeneousElement":
-        coords = {i: self.field.mul(scalar, c) for i, c in self.coords.items()}
-        return HomogeneousElement(self.field, self.basis, self.degree, coords)
-
-    def times_t(self, power: int = 1) -> "HomogeneousElement":
-        """The t-action: same coordinates, degree shifted up by ``power``."""
-        if power < 0:
-            raise ValueError("cannot divide by t")
-        return HomogeneousElement(
-            self.field, self.basis, self.degree + power, self.coords
-        )
-
-    def _check_compatible(self, other):
-        if self.basis != other.basis or self.field != other.field:
-            raise ValueError("elements live over different bases")
-        if self.degree != other.degree:
-            raise ValueError(
-                f"cannot add elements of degrees {self.degree} and {other.degree}"
-            )
 
     def __eq__(self, other):
         return (
@@ -270,29 +215,10 @@ class GradedMatrix:
         return cls(field, source, target, cols)
 
     @classmethod
-    def from_columns(cls, field, target, columns, labels=None):
-        """Build from a list of HomogeneousElement columns over ``target``."""
-        if labels is None:
-            labels = [f"c{j}" for j in range(len(columns))]
-        source = GradedBasis(
-            (lab, col.degree) for lab, col in zip(labels, columns)
-        )
-        return cls(field, source, target, [col.coords for col in columns])
-
-    @classmethod
-    def identity(cls, field, basis):
-        cols = [{i: field.one} for i in range(len(basis))]
-        return cls(field, basis, basis, cols)
-
-    @classmethod
     def zero(cls, field, source, target):
         return cls(field, source, target, [{} for _ in range(len(source))])
 
     # -- accessors ----------------------------------------------------
-
-    @property
-    def nrows(self):
-        return len(self.target)
 
     @property
     def ncols(self):
@@ -301,19 +227,10 @@ class GradedMatrix:
     def entry(self, i: int, j: int):
         return self.cols[j].get(i, self.field.zero)
 
-    def monomial(self, i: int, j: int) -> Monomial:
-        c = self.entry(i, j)
-        if not c:
-            return Monomial(self.field.zero, 0)
-        return Monomial(c, self.source.degrees[j] - self.target.degrees[i])
-
     def column(self, j: int) -> HomogeneousElement:
         return HomogeneousElement(
             self.field, self.target, self.source.degrees[j], self.cols[j]
         )
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
 
     @property
     def is_zero(self) -> bool:
@@ -346,15 +263,6 @@ class GradedMatrix:
 
     def __matmul__(self, other):
         return self.matmul(other)
-
-    def neg(self) -> "GradedMatrix":
-        f = self.field
-        return GradedMatrix(
-            f,
-            self.source,
-            self.target,
-            [{i: f.neg(c) for i, c in col.items()} for col in self.cols],
-        )
 
     def restrict_rows(self, row_indices, new_target: GradedBasis) -> "GradedMatrix":
         """Keep only the given rows, reindexed against ``new_target``."""

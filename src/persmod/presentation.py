@@ -28,7 +28,6 @@ import math
 from .linalg import (
     GradedBasis,
     GradedMatrix,
-    HomogeneousElement,
     column_echelon,
     membership,
 )
@@ -102,12 +101,6 @@ class Presentation:
         )
         return cls(field, GradedMatrix(field, rel_basis, basis, cols))
 
-    def generator(self, label: str) -> HomogeneousElement:
-        return HomogeneousElement.generator(self.field, self.gens, label)
-
-    def relation(self, j: int) -> HomogeneousElement:
-        return self.incl.column(j)
-
     def __eq__(self, other):
         return (
             isinstance(other, Presentation)
@@ -145,20 +138,6 @@ class PresentationMorphism:
         self.dst = dst
         self.phi = phi
 
-    @classmethod
-    def identity(cls, p: Presentation) -> "PresentationMorphism":
-        return cls(p, p, GradedMatrix.identity(p.field, p.gens))
-
-    @classmethod
-    def zero(cls, src: Presentation, dst: Presentation) -> "PresentationMorphism":
-        return cls(src, dst, GradedMatrix.zero(src.field, src.gens, dst.gens))
-
-    def compose(self, other: "PresentationMorphism") -> "PresentationMorphism":
-        """self after other."""
-        if other.dst is not self.src and other.dst != self.src:
-            raise ValueError("morphisms do not compose")
-        return PresentationMorphism(other.src, self.dst, self.phi @ other.phi)
-
     def __eq__(self, other):
         return (
             isinstance(other, PresentationMorphism)
@@ -175,7 +154,7 @@ def validate_morphism(m: PresentationMorphism) -> bool:
     """True iff the generator map descends to the quotient modules."""
     ech = column_echelon(m.dst.incl)
     return all(
-        membership(m.phi.apply(m.src.relation(j)), ech)
+        membership(m.phi.apply(m.src.incl.column(j)), ech)
         for j in range(len(m.src.rels))
     )
 
@@ -200,9 +179,6 @@ class Bar:
     @property
     def ephemeral(self) -> bool:
         return self.death == self.birth
-
-    def alive_at(self, d: int) -> bool:
-        return self.birth <= d < self.death
 
     def key(self):
         return (self.dim if self.dim is not None else -1, self.birth, self.death)
@@ -239,9 +215,6 @@ class Barcode:
 
     def without_ephemeral(self) -> "Barcode":
         return Barcode(b for b in self.bars if not b.ephemeral)
-
-    def merged_with(self, other) -> "Barcode":
-        return Barcode(self.bars + tuple(other))
 
     def __eq__(self, other):
         # sorted tuples make multiset equality plain tuple equality

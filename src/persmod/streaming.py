@@ -46,10 +46,6 @@ class BarcodeDelta:
         self.added = tuple(added)
         self.removed = tuple(removed)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.added and not self.removed
-
     def __eq__(self, other):
         return (
             isinstance(other, BarcodeDelta)
@@ -99,10 +95,6 @@ class StreamState:
 
     def __len__(self):
         return len(self.positions)
-
-    def key(self, simplex):
-        """Filtration position: value first, arrival order on ties."""
-        return self.positions[simplex]
 
     def __repr__(self):
         return (

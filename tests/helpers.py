@@ -61,7 +61,7 @@ def vstack(matrices):
         for j, col in enumerate(m.cols):
             for i, c in col.items():
                 cols[j][i + offset] = c
-        offset += m.nrows
+        offset += len(m.target)
     return GradedMatrix(matrices[0].field, source, target, cols)
 
 
@@ -99,7 +99,7 @@ def slice_rank(matrix, d):
     generator of degree <= d, and a matrix column contributes the same
     scalars in every degree from its own degree upward.
     """
-    rows = [i for i in range(matrix.nrows) if matrix.target.degrees[i] <= d]
+    rows = [i for i, deg in enumerate(matrix.target.degrees) if deg <= d]
     cols = [j for j in range(matrix.ncols) if matrix.source.degrees[j] <= d]
     dense = [
         [matrix.entry(i, j) for j in cols]
@@ -147,6 +147,104 @@ def random_element(field, rng, basis, degree=None):
         if basis.degrees[i] <= degree and rng.random() < 0.6:
             coords[i] = random_scalar(field, rng)
     return HomogeneousElement(field, basis, degree, coords)
+
+
+# -- element and matrix arithmetic ------------------------------------
+#
+# What the tests need beyond the package's API, written over ``coords``
+# and ``cols`` with the fields' plain add, mul and neg, so that none of
+# it runs the package's column operation, ``combine``.
+
+
+def add(x, y):
+    """x + y for two elements over one basis and of one degree."""
+    if x.basis != y.basis or x.degree != y.degree:
+        raise ValueError("add needs elements over one basis, of one degree")
+    f = x.field
+    coords = dict(x.coords)
+    for i, c in y.coords.items():
+        coords[i] = f.add(coords.get(i, f.zero), c)
+    return HomogeneousElement(f, x.basis, x.degree, coords)
+
+
+def scale(x, c):
+    """The scalar multiple c * x."""
+    f = x.field
+    coords = {i: f.mul(c, v) for i, v in x.coords.items()}
+    return HomogeneousElement(f, x.basis, x.degree, coords)
+
+
+def sub(x, y):
+    """x - y for two elements over one basis and of one degree."""
+    return add(x, scale(y, x.field.neg(x.field.one)))
+
+
+def times_t(x, power=1):
+    """t^power * x: the same scalars, the degree raised by ``power``."""
+    assert power >= 0
+    return HomogeneousElement(x.field, x.basis, x.degree + power, x.coords)
+
+
+def low(x):
+    """Index of x's bottom-most coordinate in (degree, index) order, or
+    None for zero: the pivot rule of the package's reductions."""
+    return max(x.coords, key=lambda i: (x.basis.degrees[i], i), default=None)
+
+
+def columns(m):
+    """The columns of a matrix as elements, column j of degree
+    deg source[j]."""
+    return [
+        HomogeneousElement(m.field, m.target, d, col)
+        for d, col in zip(m.source.degrees, m.cols)
+    ]
+
+
+def matrix_of_columns(field, target, cols, labels):
+    """The matrix whose columns are the elements ``cols`` over
+    ``target``, its source labeled by ``labels`` at their degrees."""
+    source = GradedBasis((lab, x.degree) for lab, x in zip(labels, cols))
+    return GradedMatrix(field, source, target, [x.coords for x in cols])
+
+
+def identity_matrix(field, basis):
+    cols = [{i: field.one} for i in range(len(basis))]
+    return GradedMatrix(field, basis, basis, cols)
+
+
+def negated(m):
+    """-m, entry by entry."""
+    f = m.field
+    cols = [{i: f.neg(c) for i, c in col.items()} for col in m.cols]
+    return GradedMatrix(f, m.source, m.target, cols)
+
+
+def identity_morphism(p):
+    return PresentationMorphism(p, p, identity_matrix(p.field, p.gens))
+
+
+def zero_morphism(src, dst):
+    phi = GradedMatrix(src.field, src.gens, dst.gens, [{} for _ in src.gens])
+    return PresentationMorphism(src, dst, phi)
+
+
+def alive_at(bar, d):
+    """True when grade d lies in the bar's interval [birth, death)."""
+    return bar.birth <= d < bar.death
+
+
+def filtration_order(filtration):
+    """The simplices by birth, then dimension, then input order."""
+    return sorted(filtration.simplices, key=lambda s: (s.birth, len(s.vertices)))
+
+
+def complex_text(filtration):
+    """A complex in the CLI's input grammar, one simplex per line."""
+    lines = []
+    for vertices, birth, removal in filtration.simplices:
+        tail = "" if removal == INF else f" ; {removal}"
+        lines.append(" ".join(map(str, vertices)) + f" ; {birth}{tail}\n")
+    return "".join(lines)
 
 
 BOTH_FIELDS = (QQ, PrimeField(5))
@@ -233,7 +331,7 @@ def assert_snf_certificate(m, snf):
     adds earlier pivot columns, which vanish in later pivot rows.
     """
     s, s_inv = snf.row_change, snf.row_change_inv
-    ident = GradedMatrix.identity(m.field, m.target)
+    ident = identity_matrix(m.field, m.target)
     assert s @ s_inv == ident and s_inv @ s == ident
     rows = [p for p, _, _ in snf.diagonal]
     cols = [c for _, c, _ in snf.diagonal]
@@ -246,14 +344,14 @@ def assert_snf_certificate(m, snf):
         entries[(p, c)] = mono.coeff
     d = GradedMatrix.from_entries(m.field, m.source, m.target, entries)
     sm_ech, d_ech = column_echelon(sm), column_echelon(d)
-    assert all(membership(x, d_ech) for x in sm.columns())
-    assert all(membership(x, sm_ech) for x in d.columns())
+    assert all(membership(x, d_ech) for x in columns(sm))
+    assert all(membership(x, sm_ech) for x in columns(d))
 
 
 def free_rows(m, snf):
     """Target rows that hold no diagonal entry."""
     pivots = {p for p, _, _ in snf.diagonal}
-    return tuple(i for i in range(m.nrows) if i not in pivots)
+    return tuple(i for i in range(len(m.target)) if i not in pivots)
 
 
 def row_operation_snf(m):
@@ -732,7 +830,7 @@ def boundary_pairing_barcode(filtration, field):
     m = graded_boundary(filtration, field)
     ech = column_echelon(m)
     births = m.source.degrees
-    dims = [len(s.vertices) - 1 for s in filtration.sorted_simplices()]
+    dims = [len(s.vertices) - 1 for s in filtration_order(filtration)]
     bars = [Bar(dims[i], births[i], births[j]) for i, j in ech.lows.items()]
     bars.extend(
         Bar(dims[i], births[i], INF) for i in ech.zero_cols if i not in ech.lows
@@ -747,7 +845,7 @@ def boundary_by_vertices(filtration, field):
     dropping vertex ``omit`` and looked up by its vertex tuple, with
     sign (-1)^omit.  Shares no face index with ``FilteredComplex``.
     """
-    ordered = filtration.sorted_simplices()
+    ordered = filtration_order(filtration)
     basis = GradedBasis((".".join(map(str, s.vertices)), s.birth) for s in ordered)
     row = {s.vertices: i for i, s in enumerate(ordered)}
     entries = {}
@@ -837,7 +935,7 @@ def reduce_boundary(m):
     ech = column_echelon(m)
     b_columns = tuple(j for j in ech.order if m.cols[j])
     return ReductionState(
-        Z=tuple(free_kernel(m).columns()),
+        Z=tuple(columns(free_kernel(m))),
         B=tuple(m.column(j) for j in b_columns),
         field=m.field,
         pivots=dict(ech.lows),
@@ -865,7 +963,7 @@ def express_in_columns(x, m):
     source = concat_bases(m.source, GradedBasis([(label, x.degree)]))
     last = m.ncols
     joined = GradedMatrix(f, source, m.target, [*m.cols, x.coords])
-    for k in free_kernel(joined).columns():
+    for k in columns(free_kernel(joined)):
         if k.degree == x.degree and last in k.coords:
             scale = f.neg(f.inv(k.coords[last]))
             coords = {
@@ -881,11 +979,11 @@ def cycle_presentation(field, cycles, boundaries):
     Each boundary is rewritten in the cycle basis; failure means the
     input was not a boundary matrix.
     """
-    zmat = GradedMatrix.from_columns(
+    zmat = matrix_of_columns(
         field,
         cycles[0].basis if cycles else GradedBasis([]),
-        list(cycles),
-        labels=[f"z{i + 1}" for i in range(len(cycles))],
+        cycles,
+        [f"z{i + 1}" for i in range(len(cycles))],
     )
     cols = []
     for n, b in enumerate(boundaries):
@@ -895,8 +993,8 @@ def cycle_presentation(field, cycles, boundaries):
                 f"boundary {n} does not reduce to zero against the cycles"
             )
         cols.append(coeffs)
-    incl = GradedMatrix.from_columns(
-        field, zmat.source, cols, labels=[f"r{j + 1}" for j in range(len(cols))]
+    incl = matrix_of_columns(
+        field, zmat.source, cols, [f"r{j + 1}" for j in range(len(cols))]
     )
     return Presentation(field, incl)
 
@@ -942,6 +1040,7 @@ def audit_stream(state):
     chain owners.
     """
     field = state.field
+    key = state.positions.__getitem__  # filtration position
     owners = set(state.chains)
     creators = set(state.pairing)
     assert owners == set(state.pairing.values())
@@ -950,7 +1049,7 @@ def audit_stream(state):
     assert owners | creators | state.cycles == set(state.positions)
     creator_of = {killer: c for c, killer in state.pairing.items()}
     for creator, killer in state.pairing.items():
-        assert max(state.chains[killer], key=state.key) == creator
+        assert max(state.chains[killer], key=key) == creator
     for simplex in state.positions:
         chain = {}
         for i in range(len(simplex)):
@@ -958,9 +1057,9 @@ def audit_stream(state):
             if face:
                 chain[face] = field.one if i % 2 == 0 else field.neg(field.one)
         while chain:
-            leading = max(chain, key=state.key)
+            leading = max(chain, key=key)
             owner = state.pairing.get(leading)
-            if owner is None or state.key(owner) >= state.key(simplex):
+            if owner is None or key(owner) >= key(simplex):
                 break
             ratio = field.div(chain[leading], state.chains[owner][leading])
             for s, c in state.chains[owner].items():
@@ -971,6 +1070,6 @@ def audit_stream(state):
                     chain.pop(s, None)
         if simplex in owners:
             assert chain, f"chain owner {simplex} re-reduces to zero"
-            assert max(chain, key=state.key) == creator_of[simplex]
+            assert max(chain, key=key) == creator_of[simplex]
         else:
             assert not chain, f"cycle {simplex} re-reduces to a boundary"

@@ -466,4 +466,4 @@ class TestMonomial:
 
     def test_zero_normalizes_exponent(self):
         assert Monomial(Fraction(0), 5) == Monomial(Fraction(0), 0)
-        assert Monomial(Fraction(0), 5).is_zero
+        assert Monomial(Fraction(0), 5).exponent == 0

@@ -26,11 +26,16 @@ from persmod import (
 )
 from helpers import (
     BOTH_FIELDS,
+    alive_at,
     degree_bound,
     free_rows,
     hand_built_presentations,
+    identity_matrix,
+    identity_morphism,
     random_change_of_basis,
     random_presentation,
+    random_valid_morphism,
+    zero_morphism,
 )
 
 
@@ -98,12 +103,6 @@ class TestBarTypes:
         assert Bar(None, 2, 2).ephemeral
         assert not Bar(None, 2, 3).ephemeral
         assert not Bar(None, 2, INF).ephemeral
-
-    def test_alive_range(self):
-        b = Bar(None, 1, 4)
-        assert [d for d in range(6) if b.alive_at(d)] == [1, 2, 3]
-        assert Bar(None, 2, 2).alive_at(2) is False
-        assert Bar(None, 0, INF).alive_at(10 ** 9)
 
     def test_barcode_is_a_multiset(self):
         a = Barcode([Bar(None, 1, 2), Bar(None, 1, 2), Bar(None, 0, INF)])
@@ -220,14 +219,14 @@ class TestMorphisms:
         rng = random.Random(221)
         for _ in range(10):
             p = random_presentation(QQ, rng)
-            assert validate_morphism(PresentationMorphism.identity(p))
+            assert validate_morphism(identity_morphism(p))
 
     def test_zero_validates(self):
         rng = random.Random(223)
         for _ in range(10):
             p = random_presentation(QQ, rng)
             q = random_presentation(QQ, rng)
-            assert validate_morphism(PresentationMorphism.zero(p, q))
+            assert validate_morphism(zero_morphism(p, q))
 
     def test_torsion_to_free_rejected(self):
         src = Presentation.from_terms(QQ, [("x", 0)], [[(1, 1, "x")]])
@@ -241,12 +240,21 @@ class TestMorphisms:
         p = Presentation.free(QQ, [("x", 0)])
         q = Presentation.free(QQ, [("y", 0), ("z", 1)])
         with pytest.raises(ValueError):
-            PresentationMorphism(p, q, GradedMatrix.identity(QQ, p.gens))
+            PresentationMorphism(p, q, identity_matrix(QQ, p.gens))
 
     def test_compose(self):
+        # composing generator maps composes the morphisms
         p = Presentation.from_terms(QQ, [("x", 0)], [[(1, 2, "x")]])
-        f = PresentationMorphism.identity(p)
-        assert f.compose(f) == f
+        f = identity_morphism(p)
+        assert PresentationMorphism(p, p, f.phi @ f.phi) == f
+        for field in BOTH_FIELDS:
+            rng = random.Random(227)
+            for _ in range(10):
+                g = random_valid_morphism(field, rng)
+                h = PresentationMorphism(
+                    g.src, g.dst, g.phi @ identity_matrix(field, g.src.gens)
+                )
+                assert h == g and validate_morphism(h)
 
 
 class TestOracles:
@@ -285,7 +293,7 @@ class TestOracles:
                 p = random_presentation(field, rng, max_gens=6, max_degree=8)
                 bc = barcode(p)
                 for d in range(degree_bound(p)):
-                    expected = sum(1 for b in bc if b.alive_at(d))
+                    expected = sum(1 for b in bc if alive_at(b, d))
                     assert dimension_at(p, d) == expected, f"degree {d}"
 
     def test_rank_counts_spanning_bars(self):

@@ -16,11 +16,15 @@ from persmod import (
 from helpers import (
     BOTH_FIELDS,
     assert_snf_certificate,
+    columns,
     free_rows,
+    identity_matrix,
     random_graded_matrix,
     random_presentation,
     row_operation_snf,
+    scale,
     snf_exactly,
+    times_t,
 )
 
 
@@ -67,7 +71,7 @@ class TestWorkedExample:
     def test_new_generators(self):
         m = self.matrix()
         snf = graded_snf(m)
-        gens = snf.row_change_inv.columns()
+        gens = columns(snf.row_change_inv)
         tgt = m.target
 
         def elem(degree, coords):
@@ -166,7 +170,7 @@ class TestSnfProperties:
         snf = graded_snf(m)
         assert snf.diagonal == ()
         assert free_rows(m, snf) == (0,)
-        assert snf.row_change == GradedMatrix.identity(QQ, tgt)
+        assert snf.row_change == identity_matrix(QQ, tgt)
 
     def test_empty_sides(self):
         m = GradedMatrix.zero(QQ, GradedBasis([]), GradedBasis([("x", 0)]))
@@ -183,13 +187,13 @@ class TestSnfProperties:
                 m = random_graded_matrix(field, rng)
                 snf = graded_snf(m)
                 relations = column_echelon(m)
-                gens = snf.row_change_inv.columns()
+                gens = columns(snf.row_change_inv)
                 for p, c, mono in snf.diagonal:
                     g = gens[p]
                     assert membership(
-                        g.scale(mono.coeff).times_t(mono.exponent), relations
+                        times_t(scale(g, mono.coeff), mono.exponent), relations
                     )
                     if mono.exponent >= 1:
                         assert not membership(
-                            g.times_t(mono.exponent - 1), relations
+                            times_t(g, mono.exponent - 1), relations
                         )
