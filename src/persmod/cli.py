@@ -51,7 +51,7 @@ from .homology import (
     relative_complex,
     torsion_homology,
 )
-from .linalg import GradedMatrix
+from .linalg import GradedBasis, GradedMatrix
 from .presentation import (
     INF,
     Presentation,
@@ -96,16 +96,17 @@ def _parse_value(token: str, lineno: int):
 
     Decimal digits go straight to int(), and a token holding '.', 'e'
     or 'E', which int() never reads, straight to float(), so a valid
-    value costs no exception.  Non-finite floats are rejected.
+    value costs no exception.  Digits past the interpreter's int-string
+    limit make a bad value, and non-finite floats are rejected.
     """
-    if token.isdecimal():  # not isdigit(): int() rejects superscripts
-        return int(token)
-    if not ("." in token or "e" in token or "E" in token):
-        try:
-            return int(token)
-        except ValueError:
-            pass
     try:
+        if token.isdecimal():  # not isdigit(): int() rejects superscripts
+            return int(token)
+        if not ("." in token or "e" in token or "E" in token):
+            try:
+                return int(token)
+            except ValueError:
+                pass
         value = float(token)
     except ValueError:
         raise CliError(
@@ -264,12 +265,24 @@ def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
     try:
         return Presentation.from_terms(field, gens, rels)
     except (ValueError, KeyError) as e:
-        raise CliError(VALIDATION_ERROR, str(e)) from None
+        message = e.args[0]  # str() of a KeyError would quote it
+    # error path: the relation at fault is the first that fails alone
+    try:
+        basis = GradedBasis(gens)
+    except ValueError:
+        raise CliError(VALIDATION_ERROR, message) from None
+    rel_lines = [n for n, line in pairs if line.partition(" ")[0] == "rel"]
+    for n, terms in zip(rel_lines, rels):
+        try:
+            Presentation.from_terms(field, basis, [terms])
+        except (ValueError, KeyError):
+            raise CliError(VALIDATION_ERROR, f"line {n}: {message}") from None
+    raise CliError(VALIDATION_ERROR, message)
 
 
 def parse_presentation(text: str, field=QQ) -> Presentation:
     """Parse presentation text; see the module docstring for grammar."""
-    return _parse_presentation_lines(_content_lines(text), field, {})
+    return _parse_presentation_lines(list(_content_lines(text)), field, {})
 
 
 def _readable(labels) -> bool:
@@ -378,7 +391,9 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
         try:
             j = src.gens.index(name)
         except KeyError as e:
-            raise CliError(VALIDATION_ERROR, f"line {n}: {e}") from None
+            raise CliError(
+                VALIDATION_ERROR, f"line {n}: {e.args[0]}"
+            ) from None
         if j in mapped:
             raise CliError(
                 PARSE_ERROR, f"line {n}: generator {name!r} mapped twice"
@@ -389,7 +404,9 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
             try:
                 i = dst.gens.index(label)
             except KeyError as e:
-                raise CliError(VALIDATION_ERROR, f"line {n}: {e}") from None
+                raise CliError(
+                    VALIDATION_ERROR, f"line {n}: {e.args[0]}"
+                ) from None
             implied = src.gens.degrees[j] - dst.gens.degrees[i]
             if exponent != implied:
                 raise CliError(

@@ -29,8 +29,6 @@ from itertools import combinations, combinations_with_replacement, starmap
 from .linalg import (
     GradedBasis,
     GradedMatrix,
-    _echelon_coefficients,
-    column_echelon,
     concat_bases,
     free_kernel,
     graded_snf,
@@ -69,36 +67,21 @@ def direct_sum(p: Presentation, q: Presentation) -> Presentation:
 
 
 def image(f: PresentationMorphism) -> Presentation:
-    """The image of f presented as a submodule of the target.
+    """The image of f, presented on the source's own generators.
 
-    Column-reduces [phi | i_Q] jointly; the surviving columns form a
-    free basis w_0, w_1, ... of i_Q(G_Q) + phi(F_P), and each original
-    target relation re-expressed over that basis gives one relation of
-    the image (quotienting the span back down by i_Q(G_Q)).
+    im f = F_P / phi^-1(i_Q G_Q), and that preimage, the relations
+    rel0, rel1, ..., is the first step of :func:`kernel`.  A generator
+    that phi sends into i_Q(G_Q) at its own degree is an ephemeral bar.
+
+    >>> from persmod.fields import QQ
+    >>> src = Presentation.free(QQ, [("a", 2)])
+    >>> dst = Presentation.free(QQ, [("b", 0)])
+    >>> phi = GradedMatrix(QQ, src.gens, dst.gens, [{0: QQ.one}])
+    >>> im = image(PresentationMorphism(src, dst, phi))
+    >>> list(im.gens), len(im.rels)
+    ([('a', 2)], 0)
     """
-    field = f.src.field
-    phi, iq = f.phi, f.dst.incl
-    taken: set = set()
-    a = _relabeled(phi.source, taken)
-    b = _relabeled(iq.source, taken)
-    combined = GradedMatrix(
-        field, concat_bases(a, b), f.dst.gens, list(phi.cols) + list(iq.cols)
-    )
-    ech = column_echelon(combined)
-    dead = set(ech.zero_cols)
-    survivors = [c for c in ech.order if c not in dead]
-    pos = {c: n for n, c in enumerate(survivors)}
-    w_basis = GradedBasis(
-        (f"w{n}", combined.source.degrees[c]) for n, c in enumerate(survivors)
-    )
-    rel_cols = []
-    for j in range(iq.ncols):
-        coeffs = _echelon_coefficients(iq.column(j), ech)
-        rel_cols.append({pos[c]: v for c, v in coeffs.items()})
-    rels = GradedBasis(
-        (f"rel{n}", d) for n, d in enumerate(iq.source.degrees)
-    )
-    return Presentation(field, GradedMatrix(field, rels, w_basis, rel_cols))
+    return Presentation(f.src.field, _kernel_step(f.phi, f.dst.incl, "rel"))
 
 
 def cokernel(f: PresentationMorphism) -> Presentation:
@@ -142,11 +125,11 @@ def _kernel_step(main: GradedMatrix, modders: GradedMatrix, prefix: str):
 def kernel(f: PresentationMorphism):
     """The kernel of f, in two steps of ``_kernel_step``.
 
-    Step 1 finds a free basis F_K, labeled k0, k1, ..., for the
-    elements of F_P that phi maps into i_Q(G_Q) (these are the elements
-    presenting kernel members).  Step 2 finds the relations rel0, rel1,
-    ...: combinations of F_K that land in i_P(G_P).  Returns the kernel
-    presentation and its inclusion morphism into f.src.
+    Step 1, which :func:`image` shares, finds a free basis F_K, labeled
+    k0, k1, ..., for the elements of F_P that phi maps into i_Q(G_Q)
+    (these present kernel members).  Step 2 finds the relations rel0,
+    rel1, ...: combinations of F_K that land in i_P(G_P).  Returns the
+    kernel presentation and its inclusion morphism into f.src.
     """
     p = f.src
     incl_matrix = _kernel_step(f.phi, f.dst.incl, "k")

@@ -409,30 +409,12 @@ def membership(x: HomogeneousElement, sub) -> bool:
         sub = column_echelon(sub)
     if x.basis != sub.matrix.target:
         raise ValueError("element is not over the matrix target basis")
-    return _reduce_in(x, sub) is None
-
-
-def _reduce_in(x: HomogeneousElement, ech: ColumnEchelon, steps=None):
-    """Clear a copy of x against the pivot owners of degree at most
-    deg x, so every multiple carries a nonnegative t-exponent; returns
-    the bottom coordinate that no such owner holds, or None."""
-    degrees = ech.matrix.source.degrees
+    # owners of degree <= deg x only: no negative t-exponent
+    degrees = sub.matrix.source.degrees
     return _reduce(
-        x.field, dict(x.coords), ech.key, ech.lows, ech.reduced.cols,
-        usable=lambda p: degrees[p] <= x.degree, steps=steps,
-    )
-
-
-def _echelon_coefficients(x: HomogeneousElement, ech: ColumnEchelon):
-    """Coefficients of x over the reduced columns, or None if outside."""
-    f = x.field
-    steps = []
-    if _reduce_in(x, ech, steps) is not None:
-        return None
-    taken: dict[int, object] = {}
-    for p, r in steps:
-        taken[p] = f.add(taken.get(p, f.zero), r)
-    return taken
+        x.field, dict(x.coords), sub.key, sub.lows, sub.reduced.cols,
+        usable=lambda p: degrees[p] <= x.degree,
+    ) is None
 
 
 def free_kernel(m: GradedMatrix) -> GradedMatrix:

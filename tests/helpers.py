@@ -441,21 +441,24 @@ def degree_bound(p):
     return (max(degs) if degs else 0) + 2
 
 
-def induced_slice_rank(phi, dst, d):
-    """Rank of the degree-d slice of the map into the quotient ``dst``.
+def induced_slice_rank(phi, dst, d, j=0):
+    """Rank of the degree-d slice of the map into the quotient ``dst``,
+    followed by t^j into degree d + j.
 
     The image of a slice map into F/iG has dimension
-    rank[phi | incl] - rank[incl] over the degree-d scalar slices;
-    computed densely, independent of the graded engine.
+    rank[phi | incl] - rank[incl], over the source columns of degree
+    <= d and the target rows and relations of degree <= d + j; t^j
+    leaves every scalar as it is.  Computed densely, independent of the
+    graded engine.
     """
     field = dst.field
-    rows = [i for i in range(len(dst.gens)) if dst.gens.degrees[i] <= d]
-    pcols = [j for j in range(phi.ncols) if phi.source.degrees[j] <= d]
-    rcols = [j for j in range(len(dst.rels)) if dst.rels.degrees[j] <= d]
-    rel_rows = [[dst.incl.entry(i, j) for j in rcols] for i in rows]
+    rows = [i for i in range(len(dst.gens)) if dst.gens.degrees[i] <= d + j]
+    pcols = [k for k in range(phi.ncols) if phi.source.degrees[k] <= d]
+    rcols = [k for k in range(len(dst.rels)) if dst.rels.degrees[k] <= d + j]
+    rel_rows = [[dst.incl.entry(i, k) for k in rcols] for i in rows]
     rank_rel = gauss_rank(field, rel_rows) if rows and rcols else 0
     combined = [
-        [phi.entry(i, j) for j in pcols] + rel_rows[n]
+        [phi.entry(i, k) for k in pcols] + rel_rows[n]
         for n, i in enumerate(rows)
     ]
     if not rows or not (pcols or rcols):
@@ -768,6 +771,39 @@ def random_filtered_complex(rng, max_vertices=5, with_removals=False):
     return FilteredComplex(entries)
 
 
+def with_component_removals(rng, filtration):
+    """``filtration`` with each connected component removed at one time,
+    no earlier than its last birth, or kept (about one in five).
+
+    A whole component goes at once, so the boundary descends to the
+    torsion chains (see ``relative_complex``) with faces and cofaces
+    present, which ``random_filtered_complex`` gives only on inputs
+    without edges.
+    """
+    root = {}
+
+    def find(v):
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    for s in filtration.simplices:
+        for v in s.vertices[1:]:
+            root[find(v)] = find(s.vertices[0])
+    last = {}
+    for s in filtration.simplices:
+        r = find(s.vertices[0])
+        last[r] = max(last.get(r, s.birth), s.birth)
+    removal = {
+        r: b + rng.randint(0, 3) if rng.random() < 0.8 else INF
+        for r, b in last.items()
+    }
+    return FilteredComplex(
+        (s.vertices, s.birth, removal[find(s.vertices[0])])
+        for s in filtration.simplices
+    )
+
+
 @st.composite
 def complexes(draw):
     """Face-closed complexes with faces born no later and removed no
@@ -835,6 +871,73 @@ def boundary_pairing_barcode(filtration, field):
     bars.extend(
         Bar(dims[i], births[i], INF) for i in ech.zero_cols if i not in ech.lows
     )
+    return Barcode(bars)
+
+
+def cone_barcode(filtration, field):
+    """Bars of the mapping cone of the relations into the chains.
+
+    Where the boundary descends to the torsion chains (see
+    ``relative_complex``), the relations t^(r-b) s of the removed
+    simplices s span a free subcomplex R of the chains C, and the cone
+    of R -> C is a free filtered chain complex with the homology of
+    C/R.  Each simplex s is a generator at its birth b, in dimension p;
+    each removed s adds a generator c_s at its removal r, in dimension
+    p + 1, with boundary t^(r-b) s - sum of +-c_f over the faces f of s,
+    signed as in the boundary of s.  The bars come from a plain column
+    reduction in (degree, dimension, position) order: pivot row i of
+    column j gives [deg i, deg j) in the dimension of i, and a zero
+    column that is no pivot row gives [deg j, inf).  Faces are found by
+    vertex tuple; nothing here is shared with the graded engine.
+    """
+    simplices = filtration.simplices
+    position = {s.vertices: n for n, s in enumerate(simplices)}
+
+    def signed_faces(vertices):
+        for omit in range(len(vertices) if len(vertices) > 1 else 0):
+            face = vertices[:omit] + vertices[omit + 1 :]
+            sign = field.one if omit % 2 == 0 else field.neg(field.one)
+            yield position[face], sign
+
+    degree = [s.birth for s in simplices]
+    dim = [len(s.vertices) - 1 for s in simplices]
+    boundary = [dict(signed_faces(s.vertices)) for s in simplices]
+    cone = {}
+    for n, s in enumerate(simplices):
+        if s.removal != INF:
+            cone[n] = len(degree)
+            degree.append(s.removal)
+            dim.append(dim[n] + 1)
+    for n, g in cone.items():
+        col = {n: field.one}
+        for f, sign in signed_faces(simplices[n].vertices):
+            col[cone[f]] = field.neg(sign)
+        boundary.append(col)
+    order = sorted(range(len(degree)), key=lambda i: (degree[i], dim[i], i))
+    rank = {i: n for n, i in enumerate(order)}
+    owner = {}  # pivot row -> reduced column
+    bars = []
+    cycles = []
+    for j in order:
+        col = dict(boundary[j])
+        while col:
+            low = max(col, key=rank.__getitem__)
+            if low not in owner:
+                break
+            pivot = owner[low]
+            r = field.mul(col[low], field.inv(pivot[low]))
+            for i, v in pivot.items():
+                x = field.sub(col.get(i, field.zero), field.mul(r, v))
+                if x:
+                    col[i] = x
+                else:
+                    del col[i]
+        if col:
+            owner[low] = col
+            bars.append(Bar(dim[low], degree[low], degree[j]))
+        else:
+            cycles.append(j)
+    bars.extend(Bar(dim[j], degree[j], INF) for j in cycles if j not in owner)
     return Barcode(bars)
 
 

@@ -186,6 +186,15 @@ class TestParseComplex:
         assert (code, out) == (1, "")
         assert err == "error: line 1: non-finite filtration value 'nan'\n"
 
+    @pytest.mark.parametrize("line", ["0 ; {}\n", "0 ; 0 ; {}\n"])
+    def test_value_past_int_digit_limit(self, tmp_path, capsys, line):
+        # int() refuses more digits than the interpreter's limit
+        token = "9" * (sys.get_int_max_str_digits() + 1)
+        path = write(tmp_path, "c.flt", line.format(token))
+        assert invoke(["relative", path], capsys) == (
+            1, "", f"error: line 1: bad filtration value {token!r}\n"
+        )
+
     def test_missing_separator(self):
         with pytest.raises(CliError) as err:
             parse_complex("0 1\n")
@@ -299,6 +308,35 @@ class TestParsePresentation:
         with pytest.raises(CliError) as err:
             parse_presentation("gen x 0\ngen y 5\nrel 1t^0*x + 1t^0*y\n")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("presentation-barcode", "gen x 0\nrel 1t^1*z\n",
+             "line 2: no basis element labeled 'z'"),
+            ("presentation-barcode",
+             "gen x 0\ngen y 1\n\nrel 1t^1*x + 1t^1*y\n",
+             "line 4: relation 0 mixes degrees 1 and 2"),
+            ("presentation-barcode",
+             "gen x 0\nrel 1t^1*x\n# y\nrel 1t^2*x + 1t^0*y\n",
+             "line 4: no basis element labeled 'y'"),
+            ("op", "source\ngen x 0\ntarget\ngen u 0\nmaps\n"
+             "map x -> 1t^0*v\n",
+             "line 6: no basis element labeled 'v'"),
+            ("op", "source\ngen x 0\ntarget\ngen u 0\nmaps\n"
+             "map q -> 1t^0*u\n",
+             "line 6: no basis element labeled 'q'"),
+            ("op", "source\ngen x 0\ntarget\ngen u 0\n"
+             "rel 1t^2*u + 1t^1*u\nmaps\n",
+             "line 5: relation 0 mixes degrees 2 and 1"),
+        ],
+    )
+    def test_error_lines(self, tmp_path, capsys, command, text, message):
+        path = write(tmp_path, "in.txt", text)
+        argv = [command, path]
+        if command == "op":
+            argv = ["op", "image", path, "-o", str(tmp_path / "out.pmod")]
+        assert invoke(argv, capsys) == (2, "", f"error: {message}\n")
 
     def test_unknown_directive(self):
         with pytest.raises(CliError) as err:
@@ -718,7 +756,7 @@ class TestOpCommand:
         code, _, _ = invoke(["op", "image", path, "-o", out_path], capsys)
         assert code == 0
         assert (tmp_path / "i.pmod").read_text() == (
-            "gen w0 1\nrel 1t^3*w0\n"
+            "gen x 1\nrel 1t^3*x\n"
         )
 
     def test_unary_and_binary_presentation_ops(self, tmp_path, capsys):
@@ -1060,7 +1098,7 @@ class TestPresentationLabels:
             tensor_over_k(p, q), dual(p),
         ]
         labels = {label for r in results for label in r.gens.labels}
-        assert {"w0", "k0", "(a.b)", "(b@2.a)", "a*"} <= labels
+        assert {"a", "k0", "(a.b)", "(b@2.a)", "a*"} <= labels
         for r in results:
             assert_round_trip(r)
 

@@ -49,6 +49,7 @@ from persmod import (
     membership,
     pullback,
     pushout,
+    rank_t_power,
     snf_form,
     symmetric_power,
     tensor,
@@ -202,7 +203,7 @@ class TestImage:
             GradedMatrix.from_entries(QQ, src.gens, dst.gens, {(0, 0): QQ.one}),
         )
         im = image(f)
-        assert list(im.gens) == [("w0", 2)]
+        assert list(im.gens) == [("a", 2)]
         assert len(im.rels) == 0
         assert list(barcode(im)) == [Bar(None, 2, INF)]
 
@@ -219,6 +220,24 @@ class TestImage:
                         f"trial {trial} degree {d} over {field!r}: "
                         f"image dim {got}, rank oracle {want}"
                     )
+
+    def test_t_action_matches_rank_oracle(self):
+        # with the slice dimensions, the rank of every t^j fixes the
+        # image up to isomorphism
+        for field in (QQ, PrimeField(2), PrimeField(5)):
+            rng = random.Random(37)
+            for trial in range(15):
+                f = random_valid_morphism(field, rng)
+                im = image(f)
+                top = max(degree_bound(f.src), degree_bound(f.dst))
+                for d in sweep(f.src, f.dst):
+                    for j in range(top + 1):
+                        got = rank_t_power(im, d, j)
+                        want = induced_slice_rank(f.phi, f.dst, d, j)
+                        assert got == want, (
+                            f"trial {trial} t^{j} from degree {d} over "
+                            f"{field!r}: image rank {got}, oracle {want}"
+                        )
 
 
 class TestCokernel:

@@ -21,6 +21,7 @@ from helpers import (
     boundary_by_vertices,
     boundary_pairing_barcode,
     complexes,
+    cone_barcode,
     cycle_presentation,
     dense_homology_dimension,
     express_in_columns,
@@ -30,6 +31,7 @@ from helpers import (
     reduce_boundary,
     rips_complex,
     scrambled,
+    with_component_removals,
 )
 from persmod import (
     INF,
@@ -671,13 +673,18 @@ class TestTorsionHomology:
     def test_descending_boundary_gives_slice_homology(self, dissolving_triangle):
         # where the boundary descends to the torsion chains, the bars
         # alive at grade g count the homology of the slice complex
-        # K_g = {birth <= g < removal}, by dense Betti numbers
+        # K_g = {birth <= g < removal}, by dense Betti numbers; the
+        # random complexes that descend have no edges, so whole-component
+        # removals are added
         descending = 0
         for field in BOTH_FIELDS:
             rng = random.Random(67)
             cases = [dissolving_triangle] + [
                 random_filtered_complex(rng, with_removals=True)
                 for _ in range(100)
+            ] + [
+                with_component_removals(rng, random_filtered_complex(rng))
+                for _ in range(50)
             ]
             for c in cases:
                 tcc = relative_complex(c, field)
@@ -688,7 +695,10 @@ class TestTorsionHomology:
                     continue
                 descending += 1
                 bars = torsion_homology(tcc)
-                for g in range(max(s.removal for s in c.simplices) + 2):
+                top = max(
+                    v for s in c.simplices for v in s[1:] if v != INF
+                )
+                for g in range(top + 2):
                     want = betti_numbers(
                         [s.vertices for s in c.simplices
                          if s.birth <= g < s.removal],
@@ -699,7 +709,33 @@ class TestTorsionHomology:
                             1 for b in bars if b.dim == p and alive_at(b, g)
                         )
                         assert alive == want.get(p, 0), (c.simplices, p, g)
-        assert descending >= 30
+        assert descending >= 130
+
+    def test_matches_cone_oracle_where_boundary_descends(self):
+        # random_filtered_complex descends only on inputs without edges;
+        # whole-component removals add boundaries.  Ephemeral bars agree
+        # too, so this checks relative --keep-ephemeral as well.
+        checked = 0
+        for field in (QQ, PrimeField(2), PrimeField(5)):
+            rng = random.Random(71)
+            cases = []
+            while len(cases) < 110:
+                c = random_filtered_complex(rng, with_removals=True)
+                if _descent_failure(c) is None:
+                    cases.append(c)
+            cases += [
+                with_component_removals(
+                    rng, random_filtered_complex(rng, max_vertices=6)
+                )
+                for _ in range(100)
+            ]
+            for c in cases:
+                assert _descent_failure(c) is None
+                assert torsion_homology(relative_complex(c, field)) == (
+                    cone_barcode(c, field)
+                ), (c.simplices, field)
+            checked += len(cases)
+        assert checked == 630
 
     def test_single_vertex_lifespan(self):
         tcc = relative_complex(FilteredComplex([((0,), 0, 3)]))
