@@ -56,6 +56,7 @@ from .presentation import (
     INF,
     Presentation,
     PresentationMorphism,
+    _Diagonal,
     barcode,
     validate_morphism,
 )
@@ -97,7 +98,8 @@ def _parse_value(token: str, lineno: int):
     Decimal digits go straight to int(), and a token holding '.', 'e'
     or 'E', which int() never reads, straight to float(), so a valid
     value costs no exception.  Digits past the interpreter's int-string
-    limit make a bad value, and non-finite floats are rejected.
+    limit, signed or not, make a bad value, and non-finite floats are
+    rejected.
     """
     try:
         if token.isdecimal():  # not isdigit(): int() rejects superscripts
@@ -106,7 +108,8 @@ def _parse_value(token: str, lineno: int):
             try:
                 return int(token)
             except ValueError:
-                pass
+                if token[:1] in ("-", "+") and token[1:].isdecimal():
+                    raise  # an integer past the limit; float() would overflow
         value = float(token)
     except ValueError:
         raise CliError(
@@ -266,10 +269,17 @@ def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
         return Presentation.from_terms(field, gens, rels)
     except (ValueError, KeyError) as e:
         message = e.args[0]  # str() of a KeyError would quote it
-    # error path: the relation at fault is the first that fails alone
+    # error path: a repeated label is reported at its second line, else
+    # the relation at fault is the first that fails alone
     try:
         basis = GradedBasis(gens)
     except ValueError:
+        gen_lines = [n for n, line in pairs if line.partition(" ")[0] == "gen"]
+        seen = set()
+        for n, (label, _) in zip(gen_lines, gens):
+            if label in seen:
+                raise CliError(VALIDATION_ERROR, f"line {n}: {message}") from None
+            seen.add(label)
         raise CliError(VALIDATION_ERROR, message) from None
     rel_lines = [n for n, line in pairs if line.partition(" ")[0] == "rel"]
     for n, terms in zip(rel_lines, rels):
@@ -329,7 +339,10 @@ def format_presentation(p: Presentation) -> str:
     Relations that are identically zero have no term syntax and are
     omitted; they do not constrain the module.  A generator label that
     the parser could not read back (empty, or not printable ASCII, or
-    holding a blank, ``#``, ``+`` or ``->``) raises ValueError.
+    holding a blank, ``#``, ``+`` or ``->``) raises ValueError.  A
+    diagonal construction's result is written from its triples, one
+    ``rel <one>t^<a>*<label>`` line per finite annihilator, and its
+    matrix is never built.
 
     >>> print(format_presentation(parse_presentation(
     ...     "gen x 1\\ngen y 2\\nrel 1t^2*x + -1/2t^1*y"
@@ -338,17 +351,28 @@ def format_presentation(p: Presentation) -> str:
     gen y 2
     rel 1t^2*x + -1/2t^1*y
     """
-    if not _readable(p.gens.labels):
-        label = next(lab for lab in p.gens.labels if not _readable([lab]))
+    diagonal = isinstance(p, _Diagonal)
+    if diagonal:
+        labels = [lab for lab, _, _ in p.triples]
+        degrees = [deg for _, deg, _ in p.triples]
+    else:
+        labels, degrees = p.gens.labels, p.gens.degrees
+    if not _readable(labels):
+        label = next(lab for lab in labels if not _readable([lab]))
         raise ValueError(
             f"generator label {label!r} cannot be written: labels must "
             "be printable ASCII without blanks, '#', '+' or '->'"
         )
     parts = [
-        f"gen {label} {degree}\n"
-        for label, degree in zip(p.gens.labels, p.gens.degrees)
+        f"gen {label} {degree}\n" for label, degree in zip(labels, degrees)
     ]
-    _write_columns(parts, p.incl, repeat("rel "), None)
+    if diagonal:
+        one = p.field.format(p.field.one)
+        parts += [
+            f"rel {one}t^{a}*{lab}\n" for lab, _, a in p.triples if a != INF
+        ]
+    else:
+        _write_columns(parts, p.incl, repeat("rel "), None)
     return "".join(parts)
 
 

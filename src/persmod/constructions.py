@@ -20,6 +20,15 @@ normal form.  Generators killed instantly (annihilator t^0) span zero
 summands and are dropped.  :func:`snf_form` runs the graded Smith
 normal form instead, for callers that need its change of generator
 basis to map elements through.
+
+A diagonal result is fully given by its (label, degree, annihilator)
+triples, one per summand, so these functions return a presentation
+that holds the triples (:func:`_diagonal_presentation`).  Its generator
+and relation bases and its inclusion matrix are built only when a
+caller first reads ``gens``, ``rels`` or ``incl``; the writer
+:func:`persmod.cli.format_presentation` and a further diagonal
+construction read the triples instead.  Label errors are still raised
+at construction time.
 """
 
 from __future__ import annotations
@@ -33,7 +42,13 @@ from .linalg import (
     free_kernel,
     graded_snf,
 )
-from .presentation import INF, Presentation, PresentationMorphism, _annihilators
+from .presentation import (
+    INF,
+    Presentation,
+    PresentationMorphism,
+    _annihilators,
+    _Diagonal,
+)
 
 
 def _relabeled(basis: GradedBasis, taken: set) -> GradedBasis:
@@ -218,7 +233,10 @@ def snf_form(p: Presentation) -> SnfForm:
 
 def _diagonal(p: Presentation) -> list:
     """(label, degree, annihilator) of each generator that survives;
-    generators killed on arrival (annihilator t^0) are dropped."""
+    generators killed on arrival (annihilator t^0) are dropped.  A
+    diagonal presentation gives back the triples it holds."""
+    if isinstance(p, _Diagonal):
+        return p.triples
     return [
         (lab, deg, a)
         for (lab, deg), a in zip(p.gens, _annihilators(p))
@@ -226,18 +244,26 @@ def _diagonal(p: Presentation) -> list:
     ]
 
 
-def _diagonal_presentation(field, gens_with_ann):
-    """Presentation from (label, degree, annihilator exponent) triples."""
-    gens = GradedBasis([(lab, deg) for lab, deg, _ in gens_with_ann])
-    one = field.one
-    rels = []
-    cols = []
-    for n, (_, deg, a) in enumerate(gens_with_ann):
-        if a != INF:
-            rels.append((f"rel{len(cols)}", deg + a))
-            cols.append({n: one})
-    incl = GradedMatrix(field, GradedBasis(rels), gens, cols)
-    return Presentation(field, incl)
+def _diagonal_presentation(field, triples) -> Presentation:
+    """Presentation from (label, degree, annihilator exponent) triples.
+
+    Each triple is a generator and, for a finite annihilator a, the
+    relation 1 t^a on it.  The result keeps the triples; its ``gens``,
+    ``rels`` and ``incl`` are built when a caller first reads one of
+    them.  The labels are checked now, so a repeated label fails here
+    as the generator basis would fail on it.
+
+    >>> from persmod.fields import QQ
+    >>> d = _diagonal_presentation(QQ, [("x", 0, 2), ("y", 1, INF)])
+    >>> d.triples
+    [('x', 0, 2), ('y', 1, inf)]
+    >>> list(d.gens), list(d.rels), d.incl.cols
+    ([('x', 0), ('y', 1)], [('rel0', 2)], ({0: 1},))
+    """
+    if len({lab for lab, _, _ in triples}) != len(triples):
+        # the generator basis raises on the first repeated label
+        GradedBasis((lab, deg) for lab, deg, _ in triples)
+    return _Diagonal(field, triples)
 
 
 def tensor(p: Presentation, q: Presentation) -> Presentation:

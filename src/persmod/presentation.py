@@ -118,6 +118,36 @@ class Presentation:
         )
 
 
+class _Diagonal(Presentation):
+    """A diagonal presentation kept as (label, degree, annihilator)
+    triples; see :func:`persmod.constructions._diagonal_presentation`.
+
+    The base class's ``incl`` slot stays empty until its first read,
+    which ``__getattr__`` serves by building it.  The caller has checked
+    the labels, so the build cannot fail.
+    """
+
+    __slots__ = ("triples",)
+
+    def __init__(self, field, triples):
+        self.field = field
+        self.triples = triples
+
+    def __getattr__(self, name):
+        if name != "incl":
+            raise AttributeError(name)
+        gens = GradedBasis([(lab, deg) for lab, deg, _ in self.triples])
+        one = self.field.one
+        rels = []
+        cols = []
+        for n, (_, deg, a) in enumerate(self.triples):
+            if a != INF:
+                rels.append((f"rel{len(cols)}", deg + a))
+                cols.append({n: one})
+        self.incl = GradedMatrix(self.field, GradedBasis(rels), gens, cols)
+        return self.incl
+
+
 class PresentationMorphism:
     """A map between presented modules, given on generators.
 

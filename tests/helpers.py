@@ -7,6 +7,7 @@ the library's reduction engine.
 
 import itertools
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -301,6 +302,34 @@ def random_presentation(field, rng, max_gens=8, max_degree=10, max_rels=None):
             if gens.degrees[i] <= rels.degrees[j] and rng.random() < 0.5:
                 entries[(i, j)] = random_scalar(field, rng)
     return Presentation(field, GradedMatrix.from_entries(field, rels, gens, entries))
+
+
+def eager_diagonal_presentation(field, gens_with_ann):
+    """Presentation from (label, degree, annihilator exponent) triples,
+    with its bases and inclusion built at once: one generator per
+    triple and, for a finite annihilator a, the column {n: one} of
+    degree deg + a labeled rel<k>.  The diagonal constructions build
+    the same matrices only when a caller reads them."""
+    gens = GradedBasis([(lab, deg) for lab, deg, _ in gens_with_ann])
+    one = field.one
+    rels = []
+    cols = []
+    for n, (_, deg, a) in enumerate(gens_with_ann):
+        if a != INF:
+            rels.append((f"rel{len(cols)}", deg + a))
+            cols.append({n: one})
+    incl = GradedMatrix(field, GradedBasis(rels), gens, cols)
+    return Presentation(field, incl)
+
+
+def incl_built(p):
+    """True once ``p`` holds its inclusion matrix.  Reads the base
+    class's slot directly, so a diagonal result is not built by it."""
+    try:
+        Presentation.incl.__get__(p)
+    except AttributeError:
+        return False
+    return True
 
 
 def hand_built_presentations(field):
@@ -976,16 +1005,21 @@ def scrambled(filtration, rng):
 
 def int_then_float(token, lineno):
     """A filtration value by the plain rule the CLI reader must keep:
-    int() if it reads the token, else a finite float().  Raises
-    ValueError with the CLI's message otherwise."""
+    int() if it reads the token, else a finite float().  A run of
+    decimal digits with an optional sign is an integer, so when int()
+    refuses it (past the int-string limit) it is a bad value, not the
+    overflowing float().  Raises ValueError with the CLI's message
+    otherwise."""
+    bad = f"line {lineno}: bad filtration value {token!r}"
     try:
         return int(token)
     except ValueError:
-        pass
+        if re.fullmatch(r"[+-]?\d+", token):
+            raise ValueError(bad) from None
     try:
         value = float(token)
     except ValueError:
-        raise ValueError(f"line {lineno}: bad filtration value {token!r}") from None
+        raise ValueError(bad) from None
     if not math.isfinite(value):
         raise ValueError(f"line {lineno}: non-finite filtration value {token!r}")
     return value

@@ -24,8 +24,10 @@ from helpers import (
     BOTH_FIELDS,
     complex_text,
     complexes,
+    eager_diagonal_presentation,
     element_map_lines,
     element_presentation_text,
+    incl_built,
     int_then_float,
     random_filtered_complex,
     random_presentation,
@@ -188,12 +190,27 @@ class TestParseComplex:
 
     @pytest.mark.parametrize("line", ["0 ; {}\n", "0 ; 0 ; {}\n"])
     def test_value_past_int_digit_limit(self, tmp_path, capsys, line):
-        # int() refuses more digits than the interpreter's limit
-        token = "9" * (sys.get_int_max_str_digits() + 1)
-        path = write(tmp_path, "c.flt", line.format(token))
-        assert invoke(["relative", path], capsys) == (
-            1, "", f"error: line 1: bad filtration value {token!r}\n"
-        )
+        # int() refuses more digits than the interpreter's limit; with a
+        # sign, float() would overflow, but the value is still an integer
+        for sign in ("", "-", "+"):
+            token = sign + "9" * (sys.get_int_max_str_digits() + 1)
+            path = write(tmp_path, "c.flt", line.format(token))
+            assert invoke(["relative", path], capsys) == (
+                1, "", f"error: line 1: bad filtration value {token!r}\n"
+            )
+
+    def test_value_reader_matches_int_then_float_past_digit_limit(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        for token in (digits, "-" + digits, "+" + digits, digits + ".5"):
+            try:
+                want = str(int_then_float(token, 4))
+            except ValueError as e:
+                want = str(e)
+            try:
+                got = str(_parse_value(token, 4))
+            except CliError as e:
+                got = str(e)
+            assert got == want
 
     def test_missing_separator(self):
         with pytest.raises(CliError) as err:
@@ -329,6 +346,15 @@ class TestParsePresentation:
             ("op", "source\ngen x 0\ntarget\ngen u 0\n"
              "rel 1t^2*u + 1t^1*u\nmaps\n",
              "line 5: relation 0 mixes degrees 2 and 1"),
+            ("presentation-barcode", "gen x 0\ngen x 1\n",
+             "line 2: duplicate basis label 'x'"),
+            ("presentation-barcode",
+             "gen x 0\ngen y 0\n# again\ngen y 2\ngen x 1\nrel 1t^1*z\n",
+             "line 4: duplicate basis label 'y'"),
+            ("op", "source\ngen x 0\ngen x 0\ntarget\ngen u 0\nmaps\n",
+             "line 3: duplicate basis label 'x'"),
+            ("op", "source\ngen x 0\ntarget\ngen u 0\ngen u 1\nmaps\n",
+             "line 5: duplicate basis label 'u'"),
         ],
     )
     def test_error_lines(self, tmp_path, capsys, command, text, message):
@@ -788,6 +814,47 @@ class TestOpCommand:
         assert err == "error: duplicate basis label '(x*.y*.z)'\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+    def test_diagonal_ops_match_eager_build(self, field, tmp_path, capsys):
+        # the -o bytes equal the matrix writer's text of the same triples
+        # built at once; hom's triples come from the dual's built matrix
+        rng = random.Random(67)
+        for n in range(6):
+            p = random_presentation(field, rng, max_gens=5)
+            q = random_presentation(field, rng, max_gens=4)
+            gens = [(f"u{i}", rng.randint(0, 4)) for i in range(2)]
+            torsion = Presentation.from_terms(
+                field, gens, [[(1, rng.randint(1, 3), lab)] for lab, _ in gens]
+            )
+            texts = {
+                "p": format_presentation(p),
+                "q": format_presentation(q),
+                "t": format_presentation(torsion),
+            }
+            paths = {
+                name: write(tmp_path, f"{name}{n}.pmod", text)
+                for name, text in texts.items()
+            }
+            p, q, torsion = (parse_presentation(texts[x], field) for x in "pqt")
+
+            def eager(x):
+                return eager_diagonal_presentation(field, x.triples)
+
+            for op, inputs, want in [
+                ("hom", "pq", tensor(eager(dual(p)), q)),
+                ("wedge:2", "p", exterior_power(p, 2)),
+                ("tensor-k", "pt", tensor_over_k(p, torsion)),
+                ("sym:2", "p", symmetric_power(p, 2)),
+                ("dual", "p", dual(p)),
+            ]:
+                out = tmp_path / "out.pmod"
+                argv = ["--field", repr(field), "op", op]
+                argv += [paths[name] for name in inputs] + ["-o", str(out)]
+                assert invoke(argv, capsys) == (0, "", ""), op
+                assert out.read_bytes() == format_presentation(
+                    eager(want)
+                ).encode("ascii"), f"{op}, input {n}"
+
     def test_pullback_requires_shared_target(self, tmp_path, capsys):
         f_path = write(tmp_path, "f.pmap", SHIFT_MORPHISM)
         g_path = write(
@@ -992,13 +1059,19 @@ class TestFormatterOracle:
             torsion = Presentation.from_terms(
                 field, gens, [[(1, rng.randint(1, 3), lab)] for lab, _ in gens]
             )
-            outputs = [
-                p, q, tensor(p, q), hom(p, q), dual(p),
+            diagonal = [
+                tensor(p, q), hom(p, q), dual(p),
                 tensor_over_k(p, torsion), symmetric_power(p, 2),
                 *(exterior_power(p, m) for m in (1, 2, 3)),
             ]
-            for k, out in enumerate(outputs):
+            for k, out in enumerate([p, q, *diagonal]):
                 text = format_presentation(out)
+                if k >= 2:
+                    # written from the triples, before any matrix exists;
+                    # the matrix writer gives the same text
+                    assert not incl_built(out)
+                    eager = eager_diagonal_presentation(field, out.triples)
+                    assert text == format_presentation(eager)
                 assert text == element_presentation_text(out)
                 cols = out.incl.cols
                 seen["zero rel"] += not all(cols)
@@ -1012,6 +1085,16 @@ class TestFormatterOracle:
                 )
                 seen["zero map"] += " -> 0\n" in dumped
         assert min(seen.values()) > 0, seen
+
+    def test_unreadable_label_on_the_triple_path(self):
+        d = dual(Presentation.free(QQ, [("a b", 0)]))
+        with pytest.raises(ValueError) as err:
+            format_presentation(d)
+        assert str(err.value) == (
+            "generator label 'a b*' cannot be written: labels must be "
+            "printable ASCII without blanks, '#', '+' or '->'"
+        )
+        assert not incl_built(d)
 
 
 def _lines_of(*texts):

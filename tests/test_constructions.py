@@ -14,10 +14,12 @@ from helpers import (
     BOTH_FIELDS,
     alive_at,
     degree_bound,
+    eager_diagonal_presentation,
     hand_built_presentations,
     hstack,
     identity_matrix,
     identity_morphism,
+    incl_built,
     induced_slice_rank,
     negated,
     random_presentation,
@@ -727,3 +729,88 @@ class TestSymmetricPower:
                         f"trial {trial} degree {d} over {field!r}: "
                         f"symmetric dim {got}, multiset count {want}"
                     )
+
+
+class TestLazyDiagonal:
+    """The diagonal constructions hold their triples and build their
+    matrices on first read; the result must equal the presentation that
+    ``eager_diagonal_presentation`` builds at once from the same
+    triples, for every reader."""
+
+    @staticmethod
+    def assert_equals_eager(lazy, eager):
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert lazy.gens == eager.gens and lazy.rels == eager.rels
+        assert lazy.incl.cols == eager.incl.cols
+
+    @pytest.mark.parametrize("field", BOTH_FIELDS, ids=repr)
+    def test_constructions_equal_eager_build(self, field):
+        rng = random.Random(71)
+        seen_free = seen_torsion = 0
+        for trial in range(15):
+            p = random_presentation(field, rng, max_gens=5)
+            q = random_presentation(field, rng, max_gens=4)
+            torsion = _random_finite_diagonal(field, rng)
+            built = {
+                "tensor": tensor(p, q),
+                "hom": hom(p, q),
+                "dual": dual(p),
+                "tensor-k": tensor_over_k(p, torsion),
+                "wedge:1": exterior_power(p, 1),
+                "wedge:2": exterior_power(p, 2),
+                "wedge:3": exterior_power(p, 3),
+                "sym:2": symmetric_power(p, 2),
+            }
+            for name, lazy in built.items():
+                assert not incl_built(lazy), f"{name}, trial {trial}"
+                eager = eager_diagonal_presentation(field, lazy.triples)
+                self.assert_equals_eager(lazy, eager)
+                seen_free += INF in [a for _, _, a in lazy.triples]
+                seen_torsion += len(lazy.rels) > 0
+            form = snf_form(p)
+            eager = eager_diagonal_presentation(field, form.presentation.triples)
+            self.assert_equals_eager(form.presentation, eager)
+        assert seen_free > 0 and seen_torsion > 0
+
+    @pytest.mark.parametrize("field", BOTH_FIELDS, ids=repr)
+    def test_triples_read_back_equal_the_pairing(self, field):
+        # a diagonal input gives its triples back unreduced; they must be
+        # what the pivot pairing of its built matrix gives
+        rng = random.Random(72)
+        for trial in range(15):
+            p = random_presentation(field, rng, max_gens=5)
+            q = random_presentation(field, rng, max_gens=4)
+            d = dual(p)
+            eager_dual = eager_diagonal_presentation(field, d.triples)
+            assert _diagonal(eager_dual) == d.triples
+            assert hom(p, q) == tensor(eager_dual, q), f"trial {trial}"
+            t = tensor(p, q)
+            eager_t = eager_diagonal_presentation(field, t.triples)
+            assert exterior_power(t, 2) == exterior_power(eager_t, 2)
+            assert symmetric_power(t, 2) == symmetric_power(eager_t, 2)
+
+    @pytest.mark.parametrize("field", BOTH_FIELDS, ids=repr)
+    def test_readers_of_the_built_matrix(self, field):
+        rng = random.Random(73)
+        for trial in range(10):
+            p = random_presentation(field, rng, max_gens=5)
+            q = random_presentation(field, rng, max_gens=4)
+            lazy = tensor(p, q)
+            eager = eager_diagonal_presentation(field, lazy.triples)
+            assert barcode(lazy) == barcode(eager)
+            ident = identity_matrix(field, eager.gens)
+            f = PresentationMorphism(tensor(p, q), eager, ident)
+            assert validate_morphism(f), f"trial {trial}"
+            got, want = snf_form(tensor(p, q)), snf_form(eager)
+            assert got.presentation == want.presentation
+            assert (got.to_new, got.from_new) == (want.to_new, want.from_new)
+            assert got.annihilators == want.annihilators
+
+    def test_colliding_labels_fail_at_construction(self):
+        # (x*, y*.z) and (x*.y*, z) both make (x*.y*.z)
+        p = Presentation.free(QQ, [("x*.y", 0), ("x", 0)])
+        q = Presentation.free(QQ, [("z", 0), ("y*.z", 0)])
+        with pytest.raises(ValueError) as err:
+            hom(p, q)
+        assert str(err.value) == "duplicate basis label '(x*.y*.z)'"
