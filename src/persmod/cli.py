@@ -564,64 +564,46 @@ def _cmd_stream(args):
     _print_bars(current_barcode(state))
 
 
-def _expect_inputs(args, count: int):
+def _cmd_op(args):
+    name = args.operation
+    # operation -> (input reader, input count, construction); a name
+    # ending in ":" takes a power, as in ``wedge:2``, passed last.  Built
+    # per call, so that every name is looked up in the module's globals.
+    operations = {
+        "dsum": (parse_presentation, 2, direct_sum),
+        "tensor": (parse_presentation, 2, tensor),
+        "tensor-k": (parse_presentation, 2, tensor_over_k),
+        "hom": (parse_presentation, 2, hom),
+        "dual": (parse_presentation, 1, dual),
+        "wedge:": (parse_presentation, 1, exterior_power),
+        "sym:": (parse_presentation, 1, symmetric_power),
+        "kernel": (parse_morphism, 1, lambda f: kernel(f)[0]),
+        "cokernel": (parse_morphism, 1, cokernel),
+        "image": (parse_morphism, 1, image),
+        "pullback": (parse_morphism, 2, lambda f, g: pullback(f, g)[0]),
+        "pushout": (parse_morphism, 2, pushout),
+    }
+    kind, colon, power_text = name.partition(":")
+    try:
+        read, count, build = operations[kind + colon]
+    except KeyError:
+        raise CliError(VALIDATION_ERROR, f"unknown operation {name!r}") from None
     if len(args.inputs) != count:
         raise CliError(
             VALIDATION_ERROR,
-            f"operation {args.operation!r} expects {count} input "
+            f"operation {name!r} expects {count} input "
             f"file(s), got {len(args.inputs)}",
         )
-
-
-def _cmd_op(args):
-    name = args.operation
-    presentations = {
-        "dsum": direct_sum,
-        "tensor": tensor,
-        "tensor-k": tensor_over_k,
-        "hom": hom,
-    }
-    morphisms = {
-        "kernel": lambda f: kernel(f)[0],
-        "cokernel": cokernel,
-        "image": image,
-    }
-    if name in presentations:
-        _expect_inputs(args, 2)
-        p = parse_presentation(_read(args.inputs[0]), args.field)
-        q = parse_presentation(_read(args.inputs[1]), args.field)
-        result = presentations[name](p, q)
-    elif name in morphisms:
-        _expect_inputs(args, 1)
-        f = parse_morphism(_read(args.inputs[0]), args.field)
-        result = morphisms[name](f)
-    elif name == "dual":
-        _expect_inputs(args, 1)
-        result = dual(parse_presentation(_read(args.inputs[0]), args.field))
-    elif name.startswith(("wedge:", "sym:")):
-        _expect_inputs(args, 1)
-        kind, _, power_text = name.partition(":")
+    power = ()
+    if colon:
         try:
-            power = int(power_text)
+            power = (int(power_text),)
         except ValueError:
             raise CliError(
                 VALIDATION_ERROR, f"bad power in operation {name!r}"
             ) from None
-        p = parse_presentation(_read(args.inputs[0]), args.field)
-        build = exterior_power if kind == "wedge" else symmetric_power
-        result = build(p, power)
-    elif name == "pullback":
-        _expect_inputs(args, 2)
-        f = parse_morphism(_read(args.inputs[0]), args.field)
-        g = parse_morphism(_read(args.inputs[1]), args.field)
-        result, _, _ = pullback(f, g)
-    elif name == "pushout":
-        _expect_inputs(args, 2)
-        f = parse_morphism(_read(args.inputs[0]), args.field)
-        g = parse_morphism(_read(args.inputs[1]), args.field)
-        result = pushout(f, g)
-    else:
-        raise CliError(VALIDATION_ERROR, f"unknown operation {name!r}")
+    inputs = [read(_read(path), args.field) for path in args.inputs]
+    result = build(*inputs, *power)
     text = format_presentation(result)
     try:
         with open(args.output, "w", encoding="ascii") as handle:

@@ -1,13 +1,13 @@
 """Free graded modules over k[t] and exact degree-respecting reductions.
 
 A free graded k[t]-module is described by a :class:`GradedBasis`: an
-ordered list of labeled generators, each with an integer degree.  A
-homogeneous element of degree d is a k-linear combination of basis
-generators b_i with an implied factor t^(d - deg b_i) on each; only the
-field scalars are stored, and the exponents are recomputed from degrees
-whenever needed.  Degree-0 graded maps between free modules are
-:class:`GradedMatrix` values whose column j is the image of source
-generator j, an element of degree deg(source[j]).
+ordered list of labeled generators, each with an integer degree.
+Degree-0 graded maps between free modules are :class:`GradedMatrix`
+values whose column j is the image of source generator j: a k-linear
+combination of target generators b_i of degree d = deg(source[j]),
+with an implied factor t^(d - deg b_i) on each.  Only the field
+scalars are stored, and the exponents are recomputed from degrees
+whenever needed.  A single homogeneous element is a one-column matrix.
 
 Storing scalars only makes non-homogeneous data unrepresentable: an
 entry at (i, j) always means scalar * t^(deg source[j] - deg target[i]),
@@ -32,7 +32,7 @@ from __future__ import annotations
 from .fields import Monomial
 
 # ---------------------------------------------------------------------------
-# SECTION: bases and elements
+# SECTION: bases
 # ---------------------------------------------------------------------------
 
 
@@ -56,11 +56,18 @@ class GradedBasis:
         elements = list(elements)
         self.labels = tuple([str(lab) for lab, _ in elements])
         raw = tuple([deg for _, deg in elements])
-        self.degrees = tuple(map(int, raw))
+        try:
+            self.degrees = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError):
+            self.degrees = ()
         if self.degrees != raw:
-            for lab, deg, d in zip(self.labels, raw, self.degrees):
-                if d != deg:
-                    raise ValueError(f"{lab!r} has degree {deg!r}, not an integer")
+            for lab, deg in zip(self.labels, raw):
+                try:
+                    if int(deg) == deg:
+                        continue
+                except (TypeError, ValueError, OverflowError):
+                    pass
+                raise ValueError(f"{lab!r} has degree {deg!r}, not an integer")
         self._index = dict(zip(self.labels, range(len(self.labels))))
         if len(self._index) != len(self.labels):
             seen = set()
@@ -102,63 +109,6 @@ class GradedBasis:
     def __repr__(self):
         inner = ", ".join(f"{l}:{d}" for l, d in self)
         return f"GradedBasis({inner})"
-
-
-class HomogeneousElement:
-    """A homogeneous element of a free graded module.
-
-    ``coords`` maps basis index -> nonzero field scalar; the coordinate
-    at index i stands for scalar * t^(degree - deg basis[i]).  The
-    element validates that its degree is an integer, as ``GradedBasis``
-    does, and that every implied exponent is nonnegative.
-    """
-
-    __slots__ = ("field", "basis", "degree", "coords")
-
-    def __init__(self, field, basis: GradedBasis, degree: int, coords):
-        d = int(degree)
-        if d != degree:
-            raise ValueError(f"element degree {degree!r} is not an integer")
-        clean = {}
-        for i, c in dict(coords).items():
-            if not c:
-                continue
-            if d < basis.degrees[i]:
-                raise ValueError(
-                    f"coordinate at {basis.labels[i]!r} (degree "
-                    f"{basis.degrees[i]}) implies a negative t-exponent in an "
-                    f"element of degree {d}"
-                )
-            clean[i] = c
-        self.field = field
-        self.basis = basis
-        self.degree = d
-        self.coords = clean
-
-    def terms(self):
-        """Yield (index, scalar, exponent) sorted by basis position."""
-        for i in sorted(self.coords):
-            yield i, self.coords[i], self.degree - self.basis.degrees[i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomogeneousElement)
-            and self.field == other.field
-            and self.basis == other.basis
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.basis, self.degree, tuple(sorted(self.coords.items()))))
-
-    def __repr__(self):
-        if not self.coords:
-            return f"<0 @deg {self.degree}>"
-        parts = []
-        for i, c, e in self.terms():
-            parts.append(f"{self.field.format(c)}t^{e}*{self.basis.labels[i]}")
-        return "<" + " + ".join(parts) + f" @deg {self.degree}>"
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +177,11 @@ class GradedMatrix:
     def entry(self, i: int, j: int):
         return self.cols[j].get(i, self.field.zero)
 
-    def column(self, j: int) -> HomogeneousElement:
-        return HomogeneousElement(
-            self.field, self.target, self.source.degrees[j], self.cols[j]
-        )
-
     @property
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
 
     # -- algebra ------------------------------------------------------
-
-    def apply(self, x: HomogeneousElement) -> HomogeneousElement:
-        """Image of an element; exponents compose so only scalars mix."""
-        if x.basis != self.source:
-            raise ValueError("element is not over the source basis")
-        f = self.field
-        out = {}
-        for j, xc in x.coords.items():
-            f.combine(out, self.cols[j], f.neg(xc))
-        return HomogeneousElement(f, self.target, x.degree, out)
 
     def matmul(self, other: "GradedMatrix") -> "GradedMatrix":
         """Composition self . other (apply ``other`` first)."""
@@ -290,10 +225,15 @@ class GradedMatrix:
         )
 
     def __repr__(self):
-        body = "; ".join(
-            f"{self.source.labels[j]} -> {self.column(j)!r}" for j in range(self.ncols)
-        )
-        return f"GradedMatrix[{body}]"
+        fmt, tgt = self.field.format, self.target
+        parts = []
+        for lab, d, col in zip(self.source.labels, self.source.degrees, self.cols):
+            terms = " + ".join(
+                f"{fmt(col[i])}t^{d - tgt.degrees[i]}*{tgt.labels[i]}"
+                for i in sorted(col)
+            )
+            parts.append(f"{lab} -> <{terms or 0} @deg {d}>")
+        return "GradedMatrix[" + "; ".join(parts) + "]"
 
 
 def concat_bases(*bases) -> GradedBasis:
@@ -397,24 +337,39 @@ def _reduce(field, col, key, lows, cols, usable=None, steps=None):
     return None
 
 
-def membership(x: HomogeneousElement, sub) -> bool:
-    """True if x lies in the column space of ``sub`` within its degree.
+def membership(x: GradedMatrix, sub) -> bool:
+    """True if every column of x lies in the column space of ``sub``
+    within its degree.
 
-    ``sub`` is a matrix or its column echelon.  A nonzero combination of
-    reduced columns has the largest of their pivots as its bottom
-    entry, so x is a member exactly when clearing its bottom coordinate
-    against the pivots never gets stuck.
+    Column j of x sits at degree d = deg x.source[j], and only the
+    columns of ``sub`` of degree <= d may reach it.  ``sub`` is a matrix
+    or its column echelon.  A nonzero combination of reduced columns has
+    the largest of their pivots as its bottom entry, so a column is a
+    member exactly when clearing its bottom coordinate against the
+    pivots never gets stuck.  The scalar 1 on x is x itself at degree 1,
+    outside the span of t*x, and t*x at degree 2:
+
+    >>> from persmod.fields import QQ
+    >>> gens = GradedBasis([("x", 1)])
+    >>> tx = GradedMatrix(QQ, GradedBasis([("r", 2)]), gens, [{0: 1}])
+    >>> membership(GradedMatrix(QQ, GradedBasis([("y", 1)]), gens, [{0: 1}]), tx)
+    False
+    >>> membership(GradedMatrix(QQ, GradedBasis([("y", 2)]), gens, [{0: 1}]), tx)
+    True
     """
     if isinstance(sub, GradedMatrix):
         sub = column_echelon(sub)
-    if x.basis != sub.matrix.target:
-        raise ValueError("element is not over the matrix target basis")
-    # owners of degree <= deg x only: no negative t-exponent
+    if x.target != sub.matrix.target:
+        raise ValueError("columns are not over the matrix target basis")
     degrees = sub.matrix.source.degrees
-    return _reduce(
-        x.field, dict(x.coords), sub.key, sub.lows, sub.reduced.cols,
-        usable=lambda p: degrees[p] <= x.degree,
-    ) is None
+    for d, col in zip(x.source.degrees, x.cols):
+        # owners of degree <= d only: no negative t-exponent
+        if _reduce(
+            x.field, dict(col), sub.key, sub.lows, sub.reduced.cols,
+            usable=lambda p: degrees[p] <= d,
+        ) is not None:
+            return False
+    return True
 
 
 def free_kernel(m: GradedMatrix) -> GradedMatrix:
@@ -422,9 +377,9 @@ def free_kernel(m: GradedMatrix) -> GradedMatrix:
 
     Column-reduces as ``column_echelon`` does and replays every column
     operation onto a change column; the change columns of the columns
-    that died span the kernel, in processing order.  Each output column
-    k satisfies ``m.apply(k) == 0`` and has the degree of the column
-    that died.
+    that died span the kernel, in processing order: for the output k,
+    ``m @ k`` is zero, and each column of k has the degree of the
+    column that died.
     """
     f = m.field
     key = _pivot_rank(m.target).__getitem__

@@ -20,7 +20,6 @@ from persmod import (
     FilteredComplex,
     GradedBasis,
     GradedMatrix,
-    HomogeneousElement,
     Monomial,
     Presentation,
     PresentationMorphism,
@@ -139,6 +138,18 @@ def random_graded_matrix(field, rng, nrows=None, ncols=None, density=0.5):
     return GradedMatrix.from_entries(field, source, target, entries)
 
 
+def element(field, basis, degree, coords, label="x"):
+    """The homogeneous element of degree ``degree`` with coordinates
+    ``coords`` over ``basis``: a one-column matrix, its source the one
+    generator ``label`` at that degree."""
+    return GradedMatrix(field, GradedBasis([(label, degree)]), basis, [coords])
+
+
+def degree(x):
+    """The degree of a one-column matrix's column."""
+    return x.source.degrees[0]
+
+
 def random_element(field, rng, basis, degree=None):
     """A random homogeneous element over ``basis``."""
     if degree is None:
@@ -147,32 +158,32 @@ def random_element(field, rng, basis, degree=None):
     for i in range(len(basis)):
         if basis.degrees[i] <= degree and rng.random() < 0.6:
             coords[i] = random_scalar(field, rng)
-    return HomogeneousElement(field, basis, degree, coords)
+    return element(field, basis, degree, coords)
 
 
 # -- element and matrix arithmetic ------------------------------------
 #
-# What the tests need beyond the package's API, written over ``coords``
-# and ``cols`` with the fields' plain add, mul and neg, so that none of
-# it runs the package's column operation, ``combine``.
+# What the tests need beyond the package's API, written over one-column
+# matrices with the fields' plain add, mul and neg, so that none of it
+# runs the package's column operation, ``combine``.
 
 
 def add(x, y):
     """x + y for two elements over one basis and of one degree."""
-    if x.basis != y.basis or x.degree != y.degree:
+    if x.target != y.target or degree(x) != degree(y):
         raise ValueError("add needs elements over one basis, of one degree")
     f = x.field
-    coords = dict(x.coords)
-    for i, c in y.coords.items():
+    coords = dict(x.cols[0])
+    for i, c in y.cols[0].items():
         coords[i] = f.add(coords.get(i, f.zero), c)
-    return HomogeneousElement(f, x.basis, x.degree, coords)
+    return GradedMatrix(f, x.source, x.target, [coords])
 
 
 def scale(x, c):
     """The scalar multiple c * x."""
     f = x.field
-    coords = {i: f.mul(c, v) for i, v in x.coords.items()}
-    return HomogeneousElement(f, x.basis, x.degree, coords)
+    coords = {i: f.mul(c, v) for i, v in x.cols[0].items()}
+    return GradedMatrix(f, x.source, x.target, [coords])
 
 
 def sub(x, y):
@@ -183,29 +194,41 @@ def sub(x, y):
 def times_t(x, power=1):
     """t^power * x: the same scalars, the degree raised by ``power``."""
     assert power >= 0
-    return HomogeneousElement(x.field, x.basis, x.degree + power, x.coords)
+    (label,) = x.source.labels
+    return element(x.field, x.target, degree(x) + power, x.cols[0], label)
 
 
 def low(x):
     """Index of x's bottom-most coordinate in (degree, index) order, or
     None for zero: the pivot rule of the package's reductions."""
-    return max(x.coords, key=lambda i: (x.basis.degrees[i], i), default=None)
+    return max(x.cols[0], key=lambda i: (x.target.degrees[i], i), default=None)
+
+
+def column(m, j):
+    """Column j of a matrix as an element, of degree deg source[j]."""
+    return element(
+        m.field, m.target, m.source.degrees[j], m.cols[j], m.source.labels[j]
+    )
 
 
 def columns(m):
-    """The columns of a matrix as elements, column j of degree
-    deg source[j]."""
-    return [
-        HomogeneousElement(m.field, m.target, d, col)
-        for d, col in zip(m.source.degrees, m.cols)
-    ]
+    """The columns of a matrix as elements."""
+    return [column(m, j) for j in range(m.ncols)]
+
+
+def terms(m, j=0):
+    """(index, scalar, exponent) of column j's entries, by target index;
+    the exponent is deg source[j] - deg target[index]."""
+    d = m.source.degrees[j]
+    col = m.cols[j]
+    return [(i, col[i], d - m.target.degrees[i]) for i in sorted(col)]
 
 
 def matrix_of_columns(field, target, cols, labels):
     """The matrix whose columns are the elements ``cols`` over
     ``target``, its source labeled by ``labels`` at their degrees."""
-    source = GradedBasis((lab, x.degree) for lab, x in zip(labels, cols))
-    return GradedMatrix(field, source, target, [x.coords for x in cols])
+    source = GradedBasis((lab, degree(x)) for lab, x in zip(labels, cols))
+    return GradedMatrix(field, source, target, [x.cols[0] for x in cols])
 
 
 def identity_matrix(field, basis):
@@ -373,8 +396,7 @@ def assert_snf_certificate(m, snf):
         entries[(p, c)] = mono.coeff
     d = GradedMatrix.from_entries(m.field, m.source, m.target, entries)
     sm_ech, d_ech = column_echelon(sm), column_echelon(d)
-    assert all(membership(x, d_ech) for x in columns(sm))
-    assert all(membership(x, sm_ech) for x in columns(d))
+    assert membership(sm, d_ech) and membership(d, sm_ech)
 
 
 def free_rows(m, snf):
@@ -1026,11 +1048,11 @@ def int_then_float(token, lineno):
 
 
 def element_terms(matrix, j):
-    """The ``<coeff>t^<e>*<label>`` terms of column j, read through a
-    validating ``HomogeneousElement``."""
+    """The ``<coeff>t^<e>*<label>`` terms of column j, read through
+    ``terms``."""
     return [
         f"{matrix.field.format(c)}t^{e}*{matrix.target.labels[i]}"
-        for i, c, e in matrix.column(j).terms()
+        for i, c, e in terms(matrix, j)
     ]
 
 
@@ -1039,9 +1061,9 @@ def element_presentation_text(p):
     through ``element_terms``."""
     lines = [f"gen {label} {degree}" for label, degree in p.gens]
     for j in range(len(p.rels)):
-        terms = element_terms(p.incl, j)
-        if terms:
-            lines.append("rel " + " + ".join(terms))
+        parts = element_terms(p.incl, j)
+        if parts:
+            lines.append("rel " + " + ".join(parts))
     return "".join(line + "\n" for line in lines)
 
 
@@ -1073,7 +1095,7 @@ def reduce_boundary(m):
     b_columns = tuple(j for j in ech.order if m.cols[j])
     return ReductionState(
         Z=tuple(columns(free_kernel(m))),
-        B=tuple(m.column(j) for j in b_columns),
+        B=tuple(column(m, j) for j in b_columns),
         field=m.field,
         pivots=dict(ech.lows),
         z_columns=ech.zero_cols,
@@ -1082,31 +1104,30 @@ def reduce_boundary(m):
 
 
 def express_in_columns(x, m):
-    """Coefficients c over ``m.source`` with ``m.apply(c) == x``, or None.
+    """Coefficients c over ``m.source`` with ``m @ c == x``, or None.
 
     Appends x to m as a last column, processed after every column of
     degree <= deg x.  x lies in the column space exactly when that
     column reduces to zero, and then its kernel column is the only one
     of degree deg x with a coordinate on x: scaled to -1 there, the
-    rest of it is the answer.
+    rest of it is the answer, over x's own source.
     """
-    if x.basis != m.target:
+    if x.target != m.target:
         raise ValueError("element is not over the matrix target basis")
     f = m.field
     label = next(
         lab for lab in (f"x{n}" for n in itertools.count())
         if lab not in m.source.labels
     )
-    source = concat_bases(m.source, GradedBasis([(label, x.degree)]))
+    source = concat_bases(m.source, GradedBasis([(label, degree(x))]))
     last = m.ncols
-    joined = GradedMatrix(f, source, m.target, [*m.cols, x.coords])
-    for k in columns(free_kernel(joined)):
-        if k.degree == x.degree and last in k.coords:
-            scale = f.neg(f.inv(k.coords[last]))
-            coords = {
-                i: f.mul(scale, c) for i, c in k.coords.items() if i != last
-            }
-            return HomogeneousElement(f, m.source, x.degree, coords)
+    joined = GradedMatrix(f, source, m.target, [*m.cols, x.cols[0]])
+    kernel = free_kernel(joined)
+    for d, k in zip(kernel.source.degrees, kernel.cols):
+        if d == degree(x) and last in k:
+            r = f.neg(f.inv(k[last]))
+            coords = {i: f.mul(r, c) for i, c in k.items() if i != last}
+            return GradedMatrix(f, x.source, m.source, [coords])
     return None
 
 
@@ -1118,7 +1139,7 @@ def cycle_presentation(field, cycles, boundaries):
     """
     zmat = matrix_of_columns(
         field,
-        cycles[0].basis if cycles else GradedBasis([]),
+        cycles[0].target if cycles else GradedBasis([]),
         cycles,
         [f"z{i + 1}" for i in range(len(cycles))],
     )

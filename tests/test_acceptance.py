@@ -23,6 +23,7 @@ from helpers import (
     random_presentation,
     random_valid_morphism,
     slice_rank,
+    terms,
     times_t,
 )
 from persmod import (
@@ -107,8 +108,8 @@ def test_criterion_2_five_generator_normal_form():
     labels = FIVE_GENERATOR_MODULE.gens.labels
     exponents = sorted(mono.exponent for _, _, mono in res.diagonal)
     new_gens = columns(res.row_change_inv)
-    y_new = [(labels[i], c, e) for i, c, e in new_gens[1].terms()]
-    v_new = [(labels[i], c, e) for i, c, e in new_gens[4].terms()]
+    y_new = [(labels[i], c, e) for i, c, e in terms(new_gens[1])]
+    v_new = [(labels[i], c, e) for i, c, e in terms(new_gens[4])]
     shape_ok = exponents == [0, 0, 1, 3] and len(free_rows(m, res)) == 1
     y_ok = y_new == [("x", 2, 0), ("y", 1, 0)]
     # deg v = 3 and deg x = 1, so the x-term of v' carries t^2: by hand,

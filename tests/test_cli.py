@@ -31,6 +31,7 @@ from helpers import (
     int_then_float,
     random_filtered_complex,
     random_presentation,
+    terms,
 )
 from persmod import (
     GradedBasis,
@@ -143,7 +144,7 @@ def write(tmp_path, name, text):
 def drop_zero_relations(p):
     """Zero relation columns have no term syntax; strip them first."""
     relations = [
-        [(scalar, exp, p.gens.labels[i]) for i, scalar, exp in p.incl.column(j).terms()]
+        [(scalar, exp, p.gens.labels[i]) for i, scalar, exp in terms(p.incl, j)]
         for j, col in enumerate(p.incl.cols)
         if col
     ]
@@ -450,7 +451,7 @@ class TestParseMorphism:
         f = parse_morphism(SHIFT_MORPHISM)
         assert list(f.src.gens.labels) == ["x"]
         assert list(f.dst.gens.labels) == ["u"]
-        assert [e for _, _, e in f.phi.column(0).terms()] == [1]
+        assert [e for _, _, e in terms(f.phi, 0)] == [1]
 
     def test_unmapped_generator_goes_to_zero(self):
         f = parse_morphism(
@@ -1026,7 +1027,7 @@ class TestFormatterOracle:
 
     def test_text_matches_element_terms(self, tmp_path, capsys):
         # presentations, their duals (negative degrees) and snf --dump
-        # change maps, written term by term through HomogeneousElement
+        # change maps, written term by term through ``terms``
         multi_term = negative = 0
         for field in (QQ, PrimeField(5)):
             rng = random.Random(53)

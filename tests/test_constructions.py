@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     BOTH_FIELDS,
     alive_at,
+    column,
     degree_bound,
     eager_diagonal_presentation,
     hand_built_presentations,
@@ -27,6 +28,7 @@ from helpers import (
     random_valid_morphism,
     random_valid_span,
     sub,
+    terms,
     vstack,
     zero_morphism,
 )
@@ -310,7 +312,7 @@ class TestKernel:
         for j, label in enumerate(k.gens.labels):
             got = [
                 (src.labels[i], c, e)
-                for i, c, e in incl.phi.column(j).terms()
+                for i, c, e in terms(incl.phi, j)
             ]
             want = [(lab, f.src.field.scalar(c), e) for lab, c, e in cycles[label]]
             assert got == want, f"inclusion column for {label}"
@@ -332,7 +334,7 @@ class TestKernel:
                 assert validate_morphism(incl), f"trial {trial}"
                 comp = f.phi @ incl.phi
                 for j in range(comp.ncols):
-                    assert membership(comp.column(j), f.dst.incl), (
+                    assert membership(column(comp, j), f.dst.incl), (
                         f"trial {trial} column {j}: kernel element maps to "
                         f"a nonzero class over {field!r}"
                     )
@@ -372,7 +374,7 @@ class TestPullback:
             == barcode(five_gen_module).without_ephemeral()
         )
         for j in range(proj_p.phi.ncols):
-            gap = sub(proj_p.phi.column(j), proj_q.phi.column(j))
+            gap = sub(column(proj_p.phi, j), column(proj_q.phi, j))
             assert membership(gap, five_gen_module.incl), (
                 "diagonal projections should agree in the quotient"
             )
@@ -388,7 +390,7 @@ class TestPullback:
                 left = f.phi @ proj_p.phi
                 right = g.phi @ proj_q.phi
                 for j in range(left.ncols):
-                    gap = sub(left.column(j), right.column(j))
+                    gap = sub(column(left, j), column(right, j))
                     assert membership(gap, f.dst.incl), (
                         f"trial {trial} column {j} over {field!r}"
                     )

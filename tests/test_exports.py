@@ -45,6 +45,20 @@ def test_package_exports_match_bound_names():
     assert set(persmod.__all__) <= set(namespace)
 
 
+def test_reduce_loop_is_bound_only_in_linalg():
+    # perfbench/layers.py traces every function that a second module
+    # binds; homology and streaming reach the column loop as
+    # ``linalg._reduce``, so that it stays untraced
+    from persmod import linalg
+
+    for module in [persmod] + [
+        importlib.import_module(f"persmod.{name}") for name in SUBMODULES
+    ]:
+        if module is not linalg:
+            bound = [n for n, obj in vars(module).items() if obj is linalg._reduce]
+            assert not bound, f"{module.__name__} binds _reduce as {bound}"
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

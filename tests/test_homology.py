@@ -23,7 +23,9 @@ from helpers import (
     complexes,
     cone_barcode,
     cycle_presentation,
+    degree,
     dense_homology_dimension,
+    element,
     express_in_columns,
     filtration_order,
     matrix_of_columns,
@@ -31,6 +33,7 @@ from helpers import (
     reduce_boundary,
     rips_complex,
     scrambled,
+    terms,
     with_component_removals,
 )
 from persmod import (
@@ -39,7 +42,6 @@ from persmod import (
     FilteredComplex,
     GradedBasis,
     GradedMatrix,
-    HomogeneousElement,
     Presentation,
     PresentationMorphism,
     PrimeField,
@@ -60,7 +62,7 @@ def labeled_terms(matrix, label):
     j = list(matrix.source.labels).index(label)
     return [
         (matrix.target.labels[i], scalar, exponent)
-        for i, scalar, exponent in matrix.column(j).terms()
+        for i, scalar, exponent in terms(matrix, j)
     ]
 
 
@@ -217,7 +219,7 @@ class TestGradedBoundary:
     def test_vertex_columns_are_zero(self, two_triangles):
         m = graded_boundary(two_triangles)
         for j in range(4):
-            assert not m.column(j).coords
+            assert not m.cols[j]
 
     def test_edge_columns(self, two_triangles):
         m = graded_boundary(two_triangles)
@@ -255,7 +257,7 @@ class TestReduceBoundary:
         assert state.z_columns == (0, 1)
         assert state.b_columns == ()
         assert state.pivots == {}
-        assert [list(z.terms()) for z in state.Z] == [
+        assert [terms(z) for z in state.Z] == [
             [(0, 1, 0)],
             [(1, 1, 0)],
         ]
@@ -268,7 +270,7 @@ class TestReduceBoundary:
         assert state.z_columns == (0, 1)
         assert state.b_columns == (2,)
         assert state.pivots == {1: 2}
-        assert list(state.B[0].terms()) == [(0, -1, 1), (1, 1, 1)]
+        assert terms(state.B[0]) == [(0, -1, 1), (1, 1, 1)]
 
     def test_two_triangles_reduction(self, two_triangles):
         state = reduce_boundary(graded_boundary(two_triangles))
@@ -283,7 +285,7 @@ class TestReduceBoundary:
         state = reduce_boundary(m)
         labels = m.target.labels
         named = [
-            [(labels[i], s, e) for i, s, e in z.terms()] for z in state.Z
+            [(labels[i], s, e) for i, s, e in terms(z)] for z in state.Z
         ]
         assert named[:4] == [
             [("0", 1, 0)],
@@ -292,14 +294,14 @@ class TestReduceBoundary:
             [("3", 1, 0)],
         ]
         # the square closes at degree 3, the triangle boundary at 4
-        assert state.Z[4].degree == 3
+        assert degree(state.Z[4]) == 3
         assert named[4] == [
             ("0.1", 1, 1),
             ("1.2", 1, 1),
             ("0.3", -1, 0),
             ("2.3", 1, 0),
         ]
-        assert state.Z[5].degree == 4
+        assert degree(state.Z[5]) == 4
         assert named[5] == [
             ("0.1", -1, 2),
             ("1.2", -1, 2),
@@ -360,8 +362,8 @@ class TestBoundariesInCycles:
     def test_rejects_non_boundary(self):
         basis = GradedBasis([("a", 0), ("b", 0)])
         state = ReductionState(
-            Z=(HomogeneousElement(QQ, basis, 0, {0: QQ.one}),),
-            B=(HomogeneousElement(QQ, basis, 0, {1: QQ.one}),),
+            Z=(element(QQ, basis, 0, {0: QQ.one}),),
+            B=(element(QQ, basis, 0, {1: QQ.one}),),
             field=QQ,
             pivots={},
             z_columns=(0,),
@@ -541,7 +543,7 @@ class TestRelativeComplex:
         targets = []
         exponents = []
         for j in range(len(tcc.chains.rels)):
-            ((i, _, e),) = tcc.chains.incl.column(j).terms()
+            ((i, _, e),) = terms(tcc.chains.incl, j)
             targets.append(i)
             exponents.append(e)
         assert targets == [6, 5, 4, 3, 2, 1, 0]
@@ -555,7 +557,7 @@ class TestRelativeComplex:
     def test_single_vertex_relation(self):
         tcc = relative_complex(FilteredComplex([((0,), 0, 3)]))
         assert list(tcc.chains.rels.degrees) == [3]
-        assert list(tcc.chains.incl.column(0).terms()) == [(0, QQ.one, 3)]
+        assert terms(tcc.chains.incl, 0) == [(0, QQ.one, 3)]
 
     def test_descent_rule_matches_validate_morphism(self):
         # the boundary descends to the torsion chains exactly when every

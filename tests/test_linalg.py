@@ -1,5 +1,6 @@
-"""Graded bases, homogeneous elements, matrices, and column reductions."""
+"""Graded bases, matrices and their columns, and column reductions."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -9,7 +10,6 @@ import pytest
 from persmod import (
     GradedBasis,
     GradedMatrix,
-    HomogeneousElement,
     QQ,
     column_echelon,
     concat_bases,
@@ -19,7 +19,10 @@ from persmod import (
 from helpers import (
     BOTH_FIELDS,
     add,
+    column,
     columns,
+    degree,
+    element,
     express_in_columns,
     hstack,
     identity_matrix,
@@ -30,6 +33,7 @@ from helpers import (
     random_scalar,
     scale,
     slice_rank,
+    terms,
     times_t,
     vstack,
 )
@@ -71,36 +75,44 @@ class TestGradedBasis:
             with pytest.raises(ValueError, match=message):
                 GradedBasis([("x", 1), ("y", bad)])
 
+    def test_unreadable_degrees_rejected(self):
+        # a degree int() cannot read is reported like any other
+        # non-integer degree, not with int()'s own error
+        for bad in [math.inf, -math.inf, math.nan, None, "a", "3"]:
+            with pytest.raises(ValueError) as err:
+                GradedBasis([("x", 1), ("y", bad)])
+            assert str(err.value) == f"'y' has degree {bad!r}, not an integer"
+
     def test_sorted_indices_stable_on_ties(self):
         b = GradedBasis([("x", 2), ("y", 0), ("z", 2)])
         assert b.sorted_indices() == [1, 0, 2]
 
 
 class TestHomogeneousElement:
+    """A homogeneous element is a one-column matrix."""
+
     def test_implied_exponents(self, simple_basis):
-        x = HomogeneousElement(
-            QQ, simple_basis, 2, {0: Fraction(3), 1: Fraction(-1)}
-        )
-        assert list(x.terms()) == [
+        x = element(QQ, simple_basis, 2, {0: Fraction(3), 1: Fraction(-1)})
+        assert terms(x) == [
             (0, Fraction(3), 2),
             (1, Fraction(-1), 1),
         ]
 
     def test_negative_exponent_rejected(self, simple_basis):
         with pytest.raises(ValueError):
-            HomogeneousElement(QQ, simple_basis, 2, {3: Fraction(1)})
+            element(QQ, simple_basis, 2, {3: Fraction(1)})
 
     def test_zero_coordinates_dropped(self, simple_basis):
-        x = HomogeneousElement(QQ, simple_basis, 2, {0: Fraction(0)})
-        assert x.coords == {}
+        x = element(QQ, simple_basis, 2, {0: Fraction(0)})
+        assert x.cols == ({},)
 
     def test_times_t_shifts_degree_only(self, simple_basis):
         # t^3 x has the scalars of x; each implied exponent rises by 3
-        x = HomogeneousElement(QQ, simple_basis, 2, {1: Fraction(5)})
+        x = element(QQ, simple_basis, 2, {1: Fraction(5)})
         y = times_t(x, 3)
-        assert y.degree == 5 and y.coords == x.coords
-        assert list(x.terms()) == [(1, Fraction(5), 1)]
-        assert list(y.terms()) == [(1, Fraction(5), 4)]
+        assert degree(y) == 5 and y.cols == x.cols
+        assert terms(x) == [(1, Fraction(5), 1)]
+        assert terms(y) == [(1, Fraction(5), 4)]
 
     def test_low_is_bottom_most_in_degree_order(self, simple_basis):
         # the pivot of a column is its entry of highest (degree, index)
@@ -112,22 +124,22 @@ class TestHomogeneousElement:
         )
         assert column_echelon(m).lows == {3: 0, 2: 1}
         assert [low(x) for x in columns(m)] == [3, 2]
-        assert low(HomogeneousElement(QQ, simple_basis, 1, {})) is None
+        assert low(element(QQ, simple_basis, 1, {})) is None
 
     def test_degree_must_be_an_integer(self, simple_basis):
         # an integral value reads as its int, as in GradedBasis; int()
         # must not truncate any other value, or a degree-0.5 element
         # would pass as a member of the span of the identity
-        x = HomogeneousElement(QQ, simple_basis, 1.0, {1: Fraction(1)})
-        assert x.degree == 1 and type(x.degree) is int
+        x = element(QQ, simple_basis, 1.0, {1: Fraction(1)})
+        assert degree(x) == 1 and type(degree(x)) is int
         for bad in [0.5, Fraction(5, 2), -1.5]:
-            message = re.escape(f"element degree {bad!r} is not an integer")
+            message = re.escape(f"'x' has degree {bad!r}, not an integer")
             with pytest.raises(ValueError, match=message):
-                HomogeneousElement(QQ, simple_basis, bad, {0: Fraction(1)})
+                element(QQ, simple_basis, bad, {0: Fraction(1)})
         basis = GradedBasis([("x", 0)])
         ident = GradedMatrix(QQ, basis, basis, [{0: QQ.one}])
         with pytest.raises(ValueError, match="0.5"):
-            membership(HomogeneousElement(QQ, basis, 0.5, {0: 1}), ident)
+            membership(element(QQ, basis, 0.5, {0: 1}), ident)
 
 
 class TestGradedMatrix:
@@ -137,11 +149,19 @@ class TestGradedMatrix:
         m = GradedMatrix.from_entries(
             QQ, src, tgt, {(0, 0): Fraction(2), (1, 0): Fraction(-1)}
         )
-        assert list(m.column(0).terms()) == [
+        assert terms(m, 0) == [
             (0, Fraction(2), 2),
             (1, Fraction(-1), 0),
         ]
         assert m.entry(1, 0) == Fraction(-1)
+
+    def test_repr_writes_each_column_term_by_term(self):
+        src = GradedBasis([("r", 3), ("s", 2)])
+        tgt = GradedBasis([("x", 1), ("y", 3)])
+        m = GradedMatrix(QQ, src, tgt, [{1: -1, 0: Fraction(1, 2)}, {}])
+        assert repr(m) == (
+            "GradedMatrix[r -> <1/2t^2*x + -1t^0*y @deg 3>; s -> <0 @deg 2>]"
+        )
 
     def test_illegal_entry_rejected(self):
         src = GradedBasis([("r", 1)])
@@ -194,10 +214,10 @@ class TestGradedMatrix:
         m = GradedMatrix.from_entries(
             QQ, src, tgt, {(0, 0): Fraction(1), (1, 0): Fraction(1)}
         )
-        x = HomogeneousElement(QQ, src, 4, {0: Fraction(1)})
-        y = m.apply(x)
-        assert y.degree == 4
-        assert [e for _, _, e in y.terms()] == [3, 1]
+        x = element(QQ, src, 4, {0: Fraction(1)})
+        y = m @ x
+        assert degree(y) == 4
+        assert [e for _, _, e in terms(y)] == [3, 1]
 
     def test_apply_is_linear(self):
         rng = random.Random(5)
@@ -208,8 +228,8 @@ class TestGradedMatrix:
                 x = random_element(field, rng, m.source, d)
                 y = random_element(field, rng, m.source, d)
                 c = random_scalar(field, rng)
-                lhs = m.apply(add(scale(x, c), y))
-                rhs = add(scale(m.apply(x), c), m.apply(y))
+                lhs = m @ add(scale(x, c), y)
+                rhs = add(scale(m @ x, c), m @ y)
                 assert lhs == rhs
 
     def test_matmul_matches_apply_composition(self):
@@ -239,13 +259,13 @@ class TestGradedMatrix:
                 )
                 composed = a @ b
                 x = random_element(field, rng, b.source)
-                assert composed.apply(x) == a.apply(b.apply(x))
+                assert composed @ x == a @ (b @ x)
 
     def test_identity(self, simple_basis=None):
         basis = GradedBasis([("a", 0), ("b", 2)])
         ident = identity_matrix(QQ, basis)
-        x = HomogeneousElement(QQ, basis, 3, {0: Fraction(2), 1: Fraction(1)})
-        assert ident.apply(x) == x
+        x = element(QQ, basis, 3, {0: Fraction(2), 1: Fraction(1)})
+        assert ident @ x == x
 
     def test_stacking(self):
         b1 = GradedBasis([("x", 1)])
@@ -286,7 +306,7 @@ class TestColumnEchelon:
             ech = column_echelon(m)
             assert len(set(ech.lows.values())) == len(ech.lows)
             for l, c in ech.lows.items():
-                col = ech.reduced.column(c)
+                col = column(ech.reduced, c)
                 assert low(col) == l
 
     def test_zero_columns_reduced_to_zero(self):
@@ -321,7 +341,7 @@ class TestNormalForm:
                 m = random_graded_matrix(field, rng)
                 ech = column_echelon(m)
                 for j in range(m.ncols):
-                    assert membership(m.column(j), ech)
+                    assert membership(column(m, j), ech)
 
     def test_membership_of_random_images(self):
         rng = random.Random(31)
@@ -329,13 +349,13 @@ class TestNormalForm:
             for _ in range(30):
                 m = random_graded_matrix(field, rng)
                 x = random_element(field, rng, m.source)
-                assert membership(m.apply(x), m)
+                assert membership(m @ x, m)
 
     def test_membership_closed_under_t(self):
         rng = random.Random(37)
         for _ in range(20):
             m = random_graded_matrix(QQ, rng)
-            x = m.apply(random_element(QQ, rng, m.source))
+            x = m @ random_element(QQ, rng, m.source)
             assert membership(times_t(x, rng.randint(1, 3)), m)
 
     def test_membership_matches_slice_oracle(self):
@@ -348,21 +368,47 @@ class TestNormalForm:
                 m = random_graded_matrix(field, rng)
                 x = random_element(field, rng, m.target)
                 if rng.random() < 0.5:
-                    x = m.apply(random_element(field, rng, m.source, x.degree))
-                col = matrix_of_columns(field, m.target, [x], ["x"])
-                d = x.degree
-                want = slice_rank(hstack([m, col]), d) == slice_rank(m, d)
+                    x = m @ random_element(field, rng, m.source, degree(x))
+                d = degree(x)
+                want = slice_rank(hstack([m, x]), d) == slice_rank(m, d)
                 assert membership(x, m) == want
                 members += want
         assert 0 < members < 80
+
+    def test_membership_of_several_columns(self):
+        # x is a member iff each column j of x is a member at its own
+        # degree: appending it leaves that slice's rank unchanged
+        rng = random.Random(53)
+        outcomes = set()
+        for field in BOTH_FIELDS:
+            for _ in range(40):
+                m = random_graded_matrix(field, rng)
+                cols = [
+                    m @ random_element(field, rng, m.source)
+                    if rng.random() < 0.7
+                    else random_element(field, rng, m.target)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                x = matrix_of_columns(
+                    field, m.target, cols, [f"c{n}" for n in range(len(cols))]
+                )
+                want = all(
+                    slice_rank(hstack([m, column(x, j)]), d) == slice_rank(m, d)
+                    for j, d in enumerate(x.source.degrees)
+                )
+                assert membership(x, m) == want
+                outcomes.add(want)
+            empty = GradedMatrix.zero(field, GradedBasis([]), m.target)
+            assert membership(empty, m)
+        assert outcomes == {True, False}
 
     def test_detects_non_members(self):
         # t^2 x is in <t x> but x itself is not in <t x> at degree 1
         src = GradedBasis([("r", 2)])
         tgt = GradedBasis([("x", 1)])
         m = GradedMatrix.from_entries(QQ, src, tgt, {(0, 0): Fraction(1)})
-        low = HomogeneousElement(QQ, tgt, 1, {0: Fraction(1)})
-        high = HomogeneousElement(QQ, tgt, 2, {0: Fraction(1)})
+        low = element(QQ, tgt, 1, {0: Fraction(1)})
+        high = element(QQ, tgt, 2, {0: Fraction(1)})
         assert not membership(low, m)
         assert membership(high, m)
 
@@ -376,8 +422,8 @@ class TestNormalForm:
             {(0, 0): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(1)},
         )
         # y alone enters the span only once the degree-4 column applies
-        y2 = HomogeneousElement(QQ, tgt, 2, {1: Fraction(1)})
-        y4 = HomogeneousElement(QQ, tgt, 4, {1: Fraction(1)})
+        y2 = element(QQ, tgt, 2, {1: Fraction(1)})
+        y4 = element(QQ, tgt, 4, {1: Fraction(1)})
         assert not membership(y2, m)
         assert membership(y4, m)
 
@@ -388,16 +434,16 @@ class TestExpressInColumns:
         for field in BOTH_FIELDS:
             for _ in range(40):
                 m = random_graded_matrix(field, rng)
-                x = m.apply(random_element(field, rng, m.source))
+                x = m @ random_element(field, rng, m.source)
                 combo = express_in_columns(x, m)
                 assert combo is not None
-                assert m.apply(combo) == x
+                assert m @ combo == x
 
     def test_returns_none_outside_column_space(self):
         src = GradedBasis([("r", 2)])
         tgt = GradedBasis([("x", 1), ("y", 0)])
         m = GradedMatrix.from_entries(QQ, src, tgt, {(0, 0): Fraction(1)})
-        stray = HomogeneousElement(QQ, tgt, 2, {1: Fraction(1)})
+        stray = element(QQ, tgt, 2, {1: Fraction(1)})
         assert express_in_columns(stray, m) is None
 
 
@@ -409,8 +455,7 @@ class TestFreeKernel:
                 m = random_graded_matrix(field, rng)
                 k = free_kernel(m)
                 assert k.target == m.source
-                for j in range(k.ncols):
-                    assert not m.apply(k.column(j)).coords
+                assert (m @ k).is_zero
 
     def test_kernel_is_complete_in_every_degree(self):
         # dim ker in degree d must equal #cols(<=d) - rank of the slice,
@@ -439,4 +484,4 @@ class TestFreeKernel:
         )
         k = free_kernel(m)
         assert k.source.labels == ("k0",)
-        assert k.column(0).coords == {0: Fraction(-1), 1: Fraction(1)}
+        assert k.cols == ({0: Fraction(-1), 1: Fraction(1)},)

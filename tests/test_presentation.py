@@ -28,13 +28,17 @@ from helpers import (
     BOTH_FIELDS,
     alive_at,
     degree_bound,
+    element,
     free_rows,
     hand_built_presentations,
+    hstack,
     identity_matrix,
     identity_morphism,
     random_change_of_basis,
     random_presentation,
+    random_scalar,
     random_valid_morphism,
+    slice_rank,
     zero_morphism,
 )
 
@@ -255,6 +259,60 @@ class TestMorphisms:
                     g.src, g.dst, g.phi @ identity_matrix(field, g.src.gens)
                 )
                 assert h == g and validate_morphism(h)
+
+
+def slice_validates(m):
+    """``validate_morphism`` by dense slices: relation r of the source,
+    of degree d, must be sent into the degree-d slice of the target's
+    relation span.  phi(r) is summed with the field's plain add and mul."""
+    f = m.phi.field
+    rels = m.dst.incl
+    for d, col in zip(m.src.rels.degrees, m.src.incl.cols):
+        coords = {}
+        for k, c in col.items():
+            for i, v in m.phi.cols[k].items():
+                coords[i] = f.add(coords.get(i, f.zero), f.mul(v, c))
+        image = element(f, rels.target, d, coords, "phi(r)")
+        if slice_rank(hstack([rels, image]), d) != slice_rank(rels, d):
+            return False
+    return True
+
+
+def perturbed(phi, rng):
+    """phi with one entry, at a place the degrees allow, moved by a
+    nonzero scalar; None when the degrees allow no entry."""
+    f = phi.field
+    places = [
+        (i, j)
+        for j, d in enumerate(phi.source.degrees)
+        for i, e in enumerate(phi.target.degrees)
+        if e <= d
+    ]
+    if not places:
+        return None
+    i, j = rng.choice(places)
+    cols = [dict(col) for col in phi.cols]
+    cols[j][i] = f.add(cols[j].get(i, f.zero), random_scalar(f, rng, nonzero=True))
+    return GradedMatrix(f, phi.source, phi.target, cols)
+
+
+class TestValidateMorphism:
+    def test_matches_slice_oracle(self):
+        # valid random morphisms, and copies with one phi entry moved:
+        # some of those still descend to the quotients, some do not
+        for field in BOTH_FIELDS:
+            rng = random.Random(229)
+            outcomes = []
+            for trial in range(40):
+                f = random_valid_morphism(field, rng)
+                for phi in (f.phi, perturbed(f.phi, rng)):
+                    if phi is None:
+                        continue
+                    m = PresentationMorphism(f.src, f.dst, phi)
+                    want = slice_validates(m)
+                    assert validate_morphism(m) == want, f"trial {trial}"
+                    outcomes.append(want)
+            assert outcomes.count(False) >= 5 and outcomes.count(True) >= 40
 
 
 class TestOracles:

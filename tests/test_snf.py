@@ -6,7 +6,6 @@ from fractions import Fraction
 from persmod import (
     GradedBasis,
     GradedMatrix,
-    HomogeneousElement,
     PrimeField,
     QQ,
     column_echelon,
@@ -71,17 +70,15 @@ class TestWorkedExample:
     def test_new_generators(self):
         m = self.matrix()
         snf = graded_snf(m)
-        gens = columns(snf.row_change_inv)
+        # column j of S^-1 is new generator j, at the degree of row j
         tgt = m.target
-
-        def elem(degree, coords):
-            return HomogeneousElement(QQ, tgt, degree, coords)
-
-        assert gens[0] == elem(1, {0: one()})  # x itself
-        assert gens[1] == elem(1, {0: one(2), 1: one()})  # y + 2x
-        assert gens[2] == elem(2, {0: one(), 1: one(), 2: one()})  # z + ty + tx
-        assert gens[3] == elem(3, {0: one(), 1: one(), 3: one()})  # u + t^2(y + x)
-        assert gens[4] == elem(3, {0: one(-1), 4: one()})  # v - t^2 x
+        assert snf.row_change_inv == GradedMatrix(QQ, tgt, tgt, [
+            {0: one()},  # x itself
+            {0: one(2), 1: one()},  # y + 2x
+            {0: one(), 1: one(), 2: one()},  # z + ty + tx
+            {0: one(), 1: one(), 3: one()},  # u + t^2(y + x)
+            {0: one(-1), 4: one()},  # v - t^2 x
+        ])
 
     def test_change_identities(self):
         m = self.matrix()
