@@ -14,8 +14,8 @@ under ``target``, and ``map <name> -> <term> + ...`` lines under
 Barcodes print one bar per line as ``<dim> <birth> <death|inf>``
 sorted by dimension, birth, death, with ``-`` for the dimension of
 bars that do not carry one.  Identical inputs and flags produce
-byte-identical output.  Exit codes: 0 success, 1 parse error (or a
-reader that closed stdout early), 2 validation error.
+byte-identical output.  Exit codes: 0 success, 1 file or syntax error
+(or a reader that closed stdout early), 2 validation error.
 """
 
 from __future__ import annotations
@@ -609,7 +609,7 @@ def _cmd_op(args):
         with open(args.output, "w", encoding="ascii") as handle:
             handle.write(text)
     except OSError as e:
-        raise CliError(VALIDATION_ERROR, str(e)) from None
+        raise CliError(PARSE_ERROR, str(e)) from None
 
 
 _COMMANDS = {

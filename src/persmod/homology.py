@@ -13,8 +13,9 @@ it yields, give the same barcode; the tests keep both as oracles.
 
 Complexes that also remove simplices become torsion chain complexes:
 every simplex contributes a relation at its removal time, and homology
-in each dimension is the kernel of the boundary leaving the cokernel of
-the boundary arriving.
+is the kernel of the boundary leaving the cokernel of the boundary,
+computed for the whole complex at once; each bar carries the dimension
+of its kernel generator.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .presentation import (
     Barcode,
     Presentation,
     PresentationMorphism,
-    barcode,
+    _annihilators,
 )
 
 __all__ = [
@@ -177,16 +178,14 @@ def _codim_one_faces(vertices):
 def graded_boundary(filtration: FilteredComplex, field=QQ) -> GradedMatrix:
     """The boundary of a filtered complex as a square graded matrix.
 
-    Rows and columns are the simplices in filtration order; the entry
-    for (face, simplex) is the alternating sign, carrying an implied
-    t-power equal to the difference of their births.  Vertex columns
-    are zero.
+    Rows and columns are the simplices in filtration order
+    (``FilteredComplex._order``); the entry for (face, simplex) is the
+    alternating sign, carrying an implied t-power equal to the
+    difference of their births.  Vertex columns are zero.  It is the
+    boundary of ``relative_complex``, whose generators take the same
+    order.
     """
-    return _boundary_in_order(filtration, filtration._order(), field)
-
-
-def _boundary_in_order(filtration, order, field) -> GradedMatrix:
-    """``graded_boundary`` with the filtration order given."""
+    order = filtration._order()
     ordered = [filtration.simplices[n] for n in order]
     basis = GradedBasis(
         (simplex_label(s.vertices), s.birth) for s in ordered
@@ -284,7 +283,9 @@ class TorsionChainComplex:
     ``chains`` presents all chain groups at once; ``dims`` assigns a
     homological dimension to each generator.  The boundary must be a
     square matrix on the generator basis that drops the homological
-    dimension by exactly one and squares to zero.
+    dimension by exactly one and squares to zero, and each relation
+    must lie in one dimension, so the complex is the direct sum of its
+    dimensions.
     """
 
     __slots__ = ("chains", "boundary", "dims")
@@ -302,6 +303,9 @@ class TorsionChainComplex:
                         "boundary entry does not drop homological "
                         f"dimension by one at ({i}, {j})"
                     )
+        for j, col in enumerate(chains.incl.cols):
+            if len({dims[i] for i in col}) > 1:
+                raise ValueError(f"relation {j} mixes homological dimensions")
         if not (boundary @ boundary).is_zero:
             raise ValueError("boundary does not square to zero")
         self.chains = chains
@@ -340,9 +344,8 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
     grade g exactly when the boundary descends; for p >= 1 and a
     boundary that does not descend it is a choice of this package.
     """
-    order = filtration._order()
-    boundary = _boundary_in_order(filtration, order, field)
-    ordered = [filtration.simplices[n] for n in order]
+    boundary = graded_boundary(filtration, field)
+    ordered = [filtration.simplices[n] for n in filtration._order()]
     removed = sorted(
         (i for i, s in enumerate(ordered) if s.removal != INF),
         key=lambda i: (ordered[i].removal, i),
@@ -374,79 +377,34 @@ def _descent_failure(filtration: FilteredComplex, show=lambda value: value):
     return None
 
 
-def _restrict_presentation(tcc: TorsionChainComplex, p: int) -> Presentation:
-    """The sub-presentation of the chains in homological dimension p."""
-    field = tcc.chains.field
-    rows = [i for i, d in enumerate(tcc.dims) if d == p]
-    remap = {i: n for n, i in enumerate(rows)}
-    gens = GradedBasis(
-        (tcc.chains.gens.labels[i], tcc.chains.gens.degrees[i]) for i in rows
-    )
-    rel_cols = []
-    rel_entries = []
-    for j, col in enumerate(tcc.chains.incl.cols):
-        support = {tcc.dims[i] for i in col}
-        if len(support) > 1:
-            raise ValueError(f"relation {j} mixes homological dimensions")
-        if support == {p}:
-            rel_cols.append(j)
-            rel_entries.append({remap[i]: c for i, c in col.items()})
-    rels = GradedBasis(
-        (tcc.chains.rels.labels[j], tcc.chains.rels.degrees[j])
-        for j in rel_cols
-    )
-    return Presentation(field, GradedMatrix(field, rels, gens, rel_entries))
-
-
-def _boundary_block(tcc: TorsionChainComplex, p: int, src, dst) -> GradedMatrix:
-    """The boundary restricted to dimension-p columns and (p-1)-rows."""
-    field = tcc.chains.field
-    src_idx = [i for i, d in enumerate(tcc.dims) if d == p]
-    dst_idx = [i for i, d in enumerate(tcc.dims) if d == p - 1]
-    remap = {i: n for n, i in enumerate(dst_idx)}
-    cols = [
-        {remap[i]: c for i, c in tcc.boundary.cols[j].items()}
-        for j in src_idx
-    ]
-    return GradedMatrix(field, src, dst, cols)
-
-
 def torsion_homology(tcc: TorsionChainComplex) -> Barcode:
     """Dimension-labeled barcode of a torsion chain complex.
 
-    For each dimension p, H_p is the kernel of the boundary leaving the
-    quotient C_p / im d_{p+1}: the cokernel of the arriving boundary,
-    mapped into the (p-1)-chains.  Its generators are the elements of
-    C_p whose boundary lies in the (p-1)-relations, and its relations
-    are those generators lying in Rel_p + im d_{p+1}.
+    H = ker(d : C / im d -> C), for the whole complex at once: one
+    cokernel of the boundary, and one kernel of the boundary leaving
+    it.  Its generators are the chains whose boundary lies in the
+    relations, and its relations are those generators lying in
+    Rel + im d.  The boundary and the relations are block-diagonal by
+    homological dimension, and a column operation only combines
+    columns that share a pivot row, so each kernel generator lies in
+    one dimension, which its bar carries.
 
-    H0 is the cokernel of the boundary from the 1-chains into C0.  A
-    cokernel depends only on the images of the edge generators, so it
-    is well defined whether or not the boundary descends to the torsion
-    chains (see ``relative_complex``).  For p >= 1 the cycles are the
-    preimage of the (p-1)-relations under the boundary.
-
-    This is torsion-chain homology.  When the boundary descends, taking
-    the degree-g part is exact, so the bars alive at grade g count the
-    homology of the slice complex {birth <= g < removal}; the tests
-    check this against dense Betti numbers of every slice.  For p >= 1
-    and a boundary that does not descend, the answer is a choice of
-    this package and not the homology of the complex alive at each
-    grade.
+    H0 is a cokernel, so it is well defined whether or not the boundary
+    descends to the torsion chains (see ``relative_complex``).  When
+    the boundary descends, taking the degree-g part is exact, so the
+    bars alive at grade g count the homology of the slice complex
+    {birth <= g < removal}; the tests check this against dense Betti
+    numbers of every slice.  For p >= 1 and a boundary that does not
+    descend, this torsion-chain homology is a choice of this package
+    and not the homology of the complex alive at each grade.
     """
-    top = tcc.max_dimension
-    chain_at = {p: _restrict_presentation(tcc, p) for p in range(top + 1)}
-    chain_at[-1] = chain_at[top + 1] = Presentation.free(tcc.chains.field, [])
-    # block[p], the boundary C_p -> C_(p-1), serves both H_p and H_(p-1)
-    block = {
-        p: _boundary_block(tcc, p, chain_at[p].gens, chain_at[p - 1].gens)
-        for p in range(top + 2)
-    }
-    bars = []
-    for p in range(top + 1):
-        quotient = cokernel(
-            PresentationMorphism(chain_at[p + 1], chain_at[p], block[p + 1])
-        )
-        h = kernel(PresentationMorphism(quotient, chain_at[p - 1], block[p]))[0]
-        bars.extend(barcode(h, dim=p))
-    return Barcode(bars)
+    quotient = cokernel(
+        PresentationMorphism(tcc.chains, tcc.chains, tcc.boundary)
+    )
+    h, into = kernel(PresentationMorphism(quotient, tcc.chains, tcc.boundary))
+    # a kernel column is nonzero, and all its rows share one dimension
+    dims = [tcc.dims[next(iter(col))] for col in into.phi.cols]
+    return Barcode(
+        Bar(p, deg, deg + a)
+        for p, deg, a in zip(dims, h.gens.degrees, _annihilators(h))
+    )

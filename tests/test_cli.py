@@ -786,6 +786,15 @@ class TestOpCommand:
             "gen x 1\nrel 1t^3*x\n"
         )
 
+    def test_unwritable_output_is_a_file_error(self, tmp_path, capsys):
+        # like an unreadable input: exit 1 and one error line
+        path = write(tmp_path, "m.pmod", TORSION_MODULE)
+        out_path = tmp_path / "missing" / "o.pmod"
+        code, out, err = invoke(["op", "dual", path, "-o", str(out_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(out_path) in err
+        assert err.count("\n") == 1
+
     def test_unary_and_binary_presentation_ops(self, tmp_path, capsys):
         path = write(tmp_path, "m.pmod", TORSION_MODULE)
         for op, inputs in [

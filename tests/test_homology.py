@@ -771,11 +771,50 @@ class TestTorsionHomology:
                 got = sorted(bar_triples(tors.without_ephemeral()))
                 assert got == want
 
+    def test_negative_dimension_keeps_its_bars(self):
+        # H is taken on the whole complex, so a dimension label below 0
+        # is a dimension like any other
+        chains = Presentation.from_terms(
+            QQ, [("a", 0), ("b", 1)], [[(1, 2, "a")]]
+        )
+        boundary = GradedMatrix.zero(QQ, chains.gens, chains.gens)
+        tcc = TorsionChainComplex(chains, boundary, (-1, 0))
+        assert bar_triples(torsion_homology(tcc)) == [(-1, 0, 2), (0, 1, INF)]
+
+    # Full barcodes, ephemeral bars included, of seeded inputs whose
+    # boundary does not descend to the torsion chains.  There the
+    # ephemeral bars depend on the presentation, and neither the cone
+    # oracle (descending inputs only) nor the dense slice oracle (blind
+    # to length-0 bars) pins them.
+    PINNED_NON_DESCENDING = {
+        81: [
+            (0, 2, 21), (0, 3, 3), (0, 3, 4), (0, 4, 6), (0, 4, 6),
+            (1, 6, 8), (1, 7, 17), (1, 21, 21), (1, 22, 22), (1, 22, 22),
+            (1, 23, 23), (2, 17, 17),
+        ],
+        83: [
+            (0, 0, 19), (0, 1, 3), (0, 3, 3), (0, 3, 4), (1, 4, 5),
+            (1, 4, 13), (1, 5, 5), (1, 19, 19), (1, 20, 20), (1, 20, 20),
+            (2, 14, 14), (2, 14, 14),
+        ],
+        93: [
+            (0, 0, 0), (0, 0, 18), (0, 2, 5), (0, 4, 4), (1, 5, 14),
+            (1, 18, 18), (1, 20, 20), (1, 20, 20),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_NON_DESCENDING))
+    @pytest.mark.parametrize("field", BOTH_FIELDS, ids=repr)
+    def test_pinned_barcodes_with_ephemeral_bars(self, seed, field):
+        c = random_filtered_complex(random.Random(seed), with_removals=True)
+        assert _descent_failure(c) is not None
+        bars = torsion_homology(relative_complex(c, field))
+        assert bar_triples(bars) == self.PINNED_NON_DESCENDING[seed]
+
     def test_mixed_dimension_relation_rejected(self):
         chains = Presentation.from_terms(
             QQ, [("a", 0), ("b", 1)], [[(1, 2, "a"), (1, 1, "b")]]
         )
         boundary = GradedMatrix.zero(QQ, chains.gens, chains.gens)
-        tcc = TorsionChainComplex(chains, boundary, (0, 1))
         with pytest.raises(ValueError, match="mixes homological"):
-            torsion_homology(tcc)
+            TorsionChainComplex(chains, boundary, (0, 1))
