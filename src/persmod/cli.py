@@ -66,7 +66,6 @@ __all__ = [
     "CliError",
     "format_presentation",
     "main",
-    "parse_complex",
     "parse_morphism",
     "parse_presentation",
     "run",
@@ -180,11 +179,6 @@ def _as_written(value_map):
     """A filtration value as the input wrote it, before any ranking."""
     raw = {rank: v for v, rank in (value_map or {}).items()}
     return lambda v: raw.get(v, v)
-
-
-def parse_complex(text: str) -> FilteredComplex:
-    """Parse filtered-complex text; see the module docstring for grammar."""
-    return _load_complex(text)[0]
 
 
 def _parse_term(token: str, lineno: int, field, coeffs):

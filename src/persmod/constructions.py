@@ -19,7 +19,9 @@ column reduction of the relations, the diagonal of the graded Smith
 normal form.  Generators killed instantly (annihilator t^0) span zero
 summands and are dropped.  :func:`snf_form` runs the graded Smith
 normal form instead, for callers that need its change of generator
-basis to map elements through.
+basis to map elements through, and reads the annihilators off its
+pairing with the same reader,
+:func:`~persmod.presentation._annihilators`.
 
 A diagonal result is fully given by its (label, degree, annihilator)
 triples, one per summand, so these functions return a presentation
@@ -33,6 +35,7 @@ at construction time.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, combinations_with_replacement, starmap
 
 from .linalg import (
@@ -202,33 +205,31 @@ class SnfForm:
 
     ``presentation`` has one monic relation t^a per torsion generator
     and none for free generators; instantly-killed generators are gone.
-    ``annihilators`` lists each surviving generator's exponent (INF for
+    Its ``triples`` hold each surviving generator's exponent (INF for
     free).  ``to_new`` maps old generator coordinates to the new ones
     and ``from_new`` embeds the new generators back; they compose to the
     identity on the new side.
     """
 
-    __slots__ = ("presentation", "to_new", "from_new", "annihilators")
+    __slots__ = ("presentation", "to_new", "from_new")
 
-    def __init__(self, presentation, to_new, from_new, annihilators):
+    def __init__(self, presentation, to_new, from_new):
         self.presentation = presentation
         self.to_new = to_new
         self.from_new = from_new
-        self.annihilators = annihilators
 
 
 def snf_form(p: Presentation) -> SnfForm:
     """Diagonalize a presentation, dropping zero summands."""
     snf = graded_snf(p.incl)
-    ann_by_row = {row: mono.exponent for row, _, mono in snf.diagonal}
-    gens = [(lab, deg, ann_by_row.get(i, INF)) for i, (lab, deg) in enumerate(p.gens)]
+    gens = [(lab, deg, a) for (lab, deg), a in zip(p.gens, _annihilators(p, snf.lows))]
     kept = [i for i, (_, _, a) in enumerate(gens) if a != 0]
     pres = _diagonal_presentation(p.field, [gens[i] for i in kept])
     to_new = snf.row_change.restrict_rows(kept, pres.gens)
     from_new = GradedMatrix(
         p.field, pres.gens, p.gens, [snf.row_change_inv.cols[i] for i in kept]
     )
-    return SnfForm(pres, to_new, from_new, tuple(gens[i][2] for i in kept))
+    return SnfForm(pres, to_new, from_new)
 
 
 def _diagonal(p: Presentation) -> list:
@@ -336,6 +337,12 @@ def _power(p: Presentation, m: int, name: str, choose, sep: str):
     gens = _diagonal(p)
     if m == 1:
         return _diagonal_presentation(p.field, gens)
+    # with no choice the power is zero, even for a huge m; itertools
+    # allocates m slots first, but a choice exists at m iff at min(m, n + 1)
+    if next(choose(gens, min(m, len(gens) + 1)), None) is None:
+        return _diagonal_presentation(p.field, [])
+    if m > sys.maxsize:
+        raise ValueError(f"{name} power needs m <= {sys.maxsize}")
     triples = [
         ("(" + sep.join(labels) + ")", sum(degrees), min(anns))
         for labels, degrees, anns in starmap(zip, choose(gens, m))

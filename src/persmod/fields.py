@@ -1,10 +1,10 @@
-"""Exact scalar arithmetic over a coefficient field, and monomials in k[t].
+"""Exact scalar arithmetic over a coefficient field.
 
-Every computation in this package is homogeneous, so the only ring
-elements that ever appear are monomials c*t^e with c in the ground
-field k.  Two fields are supported: the rationals and the prime fields
-Z/p (ints reduced mod p).  A rational scalar is an ``int`` while it is
-integral and a ``fractions.Fraction`` once a division leaves a
+Every computation in this package is homogeneous, so a ring element
+c*t^e of k[t] is stored as its scalar c in the ground field k, and the
+degrees imply e.  Two fields are supported: the rationals and the prime
+fields Z/p (ints reduced mod p).  A rational scalar is an ``int`` while
+it is integral and a ``fractions.Fraction`` once a division leaves a
 remainder, so chains that start at +-1 run on int arithmetic.  There
 is no floating point anywhere.
 
@@ -32,13 +32,9 @@ integral and a ``Fraction`` otherwise.
     >>> F.combine(col, {0: 2, 2: 1}, 2)
     >>> col
     {1: 2, 2: 3}
-    >>> Monomial(Q.scalar(3), 2)
-    Monomial(3, 2)
-    >>> Monomial(Q.zero, 5)
-    Monomial(0, 0)
 
-Because all elements are homogeneous, a nonzero monomial divides
-another exactly when its exponent is not larger, so a general extended
+Because all elements are homogeneous, a nonzero c*t^e divides another
+exactly when its exponent is not larger, so a general extended
 Euclidean algorithm is never needed.
 """
 
@@ -334,35 +330,3 @@ def field_from_string(spec: str):
             raise ValueError(f"bad prime in field spec {spec!r}") from None
         return PrimeField(p)
     raise ValueError(f"unknown field spec {spec!r} (expected 'Q' or 'Zp:<p>')")
-
-
-class Monomial:
-    """A homogeneous element c*t^e of k[t].
-
-    The zero monomial is canonical: a zero coefficient forces exponent 0.
-    Sums of monomials only make sense at equal exponents, so no general
-    polynomial type exists in this package.
-    """
-
-    __slots__ = ("coeff", "exponent")
-
-    def __init__(self, coeff, exponent: int):
-        if exponent < 0:
-            raise ValueError(f"monomial exponent must be >= 0, got {exponent}")
-        if not coeff:
-            exponent = 0
-        self.coeff = coeff
-        self.exponent = exponent
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.coeff == other.coeff
-            and self.exponent == other.exponent
-        )
-
-    def __hash__(self):
-        return hash((self.coeff, self.exponent))
-
-    def __repr__(self):
-        return f"Monomial({self.coeff}, {self.exponent})"

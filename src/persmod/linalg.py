@@ -29,8 +29,6 @@ reductions are deterministic.
 
 from __future__ import annotations
 
-from .fields import Monomial
-
 # ---------------------------------------------------------------------------
 # SECTION: bases
 # ---------------------------------------------------------------------------
@@ -412,21 +410,23 @@ class SnfResult:
 
     S (``row_change``, inverse ``row_change_inv``) is graded-invertible,
     and S @ F @ T is diagonal for a graded-invertible T that is not
-    built.  ``diagonal`` lists its entries as (row, col, pivot monomial)
-    in treatment order, in the original index space.  A row with no
-    entry is a free generator when F presents a module.
+    built.  ``lows`` is the pivot pairing, pivot row -> column in
+    treatment order, as in :class:`ColumnEchelon`; the diagonal entry in
+    row p is (S @ F)[p, lows[p]], and its exponent is the degree
+    difference of that column and row.  A row with no entry is a free
+    generator when F presents a module.
 
     New generator j is column j of ``row_change_inv`` read over the
     original target basis; a diagonal entry c*t^e in row j means that
     t^e times it is a relation and no lower power of t is.
     """
 
-    __slots__ = ("row_change", "row_change_inv", "diagonal")
+    __slots__ = ("row_change", "row_change_inv", "lows")
 
-    def __init__(self, s, s_inv, diagonal):
+    def __init__(self, s, s_inv, lows):
         self.row_change = s
         self.row_change_inv = s_inv
-        self.diagonal = diagonal
+        self.lows = lows
 
 
 def graded_snf(m: GradedMatrix) -> SnfResult:
@@ -449,9 +449,9 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
     >>> cols = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 3: 1},
     ...         {1: 1, 2: 1, 4: 1}, {1: 1, 2: 1, 3: 1}]
     >>> snf = graded_snf(GradedMatrix(QQ, rels, gens, cols))
-    >>> [(p, c, d.exponent) for p, c, d in snf.diagonal]
-    [(2, 0, 0), (3, 1, 0), (4, 2, 1), (1, 3, 3)]
-    >>> sorted({0, 1, 2, 3, 4} - {p for p, _, _ in snf.diagonal})
+    >>> snf.lows
+    {2: 0, 3: 1, 4: 2, 1: 3}
+    >>> sorted({0, 1, 2, 3, 4} - snf.lows.keys())
     [0]
     """
     f = m.field
@@ -460,7 +460,7 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
     s_inv_cols = [{i: f.one} for i in range(len(tgt))]
     key = _pivot_rank(tgt).__getitem__
     pivots = []  # (pivot row, column as treated), in treatment order
-    diagonal = []
+    lows: dict[int, int] = {}
     for c in m.source.sorted_indices():
         col = dict(m.cols[c])
         for i, e in pivots:
@@ -476,11 +476,9 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
                 f.combine(s_rows[i], s_rows[p], r)
                 f.combine(s_inv_cols[p], s_inv_cols[i], f.neg(r))
         pivots.append((p, col))
-        diagonal.append(
-            (p, c, Monomial(col[p], m.source.degrees[c] - tgt.degrees[p]))
-        )
+        lows[p] = c
 
     s_entries = {(i, j): c for i, row in enumerate(s_rows) for j, c in row.items()}
     s = GradedMatrix.from_entries(f, tgt, tgt, s_entries)
     s_inv = GradedMatrix(f, tgt, tgt, s_inv_cols)
-    return SnfResult(s, s_inv, tuple(diagonal))
+    return SnfResult(s, s_inv, lows)

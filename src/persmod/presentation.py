@@ -255,19 +255,23 @@ class Barcode:
         return f"Barcode({list(self.bars)!r})"
 
 
-def _annihilators(p: Presentation) -> list:
-    """Each generator's annihilator exponent, from the pivot pairing.
+def _annihilators(p: Presentation, lows=None) -> list:
+    """Each generator's annihilator exponent, from a pivot pairing.
 
-    One untracked column reduction of the inclusion: pivot row i of
+    ``lows`` maps pivot rows to relation columns, and defaults to that
+    of one untracked column reduction of the inclusion: pivot row i of
     relation column j gives deg rel j - deg gen i, and a generator row
     that is no pivot gives INF.  Zero relation columns contribute
     nothing.  The pairing does not depend on which legal column
-    operations reach it, so these are the diagonal entries of the graded
-    Smith normal form.
+    operations reach it, so ``graded_snf(p.incl).lows`` is the same
+    pairing, and these are the diagonal entries of the graded Smith
+    normal form.
     """
+    if lows is None:
+        lows = column_echelon(p.incl).lows
     ann = [INF] * len(p.gens)
     gdeg, rdeg = p.gens.degrees, p.rels.degrees
-    for i, j in column_echelon(p.incl).lows.items():
+    for i, j in lows.items():
         ann[i] = rdeg[j] - gdeg[i]
     return ann
 

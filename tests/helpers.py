@@ -20,7 +20,6 @@ from persmod import (
     FilteredComplex,
     GradedBasis,
     GradedMatrix,
-    Monomial,
     Presentation,
     PresentationMorphism,
     PrimeField,
@@ -375,25 +374,23 @@ def hand_built_presentations(field):
 def assert_snf_certificate(m, snf):
     """Check a graded SNF of ``m`` with no SNF code.
 
-    S and its inverse must invert each other, the diagonal must hold at
-    most one entry per row and per column with the exponents the degrees
-    imply, and S @ m must span what the diagonal matrix D spans, as
-    S @ m @ T == D for an invertible T requires.  A span ignores units,
-    so each pivot coefficient is checked as an entry of S @ m: T only
-    adds earlier pivot columns, which vanish in later pivot rows.
+    S and its inverse must invert each other, the pairing ``lows`` must
+    give each column at most one pivot row, at a nonnegative exponent,
+    and S @ m must span what the diagonal matrix D spans, as
+    S @ m @ T == D for an invertible T requires.  The entry of D in row
+    p is that of S @ m at (p, lows[p]): T only adds earlier pivot
+    columns, which vanish in later pivot rows.
     """
     s, s_inv = snf.row_change, snf.row_change_inv
     ident = identity_matrix(m.field, m.target)
     assert s @ s_inv == ident and s_inv @ s == ident
-    rows = [p for p, _, _ in snf.diagonal]
-    cols = [c for _, c, _ in snf.diagonal]
-    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert len(set(snf.lows.values())) == len(snf.lows)
     sm = s @ m
     entries = {}
-    for p, c, mono in snf.diagonal:
-        assert mono.exponent == m.source.degrees[c] - m.target.degrees[p] >= 0
-        assert mono.coeff and sm.entry(p, c) == mono.coeff
-        entries[(p, c)] = mono.coeff
+    for p, c in snf.lows.items():
+        assert m.source.degrees[c] >= m.target.degrees[p]
+        assert sm.entry(p, c)
+        entries[(p, c)] = sm.entry(p, c)
     d = GradedMatrix.from_entries(m.field, m.source, m.target, entries)
     sm_ech, d_ech = column_echelon(sm), column_echelon(d)
     assert membership(sm, d_ech) and membership(d, sm_ech)
@@ -401,8 +398,7 @@ def assert_snf_certificate(m, snf):
 
 def free_rows(m, snf):
     """Target rows that hold no diagonal entry."""
-    pivots = {p for p, _, _ in snf.diagonal}
-    return tuple(i for i in range(len(m.target)) if i not in pivots)
+    return tuple(i for i in range(len(m.target)) if i not in snf.lows)
 
 
 def row_operation_snf(m):
@@ -452,7 +448,7 @@ def row_operation_snf(m):
         axpy(s_rows[i], s_rows[p], r)
         axpy(s_inv_cols[p], s_inv_cols[i], f.neg(r))
 
-    diagonal = []
+    lows = {}
     for c in m.source.sorted_indices():
         col = cols[c]
         if not col:
@@ -464,25 +460,23 @@ def row_operation_snf(m):
         rows[p].discard(c)
         for c2 in rows[p]:
             del cols[c2][p]
-        diagonal.append(
-            (p, c, Monomial(col[p], m.source.degrees[c] - tgt.degrees[p]))
-        )
+        lows[p] = c
     s_entries = {(i, j): c for i, row in enumerate(s_rows) for j, c in row.items()}
     s = GradedMatrix.from_entries(f, tgt, tgt, s_entries)
     s_inv = GradedMatrix(f, tgt, tgt, s_inv_cols)
-    return SnfResult(s, s_inv, tuple(diagonal))
+    return SnfResult(s, s_inv, lows)
 
 
 def snf_exactly(snf):
-    """An SNF's S, S^-1 and diagonal with the type of every scalar:
-    ``repr`` tells the int 2 from ``Fraction(2, 1)``."""
+    """An SNF's S and S^-1 with the type of every scalar, and its
+    pairing: ``repr`` tells the int 2 from ``Fraction(2, 1)``."""
     def matrix(mat):
         return [sorted((i, repr(c)) for i, c in col.items()) for col in mat.cols]
 
     return (
         matrix(snf.row_change),
         matrix(snf.row_change_inv),
-        [(p, c, repr(d.coeff), d.exponent) for p, c, d in snf.diagonal],
+        list(snf.lows.items()),
     )
 
 

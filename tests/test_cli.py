@@ -55,10 +55,10 @@ from persmod import (
 )
 from persmod.cli import (
     CliError,
+    _load_complex,
     _parse_value,
     format_presentation,
     main,
-    parse_complex,
     parse_morphism,
     parse_presentation,
 )
@@ -155,31 +155,31 @@ def drop_zero_relations(p):
 
 class TestParseComplex:
     def test_births_removals_comments(self):
-        c = parse_complex("# c\n\n0 ; 1\n1;2\n0 1 ; 3 ; 9\n")
+        c = _load_complex("# c\n\n0 ; 1\n1;2\n0 1 ; 3 ; 9\n")[0]
         assert [s.vertices for s in c.simplices] == [(0,), (1,), (0, 1)]
         assert [s.birth for s in c.simplices] == [1, 2, 3]
         assert c.simplices[2].removal == 9
 
     def test_empty_text(self):
-        assert len(parse_complex("")) == 0
+        assert len(_load_complex("")[0]) == 0
 
     def test_bad_value_reports_line(self):
         with pytest.raises(CliError) as err:
-            parse_complex("0 ; 1\n1 ; soon\n")
+            _load_complex("0 ; 1\n1 ; soon\n")[0]
         assert err.value.code == 1
         assert "line 2" in str(err.value)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity", "1e999"])
     def test_non_finite_value_rejected(self, token):
         with pytest.raises(CliError) as err:
-            parse_complex(f"0 ; 0\n1 ; 1\n0 1 ; {token}\n")
+            _load_complex(f"0 ; 0\n1 ; 1\n0 1 ; {token}\n")[0]
         assert err.value.code == 1
         assert "line 3" in str(err.value)
         assert repr(token) in str(err.value)
 
     def test_non_finite_removal_rejected(self):
         with pytest.raises(CliError) as err:
-            parse_complex("0 ; 0.5 ; inf\n")
+            _load_complex("0 ; 0.5 ; inf\n")[0]
         assert err.value.code == 1
         assert "line 1" in str(err.value)
 
@@ -215,7 +215,7 @@ class TestParseComplex:
 
     def test_missing_separator(self):
         with pytest.raises(CliError) as err:
-            parse_complex("0 1\n")
+            _load_complex("0 1\n")[0]
         assert err.value.code == 1
         assert str(err.value) == (
             "line 1: expected 'v0 v1 ... ; birth [; removal]'"
@@ -223,13 +223,13 @@ class TestParseComplex:
 
     def test_bad_vertex(self):
         with pytest.raises(CliError) as err:
-            parse_complex("a b ; 1\n")
+            _load_complex("a b ; 1\n")[0]
         assert err.value.code == 1
         assert str(err.value) == "line 1: bad vertex in 'a b'"
 
     def test_invariant_violation_is_validation_error(self):
         with pytest.raises(CliError) as err:
-            parse_complex("0 ; 0\n0 1 ; 1\n")
+            _load_complex("0 ; 0\n0 1 ; 1\n")[0]
         assert err.value.code == 2
         assert str(err.value) == "line 2: simplex (0, 1) is missing face (1,)"
 
@@ -283,7 +283,7 @@ class TestParseComplex:
         for with_removals in (False, True):
             for _ in range(10):
                 c = random_filtered_complex(rng, with_removals=with_removals)
-                assert parse_complex(complex_text(c)) == c
+                assert _load_complex(complex_text(c))[0] == c
 
 
 class TestParsePresentation:
@@ -998,7 +998,7 @@ class TestRoundTrips:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(c=complexes())
     def test_complex(self, c):
-        assert parse_complex(complex_text(c)) == c
+        assert _load_complex(complex_text(c))[0] == c
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(data=st.data(), field=COEFFICIENT_FIELDS)
@@ -1165,6 +1165,7 @@ def assert_contract(directory, field, command, text):
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     assert sum(ln.startswith("error:") for ln in lines) == (code != 0), lines
+    return code, lines
 
 
 class TestPresentationLabels:
@@ -1293,3 +1294,25 @@ class TestCliContract:
     )
     def test_presentation_text(self, contract_dir, field, command, text):
         assert_contract(contract_dir, field, command, text)
+
+    HUGE = "9" * 27
+
+    @pytest.mark.parametrize(
+        "operation, text",
+        [
+            (f"wedge:{HUGE}", "gen x 0\nrel 1t^2*x\n"),
+            (f"wedge:{sys.maxsize}", "gen x 0\nrel 1t^2*x\n"),
+            (f"wedge:{HUGE}", ""),
+            (f"sym:{HUGE}", ""),
+            (f"sym:{HUGE}", "gen x 0\nrel 1t^0*x\n"),
+        ],
+    )
+    def test_power_with_no_choice_is_zero(self, tmp_path, operation, text):
+        # decided before itertools allocates one slot per factor
+        assert assert_contract(tmp_path, "Q", ["op", operation], text) == (0, [])
+        assert (tmp_path / "out.txt").read_text() == ""
+
+    def test_power_past_maxsize(self, tmp_path):
+        text = "gen x 0\nrel 1t^2*x\n"
+        got = assert_contract(tmp_path, "Q", ["op", f"sym:{self.HUGE}"], text)
+        assert got == (2, [f"error: symmetric power needs m <= {sys.maxsize}"])

@@ -475,16 +475,15 @@ class TestSnfForm:
                 want = barcode(p).without_ephemeral()
                 assert barcode(sf.presentation) == want, f"trial {trial}"
                 from_anns = sorted(
-                    (d, d + a)
-                    for d, a in zip(sf.presentation.gens.degrees, sf.annihilators)
+                    (d, d + a) for _, d, a in sf.presentation.triples
                 )
                 from_bars = sorted((b.birth, b.death) for b in want)
                 assert from_anns == from_bars, f"trial {trial}"
 
 
     def test_pairing_diagonal_matches_snf(self):
-        # the multiplicative family reads the pivot pairing; snf_form
-        # reads graded_snf's diagonal; both must drop the same t^0 pairs
+        # the multiplicative family reads column_echelon's pairing;
+        # snf_form reads graded_snf's; both must drop the same t^0 pairs
         instant = zero_cols = 0
         for field in (*BOTH_FIELDS, PrimeField(2)):
             rng = random.Random(67)
@@ -493,9 +492,7 @@ class TestSnfForm:
             for p in cases:
                 sf = snf_form(p)
                 gens = sf.presentation.gens
-                assert _diagonal(p) == list(
-                    zip(gens.labels, gens.degrees, sf.annihilators)
-                )
+                assert _diagonal(p) == sf.presentation.triples
                 assert exterior_power(p, 1) == sf.presentation
                 assert symmetric_power(p, 1) == sf.presentation
                 instant += len(p.gens) - len(gens)
@@ -807,7 +804,7 @@ class TestLazyDiagonal:
             got, want = snf_form(tensor(p, q)), snf_form(eager)
             assert got.presentation == want.presentation
             assert (got.to_new, got.from_new) == (want.to_new, want.from_new)
-            assert got.annihilators == want.annihilators
+            assert got.presentation.triples == want.presentation.triples
 
     def test_colliding_labels_fail_at_construction(self):
         # (x*, y*.z) and (x*.y*, z) both make (x*.y*.z)

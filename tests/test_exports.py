@@ -1,9 +1,11 @@
 """Every exported name resolves, and so does every entry point the README
 names, so a deletion cannot leave a stale export or a stale doc."""
 
+import ast
 import importlib
 import pkgutil
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -57,6 +59,25 @@ def test_reduce_loop_is_bound_only_in_linalg():
         if module is not linalg:
             bound = [n for n, obj in vars(module).items() if obj is linalg._reduce]
             assert not bound, f"{module.__name__} binds _reduce as {bound}"
+
+
+def test_package_imports_only_the_standard_library():
+    # numpy and scipy are installed where the suite runs, so an
+    # accidental import of either would pass every other test
+    outside = []
+    for path in sorted(Path(persmod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names and top != "persmod":
+                    outside.append(f"{path.name}: {name}")
+    assert not outside, f"non-stdlib imports {outside}"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
