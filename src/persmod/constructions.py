@@ -35,6 +35,7 @@ at construction time.
 
 from __future__ import annotations
 
+import math
 import sys
 from itertools import combinations, combinations_with_replacement, starmap
 
@@ -326,11 +327,18 @@ def hom(p: Presentation, q: Presentation) -> Presentation:
     return tensor(dual(p), q)
 
 
-def _power(p: Presentation, m: int, name: str, choose, sep: str):
+# A power whose generator labels would exceed this many characters is
+# refused before anything is built; the test and benchmark inputs need
+# at most 200,000.
+POWER_LABEL_LIMIT = 10**7
+
+
+def _power(p: Presentation, m: int, name: str, choose, count, sep: str):
     """Generators are the m-element choices of diagonal generators.
 
     A choice has the summed degree and dies as soon as any member does;
-    the first power is the diagonal form itself.
+    the first power is the diagonal form itself.  ``count(n, m)`` is the
+    number of choices from n generators.
     """
     if m < 1:
         raise ValueError(f"{name} power needs m >= 1")
@@ -343,6 +351,15 @@ def _power(p: Presentation, m: int, name: str, choose, sep: str):
         return _diagonal_presentation(p.field, [])
     if m > sys.maxsize:
         raise ValueError(f"{name} power needs m <= {sys.maxsize}")
+    # a label is "(" + m labels joined by sep + ")"
+    longest = max(len(lab) for lab, _, _ in gens)
+    size = count(len(gens), m) * (m * (longest + 1) + 1)
+    if size > POWER_LABEL_LIMIT:
+        shown = size if size < 10**18 else f"about 10^{int(math.log10(size))}"
+        raise ValueError(
+            f"{name} power needs {shown} label characters, past the limit "
+            f"of {POWER_LABEL_LIMIT}"
+        )
     triples = [
         ("(" + sep.join(labels) + ")", sum(degrees), min(anns))
         for labels, degrees, anns in starmap(zip, choose(gens, m))
@@ -357,9 +374,12 @@ def exterior_power(p: Presentation, m: int) -> Presentation:
     generators (the sorted representative absorbs the permutation sign);
     a subset dies as soon as any member does.
     """
-    return _power(p, m, "exterior", combinations, "^")
+    return _power(p, m, "exterior", combinations, math.comb, "^")
 
 
 def symmetric_power(p: Presentation, m: int) -> Presentation:
     """m-th symmetric power: weight-m multisets with the same min rule."""
-    return _power(p, m, "symmetric", combinations_with_replacement, ".")
+    return _power(
+        p, m, "symmetric", combinations_with_replacement,
+        lambda n, k: math.comb(n + k - 1, k), ".",
+    )

@@ -1,16 +1,21 @@
 """Persistence over simplex streams in inclusion-compatible order.
 
 Simplices may arrive in any order whose every prefix is a complex, with
-arbitrary filtration values.  The state keeps one reduced boundary
-chain per killing simplex; a new arrival either starts a cycle, pairs
-with an unpaired cycle, or steals a pairing from a later simplex, in
-which case the displaced chain is reduced further and re-settled.  The
-net effect of each insertion is reported as a barcode delta.
+arbitrary filtration values.  Each simplex gets an int id when it
+arrives, its arrival index, and the state is kept by id.  The state
+keeps one reduced boundary chain per killing simplex; a new arrival
+either starts a cycle, pairs with an unpaired cycle, or steals a
+pairing from a later simplex, in which case the displaced chain is
+reduced further and re-settled.  The net effect of each insertion is
+reported as a barcode delta.
 
 This is the batch column reduction run out of order (Cohen-Steiner,
 Edelsbrunner and Morozov, *Vines and vineyards*, 2006): the pairing is
-the pivot table of ``linalg``'s one reduction loop, keyed by simplices,
+the pivot table of ``linalg``'s one reduction loop, keyed by arrival id,
 and a chain is only reduced by owners earlier in filtration position.
+Ids index the state as filtration positions index a batch engine's
+columns (Bauer, Kerber, Reininghaus and Wagner, *PHAT*, 2017): a pivot
+lookup hashes an int, not a vertex tuple.
 
 Filtration ties are broken by arrival order: of two simplices with the
 same value, the one inserted earlier reduces the one inserted later.
@@ -70,60 +75,76 @@ class BarcodeDelta:
 class StreamState:
     """Incremental persistence state for one simplex stream.
 
+    Every simplex is known by its id, the number of simplices inserted
+    before it.
+
     Attributes
     ----------
-    positions : dict
-        Simplex (sorted vertex tuple) -> (filtration value, arrival
-        index), its filtration position; each simplex is stored once.
+    index : dict
+        Simplex (sorted vertex tuple) -> id; read only to find a new
+        simplex's faces and to reject a repeat.
+    simplices : list
+        Id -> simplex.
+    keys : list
+        Id -> (filtration value, id), its filtration position.
     chains : dict
-        Killing simplex -> reduced boundary chain, a mapping from
-        simplices to nonzero scalars.
+        Killing id -> reduced boundary chain, a mapping from ids to
+        nonzero scalars.
     pairing : dict
-        Cycle-creating simplex -> the simplex that kills its class.
+        Cycle-creating id -> the id that kills its class.
     cycles : set
-        Creators whose class is still alive.
+        Ids of creators whose class is still alive.
     """
 
-    __slots__ = ("field", "positions", "chains", "pairing", "cycles")
+    __slots__ = (
+        "field", "index", "simplices", "keys", "chains", "pairing", "cycles",
+    )
 
     def __init__(self, field=QQ):
         self.field = field
-        self.positions = {}
+        self.index = {}
+        self.simplices = []
+        self.keys = []
         self.chains = {}
         self.pairing = {}
         self.cycles = set()
 
     def __len__(self):
-        return len(self.positions)
+        return len(self.simplices)
 
     def __repr__(self):
         return (
-            f"StreamState({len(self.positions)} simplices, "
+            f"StreamState({len(self.simplices)} simplices, "
             f"{len(self.pairing)} pairs, {len(self.cycles)} cycles)"
         )
 
 
 def _boundary_chain(state: StreamState, vertices, value):
-    """The signed faces of a simplex, each already inserted."""
+    """The signed face ids of a simplex, each face already inserted."""
     signs = (state.field.one, state.field.neg(state.field.one))
     d = len(vertices) - 1
+    index = state.index
+    keys = state.keys
     chain = {}
     for k, face in enumerate(homology._codim_one_faces(vertices)):
-        if face not in state.positions:
+        i = index.get(face)
+        if i is None:
             raise ValueError(f"simplex {vertices} is missing face {face}")
-        face_value = state.positions[face][0]
+        face_value = keys[i][0]
         if face_value > value:
             raise ValueError(
                 f"face {face} has value {face_value}, after "
                 f"{vertices} at {value}"
             )
-        chain[face] = signs[(d - k) % 2]
+        chain[i] = signs[(d - k) % 2]
     return chain
 
 
 def _interval(state: StreamState, creator, killer=None) -> Bar:
-    death = INF if killer is None else state.positions[killer][0]
-    return Bar(len(creator) - 1, state.positions[creator][0], death)
+    death = INF if killer is None else state.keys[killer][0]
+    return Bar(
+        len(state.simplices[creator]) - 1, state.keys[creator][0], death
+    )
 
 
 def add_simplex(state: StreamState, vertices, value):
@@ -137,16 +158,18 @@ def add_simplex(state: StreamState, vertices, value):
     vertices = tuple(sorted(vertices))
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"repeated vertex in simplex {vertices}")
-    if vertices in state.positions:
+    if vertices in state.index:
         raise ValueError(f"simplex {vertices} inserted twice")
     chain = _boundary_chain(state, vertices, value)
-    state.positions[vertices] = (value, len(state.positions))
+    carrier = len(state.simplices)
+    state.index[vertices] = carrier
+    state.simplices.append(vertices)
+    state.keys.append((value, carrier))
 
     field = state.field
-    key = state.positions.__getitem__
+    key = state.keys.__getitem__
     added = []
     removed = []
-    carrier = vertices
     while True:
         # reduce against chains earlier in the filtration than carrier
         before = key(carrier)

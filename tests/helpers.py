@@ -1185,33 +1185,39 @@ def random_insertion_order(rng, filtration):
 def audit_stream(state):
     """Re-derive a stream state's pairing invariant from scratch.
 
-    Every simplex must be exactly one of: unpaired cycle, paired
-    creator, or chain owner.  Re-reducing each raw boundary against
-    the chains earlier in the filtration must reach zero for cycles
-    and creators, and reach the paired creator as leading simplex for
-    chain owners.
+    Ids are arrival indices: ``index`` and ``simplices`` are inverse
+    maps and each id's filtration key ends in the id.  Every id must be
+    exactly one of: unpaired cycle, paired creator, or chain owner.
+    Re-reducing each raw boundary against the chains earlier in the
+    filtration must reach zero for cycles and creators, and reach the
+    paired creator as leading id for chain owners.
     """
     field = state.field
-    key = state.positions.__getitem__  # filtration position
+    n = len(state)
+    assert len(state.simplices) == len(state.keys) == len(state.index) == n
+    assert {s: i for i, s in enumerate(state.simplices)} == state.index
+    assert all(state.keys[i][1] == i for i in range(n))
+    key = state.keys.__getitem__  # filtration position
     owners = set(state.chains)
     creators = set(state.pairing)
     assert owners == set(state.pairing.values())
     assert not creators & state.cycles
     assert not owners & (creators | state.cycles)
-    assert owners | creators | state.cycles == set(state.positions)
+    assert owners | creators | state.cycles == set(range(n))
     creator_of = {killer: c for c, killer in state.pairing.items()}
     for creator, killer in state.pairing.items():
         assert max(state.chains[killer], key=key) == creator
-    for simplex in state.positions:
+    for sid, simplex in enumerate(state.simplices):
         chain = {}
         for i in range(len(simplex)):
             face = simplex[:i] + simplex[i + 1 :]
             if face:
-                chain[face] = field.one if i % 2 == 0 else field.neg(field.one)
+                one = field.one if i % 2 == 0 else field.neg(field.one)
+                chain[state.index[face]] = one
         while chain:
             leading = max(chain, key=key)
             owner = state.pairing.get(leading)
-            if owner is None or key(owner) >= key(simplex):
+            if owner is None or key(owner) >= key(sid):
                 break
             ratio = field.div(chain[leading], state.chains[owner][leading])
             for s, c in state.chains[owner].items():
@@ -1220,8 +1226,8 @@ def audit_stream(state):
                     chain[s] = value
                 else:
                     chain.pop(s, None)
-        if simplex in owners:
+        if sid in owners:
             assert chain, f"chain owner {simplex} re-reduces to zero"
-            assert max(chain, key=key) == creator_of[simplex]
+            assert max(chain, key=key) == creator_of[sid]
         else:
             assert not chain, f"cycle {simplex} re-reduces to a boundary"

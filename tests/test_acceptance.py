@@ -247,12 +247,17 @@ def test_criterion_5_exterior_power_discrimination():
 def test_criterion_6_out_of_order_stream():
     state = StreamState(QQ)
     pairing_before = pairing_after = None
+
+    def killer_of_vertex_2():
+        killer = state.pairing.get(state.index[(2,)])
+        return None if killer is None else state.simplices[killer]
+
     for vertices, value in OUT_OF_ORDER_TRACE:
         if vertices == (2, 3):
-            pairing_before = state.pairing.get((2,))
+            pairing_before = killer_of_vertex_2()
         state, _ = add_simplex(state, vertices, value)
         if vertices == (2, 3):
-            pairing_after = state.pairing.get((2,))
+            pairing_after = killer_of_vertex_2()
     repaired = pairing_before == (1, 2) and pairing_after == (2, 3)
     batch = persistent_homology(
         FilteredComplex([(v, f) for v, f in OUT_OF_ORDER_TRACE])

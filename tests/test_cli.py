@@ -1312,6 +1312,33 @@ class TestCliContract:
         assert assert_contract(tmp_path, "Q", ["op", operation], text) == (0, [])
         assert (tmp_path / "out.txt").read_text() == ""
 
+    @pytest.mark.parametrize(
+        "operation, text, size",
+        [
+            ("sym:1000000000000", "gen x 0\nrel 1t^2*x\n", "2000000000001"),
+            (
+                f"sym:{sys.maxsize}",
+                "gen a 0\ngen b 0\ngen c 1\nrel 1t^2*a\nrel 1t^3*b\n",
+                "about 10^56",
+            ),
+            (
+                "wedge:30",
+                "".join(f"gen g{i:02d} 0\n" for i in range(60)),
+                "about 10^19",
+            ),
+        ],
+        ids=["sym-one-generator", "sym-maxsize", "wedge-60-choose-30"],
+    )
+    def test_power_past_label_limit(self, tmp_path, operation, text, size):
+        # refused from its size alone, before itertools allocates a slot
+        kind = "symmetric" if operation.startswith("sym") else "exterior"
+        got = assert_contract(tmp_path, "Q", ["op", operation], text)
+        assert got == (2, [
+            f"error: {kind} power needs {size} label characters, "
+            "past the limit of 10000000"
+        ])
+        assert not (tmp_path / "out.txt").exists()
+
     def test_power_past_maxsize(self, tmp_path):
         text = "gen x 0\nrel 1t^2*x\n"
         got = assert_contract(tmp_path, "Q", ["op", f"sym:{self.HUGE}"], text)

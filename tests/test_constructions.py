@@ -60,6 +60,7 @@ from persmod import (
     tensor_over_k,
     validate_morphism,
 )
+from persmod import constructions
 from persmod.constructions import _diagonal
 
 
@@ -728,6 +729,45 @@ class TestSymmetricPower:
                         f"trial {trial} degree {d} over {field!r}: "
                         f"symmetric dim {got}, multiset count {want}"
                     )
+
+
+class TestPowerLabelLimit:
+    """A power is refused, before anything is built, when its labels
+    would pass ``POWER_LABEL_LIMIT`` characters; with labels of equal
+    length the estimate is exact."""
+
+    @pytest.mark.parametrize(
+        "build, m",
+        [(exterior_power, 2), (exterior_power, 3), (symmetric_power, 2),
+         (symmetric_power, 3)],
+    )
+    def test_limit_is_exact_for_equal_labels(self, monkeypatch, build, m):
+        p = Presentation.free(QQ, [("ab", 0), ("cd", 1), ("ef", 2), ("gh", 3)])
+        size = sum(len(lab) for lab, _ in build(p, m).gens)
+        monkeypatch.setattr(constructions, "POWER_LABEL_LIMIT", size)
+        assert sum(len(lab) for lab, _ in build(p, m).gens) == size
+        monkeypatch.setattr(constructions, "POWER_LABEL_LIMIT", size - 1)
+        with pytest.raises(ValueError) as refused:
+            build(p, m)
+        assert str(refused.value).endswith(
+            f"power needs {size} label characters, past the limit of {size - 1}"
+        )
+
+    def test_first_power_and_zero_power_are_not_limited(self, monkeypatch):
+        monkeypatch.setattr(constructions, "POWER_LABEL_LIMIT", 0)
+        p = Presentation.free(QQ, [("x", 0)])
+        assert list(exterior_power(p, 1).gens) == [("x", 0)]
+        assert len(exterior_power(p, 2).gens) == 0
+
+    def test_huge_power_names_its_magnitude(self):
+        # counted with math.comb; itertools is never reached
+        p = Presentation.free(QQ, [("x", 0), ("y", 0), ("z", 0)])
+        with pytest.raises(ValueError) as refused:
+            symmetric_power(p, 10**15)
+        assert str(refused.value) == (
+            "symmetric power needs about 10^45 label characters, "
+            "past the limit of 10000000"
+        )
 
 
 class TestLazyDiagonal:

@@ -52,6 +52,16 @@ def bar_triples(bars):
     return [(b.dim, b.birth, b.death) for b in bars]
 
 
+def named_pairing(state):
+    """The pairing with ids translated back to simplices."""
+    name = state.simplices
+    return {name[c]: name[k] for c, k in state.pairing.items()}
+
+
+def named_cycles(state):
+    return {state.simplices[c] for c in state.cycles}
+
+
 def feed(state, trace):
     deltas = []
     for vertices, value in trace:
@@ -65,7 +75,9 @@ class TestAddSimplex:
         state, delta = add_simplex(StreamState(), (0,), 3)
         assert bar_triples(delta.added) == [(0, 3, INF)]
         assert delta.removed == ()
-        assert state.cycles == {(0,)}
+        assert state.index == {(0,): 0}, "the first arrival is id 0"
+        assert state.cycles == {0}
+        assert named_cycles(state) == {(0,)}
 
     def test_edge_joins_components(self):
         state, _ = feed(StreamState(), [((0,), 0), ((1,), 2)])
@@ -74,7 +86,8 @@ class TestAddSimplex:
             "the younger class dies"
         )
         assert bar_triples(delta.added) == [(0, 2, 5)]
-        assert state.pairing == {(1,): (0, 1)}
+        assert state.pairing == {state.index[(1,)]: state.index[(0, 1)]}
+        assert named_pairing(state) == {(1,): (0, 1)}
 
     def test_missing_face_rejected(self):
         state, _ = add_simplex(StreamState(), (0,), 0)
@@ -104,25 +117,66 @@ class TestAddSimplex:
         with pytest.raises(ValueError, match="after"):
             add_simplex(state, (0, 1), 2)
 
+    @pytest.mark.parametrize(
+        "vertices, value, message",
+        [
+            ((3, 3), 8, "repeated vertex"),
+            ((1, 3), 8, "inserted twice"),
+            ((1, 2, 4), 8, "missing face"),
+            ((1, 2, 3), 5.5, "after"),
+        ],
+    )
+    def test_rejection_consumes_no_id(self, vertices, value, message):
+        # a skipped or reused id would put keys and simplices out of step
+        for field in BOTH_FIELDS:
+            state, _ = feed(StreamState(field), TRIANGLE_TRACE[:6])
+            before = (
+                len(state),
+                dict(state.index),
+                list(state.simplices),
+                list(state.keys),
+                {k: dict(chain) for k, chain in state.chains.items()},
+                dict(state.pairing),
+                set(state.cycles),
+            )
+            with pytest.raises(ValueError, match=message):
+                add_simplex(state, vertices, value)
+            assert (
+                len(state),
+                state.index,
+                state.simplices,
+                state.keys,
+                state.chains,
+                state.pairing,
+                state.cycles,
+            ) == before
+            n = len(state)
+            state, _ = add_simplex(state, *TRIANGLE_TRACE[6])
+            assert state.index[TRIANGLE_TRACE[6][0]] == n
+            audit_stream(state)
+            assert current_barcode(state) == persistent_homology(
+                FilteredComplex(TRIANGLE_TRACE), field
+            )
+
     def test_worked_trace(self):
         state = StreamState()
 
         state, _ = feed(state, TRIANGLE_TRACE[:3])
-        assert state.pairing == {(2,): (1, 2)}, "classical prefix"
-        assert state.cycles == {(1,)}
+        assert named_pairing(state) == {(2,): (1, 2)}, "classical prefix"
+        assert named_cycles(state) == {(1,)}
 
         state, delta = add_simplex(state, *TRIANGLE_TRACE[3])
         assert bar_triples(delta.added) == [(0, 2, INF)]
 
         state, delta = add_simplex(state, *TRIANGLE_TRACE[4])
-        assert state.pairing == {(2,): (1, 2), (3,): (1, 3)}
+        assert named_pairing(state) == {(2,): (1, 2), (3,): (1, 3)}
         assert bar_triples(delta.removed) == [(0, 2, INF)]
         assert bar_triples(delta.added) == [(0, 2, 3)]
 
         # the late edge steals the pairing and retires 12 to a cycle
         state, delta = add_simplex(state, *TRIANGLE_TRACE[5])
-        assert state.pairing == {(2,): (2, 3), (3,): (1, 3)}
-        assert state.cycles == {(1,), (1, 2)}
+        assert named_pairing(state) == {(2,): (2, 3), (3,): (1, 3)}
+        assert named_cycles(state) == {(1,), (1, 2)}
         assert bar_triples(delta.removed) == [(0, 4, 6)]
         assert bar_triples(delta.added) == [(0, 4, 5), (1, 6, INF)]
 
@@ -158,7 +212,7 @@ class TestAddSimplex:
                         (ordered[i].vertices, ordered[j].vertices)
                         for i, j in batch.pivots.items()
                     }
-                    assert set(state.pairing.items()) == pairs
+                    assert set(named_pairing(state).items()) == pairs
                     assert current_barcode(state) == persistent_homology(
                         prefix, field
                     )
