@@ -129,8 +129,9 @@ def _load_complex(text):
     When any filtration value is not an integer, all values are
     replaced by their rank among the sorted distinct values and the
     mapping is returned for echoing.  The line numbers give the input
-    line of each simplex.  A complex that breaks a rule is reported at
-    the line of the simplex at fault, with the values as written there.
+    line of each simplex.  A complex that breaks a rule, a negative
+    value too when values are ranked, is reported at the line of the
+    simplex at fault, with the values as written there.
     """
     lines = []
     entries = []
@@ -164,10 +165,15 @@ def _load_complex(text):
         for entry in entries:
             entry[1:] = map(rank, entry[1:])
     try:
+        if value_map and distinct[0] < 0:
+            raise ValueError  # a rank is never negative
         filtration = FilteredComplex(entries)
     except ValueError:
+        # ranking is monotone, so the values as written break the same
+        # rules, and a negative one breaks a rule of its own
+        written = _as_written(value_map)
         _, (at, message) = _face_index(
-            [_normalized(e) for e in entries], _as_written(value_map)
+            [_normalized((e[0], *map(written, e[1:]))) for e in entries]
         )
         raise CliError(
             VALIDATION_ERROR, f"line {lines[at]}: {message}"

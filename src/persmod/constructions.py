@@ -36,13 +36,11 @@ at construction time.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import combinations, combinations_with_replacement, starmap
 
 from .linalg import (
     GradedBasis,
     GradedMatrix,
-    concat_bases,
     free_kernel,
     graded_snf,
 )
@@ -55,15 +53,17 @@ from .presentation import (
 )
 
 
-def _relabeled(basis: GradedBasis, taken: set) -> GradedBasis:
-    """``basis`` with labels made unique against ``taken`` by priming."""
-    labels = []
-    for lab in basis.labels:
+def _joined(first: GradedBasis, second: GradedBasis) -> GradedBasis:
+    """``first`` followed by ``second``, whose labels are primed until
+    they are unique."""
+    taken = set(first.labels)
+    pairs = list(first)
+    for lab, deg in second:
         while lab in taken:
             lab = lab + "'"
         taken.add(lab)
-        labels.append(lab)
-    return GradedBasis(zip(labels, basis.degrees))
+        pairs.append((lab, deg))
+    return GradedBasis(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +75,8 @@ def direct_sum(p: Presentation, q: Presentation) -> Presentation:
     """Block-diagonal sum; right-hand labels are primed on collision."""
     if p.field != q.field:
         raise ValueError("direct sum needs a common field")
-    q_gens = _relabeled(q.gens, set(p.gens.labels))
-    q_rels = _relabeled(q.rels, set(p.rels.labels))
-    gens = concat_bases(p.gens, q_gens)
-    rels = concat_bases(p.rels, q_rels)
+    gens = _joined(p.gens, q.gens)
+    rels = _joined(p.rels, q.rels)
     off = len(p.gens)
     cols = [dict(c) for c in p.incl.cols]
     cols += [{i + off: v for i, v in c.items()} for c in q.incl.cols]
@@ -106,8 +104,7 @@ def image(f: PresentationMorphism) -> Presentation:
 def cokernel(f: PresentationMorphism) -> Presentation:
     """Target generators with the images of f's generators added as
     relations: rels = G_Q followed by phi(F_P)."""
-    extra = _relabeled(f.src.gens, set(f.dst.rels.labels))
-    rels = concat_bases(f.dst.rels, extra)
+    rels = _joined(f.dst.rels, f.src.gens)
     cols = list(f.dst.incl.cols) + list(f.phi.cols)
     return Presentation(
         f.src.field, GradedMatrix(f.src.field, rels, f.dst.gens, cols)
@@ -123,13 +120,12 @@ def _kernel_step(main: GradedMatrix, modders: GradedMatrix, prefix: str):
     are the columns prefix0, prefix1, ... of the matrix returned.
     """
     field = main.field
-    taken: set = set()
-    a = _relabeled(main.source, taken)
-    b = _relabeled(modders.source, taken)
     cols = list(main.cols) + [
         {i: field.neg(v) for i, v in c.items()} for c in modders.cols
     ]
-    stacked = GradedMatrix(field, concat_bases(a, b), main.target, cols)
+    stacked = GradedMatrix(
+        field, _joined(main.source, modders.source), main.target, cols
+    )
     k = free_kernel(stacked)
     na = main.ncols
     kept = []
@@ -345,15 +341,13 @@ def _power(p: Presentation, m: int, name: str, choose, count, sep: str):
     gens = _diagonal(p)
     if m == 1:
         return _diagonal_presentation(p.field, gens)
-    # with no choice the power is zero, even for a huge m; itertools
-    # allocates m slots first, but a choice exists at m iff at min(m, n + 1)
-    if next(choose(gens, min(m, len(gens) + 1)), None) is None:
-        return _diagonal_presentation(p.field, [])
-    if m > sys.maxsize:
-        raise ValueError(f"{name} power needs m <= {sys.maxsize}")
-    # a label is "(" + m labels joined by sep + ")"
-    longest = max(len(lab) for lab, _, _ in gens)
+    # a label is "(" + m labels joined by sep + ")", so a power is zero
+    # at size 0 and otherwise needs at least m + 1 characters: the limit
+    # settles a huge m before itertools allocates m slots
+    longest = max((len(lab) for lab, _, _ in gens), default=0)
     size = count(len(gens), m) * (m * (longest + 1) + 1)
+    if size == 0:
+        return _diagonal_presentation(p.field, [])
     if size > POWER_LABEL_LIMIT:
         shown = size if size < 10**18 else f"about 10^{int(math.log10(size))}"
         raise ValueError(

@@ -232,6 +232,9 @@ class PrimeField:
 
     __slots__ = ("p",)
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
         if p >= _MILLER_RABIN_EXACT_BELOW:
             limit = _MILLER_RABIN_EXACT_BELOW
@@ -243,14 +246,6 @@ class PrimeField:
     @property
     def char(self) -> int:
         return self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def scalar(self, value) -> int:
         """Reduce an integer (or anything integral that Fraction

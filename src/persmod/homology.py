@@ -117,7 +117,7 @@ def _normalized(entry) -> Simplex:
     return Simplex(tuple(sorted(vertices)), birth, removal)
 
 
-def _face_index(simplices, show=lambda value: value):
+def _face_index(simplices):
     """The face index of a list of simplices and the first rule broken.
 
     Returns (faces, broken).  When every rule holds, broken is None and
@@ -125,18 +125,18 @@ def _face_index(simplices, show=lambda value: value):
     codimension-one faces of simplex n, in the order of
     ``_codim_one_faces``.  Otherwise faces is None and broken is
     (position, message): the index of the simplex at fault and a
-    message that prints each birth or removal time through ``show``.
+    message that names it and the times it breaks.
     """
     position = {}
     for n, (vertices, birth, removal) in enumerate(simplices):
         if len(set(vertices)) != len(vertices):
             return None, (n, f"repeated vertex in simplex {vertices}")
         if birth < 0:
-            return None, (n, f"simplex {vertices} born at {show(birth)} < 0")
+            return None, (n, f"simplex {vertices} born at {birth} < 0")
         if removal < birth:
             return None, (n, (
-                f"simplex {vertices} removed at {show(removal)} before "
-                f"its birth {show(birth)}"
+                f"simplex {vertices} removed at {removal} before "
+                f"its birth {birth}"
             ))
         if vertices in position:
             return None, (n, f"simplex {vertices} listed twice")
@@ -151,13 +151,13 @@ def _face_index(simplices, show=lambda value: value):
             _, face_birth, face_removal = simplices[m]
             if face_birth > birth:
                 return None, (n, (
-                    f"face {face} born at {show(face_birth)}, after "
-                    f"{vertices} at {show(birth)}"
+                    f"face {face} born at {face_birth}, after "
+                    f"{vertices} at {birth}"
                 ))
             if face_removal < removal:
                 return None, (n, (
-                    f"face {face} removed at {show(face_removal)}, before "
-                    f"{vertices} at {show(removal)}"
+                    f"face {face} removed at {face_removal}, before "
+                    f"{vertices} at {removal}"
                 ))
             at.append(m)
         faces.append(tuple(at))

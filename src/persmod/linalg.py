@@ -234,14 +234,6 @@ class GradedMatrix:
         return "GradedMatrix[" + "; ".join(parts) + "]"
 
 
-def concat_bases(*bases) -> GradedBasis:
-    """Concatenate bases; labels must stay unique."""
-    pairs = []
-    for b in bases:
-        pairs.extend(b)
-    return GradedBasis(pairs)
-
-
 # ---------------------------------------------------------------------------
 # SECTION: column reduction engine
 # ---------------------------------------------------------------------------
@@ -252,30 +244,25 @@ class ColumnEchelon:
 
     Attributes
     ----------
-    matrix : GradedMatrix
-        The input.
     reduced : GradedMatrix
         Column echelon form; every nonzero column has a distinct pivot
         row (its bottom-most entry in degree order).
     lows : dict
         pivot row index -> column index.
     zero_cols : tuple
-        Columns that reduced to zero, in processing order.
-    order : tuple
-        The column processing order (ascending degree, then position).
+        Columns that reduced to zero, in processing order (ascending
+        degree, then position).
     key : callable
         Row index -> its place in the target's (degree, index) order;
         a column's low is ``max(col, key=key)``.
     """
 
-    __slots__ = ("matrix", "reduced", "lows", "zero_cols", "order", "key")
+    __slots__ = ("reduced", "lows", "zero_cols", "key")
 
-    def __init__(self, matrix, reduced, lows, zero_cols, order, key):
-        self.matrix = matrix
+    def __init__(self, reduced, lows, zero_cols, key):
         self.reduced = reduced
         self.lows = lows
         self.zero_cols = zero_cols
-        self.order = order
         self.key = key
 
 
@@ -293,15 +280,14 @@ def column_echelon(m: GradedMatrix) -> ColumnEchelon:
     cols = [dict(col) for col in m.cols]
     lows: dict[int, int] = {}
     zero_cols = []
-    order = tuple(m.source.sorted_indices())
-    for c in order:
+    for c in m.source.sorted_indices():
         low = _reduce(f, cols[c], key, lows, cols)
         if low is None:
             zero_cols.append(c)
         else:
             lows[low] = c
     reduced = GradedMatrix(f, m.source, m.target, cols)
-    return ColumnEchelon(m, reduced, lows, tuple(zero_cols), order, key)
+    return ColumnEchelon(reduced, lows, tuple(zero_cols), key)
 
 
 def _pivot_rank(basis: GradedBasis) -> list:
@@ -335,13 +321,13 @@ def _reduce(field, col, key, lows, cols, usable=None, steps=None):
     return None
 
 
-def membership(x: GradedMatrix, sub) -> bool:
+def membership(x: GradedMatrix, sub: GradedMatrix) -> bool:
     """True if every column of x lies in the column space of ``sub``
     within its degree.
 
     Column j of x sits at degree d = deg x.source[j], and only the
-    columns of ``sub`` of degree <= d may reach it.  ``sub`` is a matrix
-    or its column echelon.  A nonzero combination of reduced columns has
+    columns of ``sub`` of degree <= d may reach it.  ``sub`` is column
+    reduced first.  A nonzero combination of reduced columns has
     the largest of their pivots as its bottom entry, so a column is a
     member exactly when clearing its bottom coordinate against the
     pivots never gets stuck.  The scalar 1 on x is x itself at degree 1,
@@ -355,15 +341,14 @@ def membership(x: GradedMatrix, sub) -> bool:
     >>> membership(GradedMatrix(QQ, GradedBasis([("y", 2)]), gens, [{0: 1}]), tx)
     True
     """
-    if isinstance(sub, GradedMatrix):
-        sub = column_echelon(sub)
-    if x.target != sub.matrix.target:
+    if x.target != sub.target:
         raise ValueError("columns are not over the matrix target basis")
-    degrees = sub.matrix.source.degrees
+    degrees = sub.source.degrees
+    ech = column_echelon(sub)
     for d, col in zip(x.source.degrees, x.cols):
         # owners of degree <= d only: no negative t-exponent
         if _reduce(
-            x.field, dict(col), sub.key, sub.lows, sub.reduced.cols,
+            x.field, dict(col), ech.key, ech.lows, ech.reduced.cols,
             usable=lambda p: degrees[p] <= d,
         ) is not None:
             return False

@@ -276,15 +276,15 @@ def _annihilators(p: Presentation, lows=None) -> list:
     return ann
 
 
-def barcode(p: Presentation, dim=None) -> Barcode:
+def barcode(p: Presentation) -> Barcode:
     """Intervals of the presented module, one per generator.
 
     Generator i of degree b with annihilator t^a (see
     :func:`_annihilators`) gives the bar [b, b + a), and [b, inf) when
-    it is free.
+    it is free.  The bars carry no dimension label.
     """
     return Barcode(
-        Bar(dim, d, d + a) for d, a in zip(p.gens.degrees, _annihilators(p))
+        Bar(None, d, d + a) for d, a in zip(p.gens.degrees, _annihilators(p))
     )
 
 

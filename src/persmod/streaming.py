@@ -51,22 +51,17 @@ class BarcodeDelta:
         self.added = tuple(added)
         self.removed = tuple(removed)
 
+    def _barcodes(self):
+        return Barcode(self.added), Barcode(self.removed)
+
     def __eq__(self, other):
         return (
             isinstance(other, BarcodeDelta)
-            and sorted(self.added, key=Bar.key)
-            == sorted(other.added, key=Bar.key)
-            and sorted(self.removed, key=Bar.key)
-            == sorted(other.removed, key=Bar.key)
+            and self._barcodes() == other._barcodes()
         )
 
     def __hash__(self):
-        return hash(
-            (
-                tuple(sorted(self.added, key=Bar.key)),
-                tuple(sorted(self.removed, key=Bar.key)),
-            )
-        )
+        return hash(self._barcodes())
 
     def __repr__(self):
         return f"BarcodeDelta(added={list(self.added)}, removed={list(self.removed)})"

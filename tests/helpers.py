@@ -27,7 +27,6 @@ from persmod import (
     Rationals,
     SnfResult,
     column_echelon,
-    concat_bases,
     free_kernel,
     graded_boundary,
     membership,
@@ -41,7 +40,7 @@ def hstack(matrices):
     for m in matrices:
         if m.target != target:
             raise ValueError("hstack needs a common target basis")
-    source = concat_bases(*(m.source for m in matrices))
+    source = GradedBasis([pair for m in matrices for pair in m.source])
     cols = [col for m in matrices for col in m.cols]
     return GradedMatrix(matrices[0].field, source, target, cols)
 
@@ -53,7 +52,7 @@ def vstack(matrices):
     for m in matrices:
         if m.source != source:
             raise ValueError("vstack needs a common source basis")
-    target = concat_bases(*(m.target for m in matrices))
+    target = GradedBasis([pair for m in matrices for pair in m.target])
     cols = [dict() for _ in range(len(source))]
     offset = 0
     for m in matrices:
@@ -392,8 +391,7 @@ def assert_snf_certificate(m, snf):
         assert sm.entry(p, c)
         entries[(p, c)] = sm.entry(p, c)
     d = GradedMatrix.from_entries(m.field, m.source, m.target, entries)
-    sm_ech, d_ech = column_echelon(sm), column_echelon(d)
-    assert membership(sm, d_ech) and membership(d, sm_ech)
+    assert membership(sm, d) and membership(d, sm)
 
 
 def free_rows(m, snf):
@@ -1086,7 +1084,7 @@ def reduce_boundary(m):
     each a boundary of the module one dimension down.
     """
     ech = column_echelon(m)
-    b_columns = tuple(j for j in ech.order if m.cols[j])
+    b_columns = tuple(j for j in m.source.sorted_indices() if m.cols[j])
     return ReductionState(
         Z=tuple(columns(free_kernel(m))),
         B=tuple(column(m, j) for j in b_columns),
@@ -1113,7 +1111,7 @@ def express_in_columns(x, m):
         lab for lab in (f"x{n}" for n in itertools.count())
         if lab not in m.source.labels
     )
-    source = concat_bases(m.source, GradedBasis([(label, degree(x))]))
+    source = GradedBasis([*m.source, (label, degree(x))])
     last = m.ncols
     joined = GradedMatrix(f, source, m.target, [*m.cols, x.cols[0]])
     kernel = free_kernel(joined)

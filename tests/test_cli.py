@@ -576,6 +576,34 @@ class TestBarcodeCommand:
         code, _, err = invoke(["barcode", path], capsys)
         assert (code, err) == (2, "error: line 3: simplex (0,) listed twice\n")
 
+    @pytest.mark.parametrize("command", ["barcode", "relative", "stream"])
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("0 ; -1\n1 ; 0\n0 1 ; 2\n", "line 1: simplex (0,) born at -1 < 0"),
+            # ranked values: a rank is never negative, the value is
+            ("0 ; -1\n1 ; 0.5\n0 1 ; 2\n", "line 1: simplex (0,) born at -1 < 0"),
+            (
+                "0 ; -1.5\n1 ; 0.5\n0 1 ; 2\n",
+                "line 1: simplex (0,) born at -1.5 < 0",
+            ),
+            (
+                "0 ; 0\n1 ; 0.5\n0 1 ; 2 ; -0.5\n",
+                "line 3: simplex (0, 1) removed at -0.5 before its birth 2",
+            ),
+            # a rule broken at an earlier line is still the one reported
+            ("0 0 ; 0.5\n1 ; -1\n", "line 1: repeated vertex in simplex (0, 0)"),
+            ("0 ; 0.5\n0 ; 1\n1 ; -1\n", "line 2: simplex (0,) listed twice"),
+        ],
+        ids=[
+            "int", "ranked-int", "ranked-float", "ranked-removal",
+            "repeated-vertex-first", "listed-twice-first",
+        ],
+    )
+    def test_negative_value_rejected(self, tmp_path, capsys, command, text, error):
+        path = write(tmp_path, "c.flt", text)
+        assert invoke([command, path], capsys) == (2, "", f"error: {error}\n")
+
     def test_python_dash_m_matches_main(self, tmp_path, capsys):
         path = write(tmp_path, "c.flt", FIG_COMPLEX)
         src = os.path.dirname(os.path.dirname(persmod.__file__))
@@ -1326,8 +1354,12 @@ class TestCliContract:
                 "".join(f"gen g{i:02d} 0\n" for i in range(60)),
                 "about 10^19",
             ),
+            (f"sym:{HUGE}", "gen x 0\nrel 1t^2*x\n", "about 10^27"),
         ],
-        ids=["sym-one-generator", "sym-maxsize", "wedge-60-choose-30"],
+        ids=[
+            "sym-one-generator", "sym-maxsize", "wedge-60-choose-30",
+            "sym-past-maxsize",
+        ],
     )
     def test_power_past_label_limit(self, tmp_path, operation, text, size):
         # refused from its size alone, before itertools allocates a slot
@@ -1338,8 +1370,3 @@ class TestCliContract:
             "past the limit of 10000000"
         ])
         assert not (tmp_path / "out.txt").exists()
-
-    def test_power_past_maxsize(self, tmp_path):
-        text = "gen x 0\nrel 1t^2*x\n"
-        got = assert_contract(tmp_path, "Q", ["op", f"sym:{self.HUGE}"], text)
-        assert got == (2, [f"error: symmetric power needs m <= {sys.maxsize}"])

@@ -263,6 +263,15 @@ class TestCokernel:
         )
         assert list(barcode(cokernel(f))) == [Bar(None, 0, 2)]
 
+    def test_source_labels_primed_against_relations(self):
+        # the images of the source generators follow the target's
+        # relations, under the source labels primed until unique
+        dst = Presentation.from_terms(QQ, [("b", 0)], [[(1, 3, "b")]])
+        src = Presentation.free(QQ, [("rel0", 2), ("rel0'", 1)])
+        phi = GradedMatrix(QQ, src.gens, dst.gens, [{0: QQ.one}, {0: QQ.one}])
+        c = cokernel(PresentationMorphism(src, dst, phi))
+        assert list(c.rels) == [("rel0", 3), ("rel0'", 2), ("rel0''", 1)]
+
     def test_slice_dimension_matches_rank_oracle(self):
         for field in BOTH_FIELDS:
             rng = random.Random(32)

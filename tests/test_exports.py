@@ -128,3 +128,34 @@ def test_readme_entry_points_exist():
         if not _resolves(n) and n not in cli._COMMANDS and n not in test_defs
     ]
     assert not stale, f"README entry points name {stale}"
+
+
+def _fenced(after):
+    """The lines of the README's first fenced block after ``after``."""
+    text = README.read_text()
+    start = text.index("\n", text.index("```", text.index(after))) + 1
+    return text[start:text.index("```", start)].splitlines()
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    # the CLI example reads the presentation block as m.pmod
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.pmod").write_text("\n".join(_fenced("Presentations (")) + "\n")
+    got, want = [], []
+    for line in _fenced("Example, using the presentation above"):
+        if not line.startswith("$ "):
+            want.append(line)
+            continue
+        for command in line[2:].split(" && "):
+            argv = command.split()
+            assert argv[0] == "persmod" and cli.main(argv[1:]) == 0
+            got += capsys.readouterr().out.splitlines()
+    assert want and got == want
+    # the Library snippet runs and its comment names the bars it prints
+    snippet = "\n".join(_fenced("## Library"))
+    namespace = {}
+    exec(snippet, namespace)
+    capsys.readouterr()
+    comment = re.search(r"print\(barcode\(p\)\) +# bars (.*)", snippet)
+    bars = [(b.birth, b.death) for b in persmod.barcode(namespace["p"])]
+    assert comment.group(1) == " and ".join(map(str, bars))

@@ -38,6 +38,7 @@ from helpers import (
 )
 from persmod import (
     INF,
+    Bar,
     Barcode,
     FilteredComplex,
     GradedBasis,
@@ -82,7 +83,8 @@ def presentation_route_barcode(c, field):
         bounds = [
             b for b, j in zip(state.B, state.b_columns) if col_dim[j] == p + 1
         ]
-        bars.extend(barcode(cycle_presentation(field, cycles, bounds), dim=p))
+        module = cycle_presentation(field, cycles, bounds)
+        bars.extend(Bar(p, b.birth, b.death) for b in barcode(module))
     return Barcode(bars)
 
 

@@ -12,7 +12,6 @@ from persmod import (
     GradedMatrix,
     QQ,
     column_echelon,
-    concat_bases,
     free_kernel,
     membership,
 )
@@ -285,7 +284,7 @@ class TestGradedMatrix:
     def test_concat_bases_requires_unique_labels(self):
         b = GradedBasis([("x", 1)])
         with pytest.raises(ValueError):
-            concat_bases(b, b)
+            GradedBasis([*b, *b])
 
     def test_restrict_rows(self):
         src = GradedBasis([("r", 4)])
@@ -339,9 +338,8 @@ class TestNormalForm:
         for field in BOTH_FIELDS:
             for _ in range(30):
                 m = random_graded_matrix(field, rng)
-                ech = column_echelon(m)
                 for j in range(m.ncols):
-                    assert membership(column(m, j), ech)
+                    assert membership(column(m, j), m)
 
     def test_membership_of_random_images(self):
         rng = random.Random(31)

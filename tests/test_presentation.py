@@ -135,10 +135,6 @@ class TestBarcode:
         p = Presentation.free(QQ, [("a", 0), ("b", 3)])
         assert barcode(p) == bars((0, INF), (3, INF))
 
-    def test_dim_label(self, five_gen_module):
-        bc = barcode(five_gen_module, dim=1)
-        assert all(b.dim == 1 for b in bc)
-
     def test_pairing_matches_snf_route(self):
         ephemeral = zero_cols = 0
         for field in (*BOTH_FIELDS, PrimeField(2)):
