@@ -264,6 +264,20 @@ def _diagonal_presentation(field, triples) -> Presentation:
     return _Diagonal(field, triples)
 
 
+# A diagonal result whose labels need more characters than this is
+# refused before anything is built; the test and benchmark inputs need
+# at most 204,400.
+LABEL_LIMIT = 10**7
+
+
+def _check_label_size(what: str, size: int):
+    if size > LABEL_LIMIT:
+        shown = size if size < 10**18 else f"about 10^{int(math.log10(size))}"
+        raise ValueError(
+            f"{what} needs {shown} label characters, past the limit of {LABEL_LIMIT}"
+        )
+
+
 def tensor(p: Presentation, q: Presentation) -> Presentation:
     """Tensor product over k[t] of diagonalized inputs.
 
@@ -272,6 +286,10 @@ def tensor(p: Presentation, q: Presentation) -> Presentation:
     kills either factor, and no earlier power does).
     """
     dp, dq = _diagonal(p), _diagonal(q)
+    # each pair's label is "(" + pl + "." + ql + ")"
+    size = len(dq) * sum(len(pl) + 3 for pl, _, _ in dp)
+    size += len(dp) * sum(len(ql) for ql, _, _ in dq)
+    _check_label_size("tensor product", size)
     triples = [
         (f"({pl}.{ql})", pd + qd, min(pa, qa))
         for pl, pd, pa in dp
@@ -293,6 +311,15 @@ def tensor_over_k(p: Presentation, q: Presentation) -> Presentation:
         raise ValueError(
             "non-acting tensor factor must be finite dimensional over k"
         )
+    # a label is "(" + ql + "@" + e + "." + pl + ")", and e's text is
+    # longest at an end of q's range
+    longest = max((len(pl) + 4 for pl, _, _ in dp), default=0) + max(
+        (len(ql) + max(len(str(qd)), len(str(qd + qa - 1))) for ql, qd, qa in dq),
+        default=0,
+    )
+    _check_label_size(
+        "tensor product over k", len(dp) * sum(qa for _, _, qa in dq) * longest
+    )
     triples = [
         (f"({ql}@{e}.{pl})", pd + e, pa)
         for ql, qd, qa in dq
@@ -323,12 +350,6 @@ def hom(p: Presentation, q: Presentation) -> Presentation:
     return tensor(dual(p), q)
 
 
-# A power whose generator labels would exceed this many characters is
-# refused before anything is built; the test and benchmark inputs need
-# at most 200,000.
-POWER_LABEL_LIMIT = 10**7
-
-
 def _power(p: Presentation, m: int, name: str, choose, count, sep: str):
     """Generators are the m-element choices of diagonal generators.
 
@@ -348,12 +369,7 @@ def _power(p: Presentation, m: int, name: str, choose, count, sep: str):
     size = count(len(gens), m) * (m * (longest + 1) + 1)
     if size == 0:
         return _diagonal_presentation(p.field, [])
-    if size > POWER_LABEL_LIMIT:
-        shown = size if size < 10**18 else f"about 10^{int(math.log10(size))}"
-        raise ValueError(
-            f"{name} power needs {shown} label characters, past the limit "
-            f"of {POWER_LABEL_LIMIT}"
-        )
+    _check_label_size(f"{name} power", size)
     triples = [
         ("(" + sep.join(labels) + ")", sum(degrees), min(anns))
         for labels, degrees, anns in starmap(zip, choose(gens, m))

@@ -16,9 +16,10 @@ and constructors reject negative implied exponents.
 The reduction engine works on columns.  A column may be subtracted from
 another only when the implied multiplier t-exponent is nonnegative,
 which holds exactly when the reducing column's degree is not larger.
-Processing columns in ascending degree keeps every operation legal and
-drives all higher layers: echelon forms, membership tests, kernels of
-maps between free modules, and the graded Smith normal form.
+Processing columns in ascending degree keeps every operation legal.
+One loop, ``_echelon``, reduces m for its echelon form, [m ; I] for its
+kernel and [sub | x] for membership; the graded Smith normal form runs
+its own pass.
 
 The pivot of a column is its bottom-most nonzero entry in degree-sorted
 row order, i.e. the entry whose row maximizes (degree, index).  That
@@ -252,42 +253,30 @@ class ColumnEchelon:
     zero_cols : tuple
         Columns that reduced to zero, in processing order (ascending
         degree, then position).
-    key : callable
-        Row index -> its place in the target's (degree, index) order;
-        a column's low is ``max(col, key=key)``.
     """
 
-    __slots__ = ("reduced", "lows", "zero_cols", "key")
+    __slots__ = ("reduced", "lows", "zero_cols")
 
-    def __init__(self, reduced, lows, zero_cols, key):
+    def __init__(self, reduced, lows, zero_cols):
         self.reduced = reduced
         self.lows = lows
         self.zero_cols = zero_cols
-        self.key = key
 
 
 def column_echelon(m: GradedMatrix) -> ColumnEchelon:
     """Reduce columns until every nonzero column has a unique pivot row.
 
-    Columns are processed in ascending (degree, position) order and only
-    ever reduced by earlier columns, so each subtraction multiplies the
-    reducing column by a nonnegative power of t.  No change of basis is
-    kept: callers read the reduced columns or the pivot pairing, and
-    ``free_kernel`` tracks the column operations it needs itself.
+    One pass of ``_echelon`` in ascending (degree, position) order; a
+    column is only ever reduced by earlier columns, so each subtraction
+    multiplies the reducing column by a nonnegative power of t.  No
+    change of basis is kept: callers read the reduced columns or the
+    pivot pairing.
     """
-    f = m.field
-    key = _pivot_rank(m.target).__getitem__
     cols = [dict(col) for col in m.cols]
-    lows: dict[int, int] = {}
-    zero_cols = []
-    for c in m.source.sorted_indices():
-        low = _reduce(f, cols[c], key, lows, cols)
-        if low is None:
-            zero_cols.append(c)
-        else:
-            lows[low] = c
-    reduced = GradedMatrix(f, m.source, m.target, cols)
-    return ColumnEchelon(reduced, lows, tuple(zero_cols), key)
+    key = _pivot_rank(m.target).__getitem__
+    lows, dead = _echelon(m.field, cols, m.source.sorted_indices(), key, len(m.target))
+    reduced = GradedMatrix(m.field, m.source, m.target, cols)
+    return ColumnEchelon(reduced, lows, tuple(dead))
 
 
 def _pivot_rank(basis: GradedBasis) -> list:
@@ -299,39 +288,51 @@ def _pivot_rank(basis: GradedBasis) -> list:
     return rank
 
 
-def _reduce(field, col, key, lows, cols, usable=None, steps=None):
-    """Clear col's low against a pivot table while the low's owner is usable.
+def _reduce(field, col, key, lows, cols, before=None):
+    """Clear col's low against a pivot table; return the low left, or None.
 
     ``lows`` maps a pivot row to its owner, ``cols`` an owner to its
     column, and the low is ``max(col, key=key)``.  Each step subtracts
-    the multiple of the owner's column that cancels the low and, given
-    a ``steps`` list, appends (owner, multiple) to it.  Any owner is
-    usable when ``usable`` is None.  Returns the low left, or None.
+    the multiple of the owner's column that cancels the low.  Given
+    ``before``, an owner whose key is not below it is not used.
     """
     while col:
         low = max(col, key=key)
         owner = lows.get(low)
-        if owner is None or (usable is not None and not usable(owner)):
+        if owner is None or (before is not None and key(owner) >= before):
             return low
         pivot = cols[owner]
-        r = field.div(col[low], pivot[low])
-        field.combine(col, pivot, r)
-        if steps is not None:
-            steps.append((owner, r))
+        field.combine(col, pivot, field.div(col[low], pivot[low]))
     return None
+
+
+def _echelon(field, cols, order, key, nrows):
+    """Reduce ``cols`` in place, in ``order``, each against the pivots
+    of those before it; return the pivot table (row -> column) and the
+    dead columns, in order: those left with no entry in the first
+    ``nrows`` rows.  Later rows must rank below all of those; they are
+    never pivots and only record what was done to a column."""
+    lows: dict[int, int] = {}
+    dead = []
+    for c in order:
+        low = _reduce(field, cols[c], key, lows, cols)
+        if low is None or low >= nrows:
+            dead.append(c)
+        else:
+            lows[low] = c
+    return lows, dead
 
 
 def membership(x: GradedMatrix, sub: GradedMatrix) -> bool:
     """True if every column of x lies in the column space of ``sub``
     within its degree.
 
-    Column j of x sits at degree d = deg x.source[j], and only the
-    columns of ``sub`` of degree <= d may reach it.  ``sub`` is column
-    reduced first.  A nonzero combination of reduced columns has
-    the largest of their pivots as its bottom entry, so a column is a
-    member exactly when clearing its bottom coordinate against the
-    pivots never gets stuck.  The scalar 1 on x is x itself at degree 1,
-    outside the span of t*x, and t*x at degree 2:
+    Reduces [sub | x] in (degree, position) order, so a column of x of
+    degree d meets the reduced columns of ``sub`` of degree <= d, and
+    is a member exactly when it dies.  It also meets the earlier
+    columns of x, but one of those that survived has already made the
+    answer False.  The scalar 1 on x is x itself at degree 1, outside
+    the span of t*x, and t*x at degree 2:
 
     >>> from persmod.fields import QQ
     >>> gens = GradedBasis([("x", 1)])
@@ -343,46 +344,30 @@ def membership(x: GradedMatrix, sub: GradedMatrix) -> bool:
     """
     if x.target != sub.target:
         raise ValueError("columns are not over the matrix target basis")
-    degrees = sub.source.degrees
-    ech = column_echelon(sub)
-    for d, col in zip(x.source.degrees, x.cols):
-        # owners of degree <= d only: no negative t-exponent
-        if _reduce(
-            x.field, dict(col), ech.key, ech.lows, ech.reduced.cols,
-            usable=lambda p: degrees[p] <= d,
-        ) is not None:
-            return False
-    return True
+    cols = [dict(col) for col in (*sub.cols, *x.cols)]
+    degrees = sub.source.degrees + x.source.degrees
+    order = sorted(range(len(cols)), key=degrees.__getitem__)
+    key = _pivot_rank(sub.target).__getitem__
+    _, dead = _echelon(x.field, cols, order, key, len(sub.target))
+    return set(dead).issuperset(range(sub.ncols, len(cols)))
 
 
 def free_kernel(m: GradedMatrix) -> GradedMatrix:
     """A free basis for the kernel of a map between free modules.
 
-    Column-reduces as ``column_echelon`` does and replays every column
-    operation onto a change column; the change columns of the columns
-    that died span the kernel, in processing order: for the output k,
-    ``m @ k`` is zero, and each column of k has the degree of the
-    column that died.
+    Reduces [m ; I] as ``column_echelon`` reduces m.  The identity rows
+    rank below every row of m, so they are never pivots and record the
+    column operations; the identity part of each column that dies spans
+    the kernel, in processing order: for the output k, ``m @ k`` is
+    zero, and each column of k has the degree of the column that died.
     """
-    f = m.field
-    key = _pivot_rank(m.target).__getitem__
-    cols = [dict(col) for col in m.cols]
-    track = [{j: f.one} for j in range(m.ncols)]
-    lows: dict[int, int] = {}
-    dead = []
-    for c in m.source.sorted_indices():
-        steps = []
-        low = _reduce(f, cols[c], key, lows, cols, steps=steps)
-        for p, r in steps:
-            f.combine(track[c], track[p], r)
-        if low is None:
-            dead.append(c)
-        else:
-            lows[low] = c
-    source = GradedBasis(
-        (f"k{n}", m.source.degrees[c]) for n, c in enumerate(dead)
-    )
-    return GradedMatrix(f, source, m.source, [track[c] for c in dead])
+    f, n = m.field, len(m.target)
+    cols = [{**col, n + j: f.one} for j, col in enumerate(m.cols)]
+    key = (_pivot_rank(m.target) + [-1] * m.ncols).__getitem__
+    _, dead = _echelon(f, cols, m.source.sorted_indices(), key, n)
+    source = GradedBasis((f"k{i}", m.source.degrees[c]) for i, c in enumerate(dead))
+    kernel = [{i - n: v for i, v in cols[c].items()} for c in dead]
+    return GradedMatrix(f, source, m.source, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -167,10 +167,8 @@ def add_simplex(state: StreamState, vertices, value):
     removed = []
     while True:
         # reduce against chains earlier in the filtration than carrier
-        before = key(carrier)
         leading = linalg._reduce(
-            field, chain, key, state.pairing, state.chains,
-            usable=lambda owner: key(owner) < before,
+            field, chain, key, state.pairing, state.chains, key(carrier)
         )
         if leading is None:
             state.cycles.add(carrier)

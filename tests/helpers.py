@@ -465,6 +465,38 @@ def row_operation_snf(m):
     return SnfResult(s, s_inv, lows)
 
 
+def replayed_free_kernel(m):
+    """``free_kernel`` by replay: the reference for its reduction of
+    [m ; I].
+
+    Reduces m's columns in ascending (degree, position) order, each
+    against the pivots of the columns before it, and replays every
+    column operation onto a separate change column; the change columns
+    of the columns that die, in that order, are the kernel k0, k1, ...
+    """
+    f = m.field
+    rank = {i: n for n, i in enumerate(m.target.sorted_indices())}
+    cols = [dict(col) for col in m.cols]
+    track = [{j: f.one} for j in range(m.ncols)]
+    lows = {}
+    dead = []
+    for c in m.source.sorted_indices():
+        col = cols[c]
+        while col:
+            low = max(col, key=rank.__getitem__)
+            p = lows.get(low)
+            if p is None:
+                lows[low] = c
+                break
+            r = f.div(col[low], cols[p][low])
+            f.combine(col, cols[p], r)
+            f.combine(track[c], track[p], r)
+        else:
+            dead.append(c)
+    source = GradedBasis((f"k{n}", m.source.degrees[c]) for n, c in enumerate(dead))
+    return GradedMatrix(f, source, m.source, [track[c] for c in dead])
+
+
 def snf_exactly(snf):
     """An SNF's S and S^-1 with the type of every scalar, and its
     pairing: ``repr`` tells the int 2 from ``Fraction(2, 1)``."""

@@ -1370,3 +1370,30 @@ class TestCliContract:
             "past the limit of 10000000"
         ])
         assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize(
+        "operation, limit, first, text, message",
+        [
+            ("tensor", 10, "gen ab 0\ngen cd 1\n", "gen x 0\n",
+             "tensor product needs 12 label characters, past the limit of 10"),
+            ("hom", 10, "gen ab 0\ngen cd 1\n", "gen x 0\n",
+             "tensor product needs 14 label characters, past the limit of 10"),
+            ("tensor-k", 10, "gen ab 0\ngen cd 1\n", "gen x 0\nrel 1t^3*x\n",
+             "tensor product over k needs 48 label characters, "
+             "past the limit of 10"),
+            # the default limit, set here so that a build without the
+            # check fails before it allocates 10^9 summands
+            ("tensor-k", 10**7, "gen x 0\n", "gen z 0\nrel 1t^1000000000*z\n",
+             "tensor product over k needs 15000000000 label characters, "
+             "past the limit of 10000000"),
+        ],
+        ids=["tensor", "hom", "tensor-k", "tensor-k-long-bar"],
+    )
+    def test_diagonal_past_label_limit(
+        self, tmp_path, monkeypatch, operation, limit, first, text, message
+    ):
+        monkeypatch.setattr(persmod.constructions, "LABEL_LIMIT", limit)
+        (tmp_path / "first.pmod").write_text(first)
+        command = ["op", operation, str(tmp_path / "first.pmod")]
+        assert assert_contract(tmp_path, "Q", command, text) == (2, [f"error: {message}"])
+        assert not (tmp_path / "out.txt").exists()

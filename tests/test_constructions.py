@@ -742,7 +742,7 @@ class TestSymmetricPower:
 
 class TestPowerLabelLimit:
     """A power is refused, before anything is built, when its labels
-    would pass ``POWER_LABEL_LIMIT`` characters; with labels of equal
+    would pass ``LABEL_LIMIT`` characters; with labels of equal
     length the estimate is exact."""
 
     @pytest.mark.parametrize(
@@ -753,9 +753,9 @@ class TestPowerLabelLimit:
     def test_limit_is_exact_for_equal_labels(self, monkeypatch, build, m):
         p = Presentation.free(QQ, [("ab", 0), ("cd", 1), ("ef", 2), ("gh", 3)])
         size = sum(len(lab) for lab, _ in build(p, m).gens)
-        monkeypatch.setattr(constructions, "POWER_LABEL_LIMIT", size)
+        monkeypatch.setattr(constructions, "LABEL_LIMIT", size)
         assert sum(len(lab) for lab, _ in build(p, m).gens) == size
-        monkeypatch.setattr(constructions, "POWER_LABEL_LIMIT", size - 1)
+        monkeypatch.setattr(constructions, "LABEL_LIMIT", size - 1)
         with pytest.raises(ValueError) as refused:
             build(p, m)
         assert str(refused.value).endswith(
@@ -763,7 +763,7 @@ class TestPowerLabelLimit:
         )
 
     def test_first_power_and_zero_power_are_not_limited(self, monkeypatch):
-        monkeypatch.setattr(constructions, "POWER_LABEL_LIMIT", 0)
+        monkeypatch.setattr(constructions, "LABEL_LIMIT", 0)
         p = Presentation.free(QQ, [("x", 0)])
         assert list(exterior_power(p, 1).gens) == [("x", 0)]
         assert len(exterior_power(p, 2).gens) == 0
@@ -777,6 +777,60 @@ class TestPowerLabelLimit:
             "symmetric power needs about 10^45 label characters, "
             "past the limit of 10000000"
         )
+
+
+class TestDiagonalLabelLimit:
+    """``tensor``, ``hom`` and ``tensor_over_k`` are refused, before a
+    triple is built, when their labels would pass ``LABEL_LIMIT``
+    characters; the count is exact for ``tensor`` and ``hom``, and for
+    ``tensor_over_k`` when the label parts have equal lengths."""
+
+    @pytest.mark.parametrize(
+        "build, what",
+        [(tensor, "tensor product"), (hom, "tensor product"),
+         (tensor_over_k, "tensor product over k")],
+        ids=["tensor", "hom", "tensor-k"],
+    )
+    def test_limit_is_exact(self, monkeypatch, build, what):
+        # labels of one length on each side; tensor_over_k's shifts 1..3
+        # and 2..5 are one digit each
+        p = direct_sum(interval(QQ, "ab", 0, 2), interval(QQ, "cd", 1, INF))
+        q = direct_sum(interval(QQ, "xy", 1, 3), interval(QQ, "zw", 2, 4))
+        size = sum(len(lab) for lab, _ in build(p, q).gens)
+        monkeypatch.setattr(constructions, "LABEL_LIMIT", size)
+        assert sum(len(lab) for lab, _ in build(p, q).gens) == size
+        monkeypatch.setattr(constructions, "LABEL_LIMIT", size - 1)
+        with pytest.raises(ValueError) as refused:
+            build(p, q)
+        assert str(refused.value) == (
+            f"{what} needs {size} label characters, past the limit of {size - 1}"
+        )
+
+    def test_tensor_counts_every_pair(self, monkeypatch):
+        # 2 x 3 pairs, "(" + pl + "." + ql + ")": 3 * 5 + 2 * 4 + 3 * 6
+        p = Presentation.from_terms(QQ, [("ab", 0), ("cde", 1)], [[(1, 2, "ab")]])
+        q = Presentation.free(QQ, [("x", 1), ("yz", 2), ("w", 0)])
+        assert sum(len(lab) for lab, _ in tensor(p, q).gens) == 41
+        monkeypatch.setattr(constructions, "LABEL_LIMIT", 40)
+        with pytest.raises(ValueError, match="needs 41 label characters"):
+            tensor(p, q)
+
+    def test_tensor_over_k_bounds_mixed_shift_lengths(self, monkeypatch):
+        # shifts 8..11: labels of 7 and 8 characters, bounded by 4 * 8
+        q = interval(QQ, "z", 8, 4)
+        p = Presentation.free(QQ, [("x", 0)])
+        assert sum(len(lab) for lab, _ in tensor_over_k(p, q).gens) == 30
+        monkeypatch.setattr(constructions, "LABEL_LIMIT", 31)
+        with pytest.raises(ValueError, match="needs 32 label characters"):
+            tensor_over_k(p, q)
+
+    def test_empty_factor_is_not_limited(self, monkeypatch):
+        monkeypatch.setattr(constructions, "LABEL_LIMIT", 0)
+        zero = Presentation.free(QQ, [])
+        bar = interval(QQ, "z", 0, 2)
+        for p, q in [(bar, zero), (zero, bar)]:
+            for build in (tensor, hom, tensor_over_k):
+                assert len(build(p, q).gens) == 0
 
 
 class TestLazyDiagonal:

@@ -10,6 +10,7 @@ import pytest
 from persmod import (
     GradedBasis,
     GradedMatrix,
+    PrimeField,
     QQ,
     column_echelon,
     free_kernel,
@@ -30,6 +31,7 @@ from helpers import (
     random_element,
     random_graded_matrix,
     random_scalar,
+    replayed_free_kernel,
     scale,
     slice_rank,
     terms,
@@ -467,6 +469,26 @@ class TestFreeKernel:
                     cols_at_d = sum(1 for deg in m.source.degrees if deg <= d)
                     expected = cols_at_d - slice_rank(m, d)
                     assert slice_rank(k, d) == expected, f"slice degree {d}"
+
+    def test_equals_replayed_column_operations(self):
+        # reducing [m ; I] makes the same column operations, in the same
+        # order, as replaying them onto change columns: same labels,
+        # degrees, columns and entry order
+        rng = random.Random(89)
+        wide = zero_cols = 0
+        for field in (QQ, PrimeField(2), PrimeField(5)):
+            for _ in range(120):
+                nrows, ncols = rng.randint(1, 6), rng.randint(1, 9)
+                density = rng.choice((0.0, 0.2, 0.5, 0.9))
+                m = random_graded_matrix(field, rng, nrows, ncols, density)
+                k, want = free_kernel(m), replayed_free_kernel(m)
+                assert k.source == want.source and k.target == want.target
+                assert [list(c.items()) for c in k.cols] == [
+                    list(c.items()) for c in want.cols
+                ]
+                wide += ncols > nrows
+                zero_cols += sum(not col for col in m.cols)
+        assert wide > 100 and zero_cols > 100
 
     def test_kernel_of_injective_map_is_empty(self):
         src = GradedBasis([("r", 2)])
