@@ -44,9 +44,9 @@ from .constructions import (
 from .fields import QQ, field_from_string
 from .homology import (
     FilteredComplex,
+    Simplex,
     _descent_failure,
     _face_index,
-    _normalized,
     persistent_homology,
     relative_complex,
     torsion_homology,
@@ -122,6 +122,16 @@ def _parse_value(token: str, lineno: int):
     return value
 
 
+class _Ints(dict):
+    """int() of each token, computed once per distinct token."""
+
+    __slots__ = ()
+
+    def __missing__(self, token):
+        value = self[token] = int(token)
+        return value
+
+
 def _load_complex(text):
     """Parse complex text into (FilteredComplex, value map or None,
     line numbers).
@@ -132,10 +142,24 @@ def _load_complex(text):
     line of each simplex.  A complex that breaks a rule, a negative
     value too when values are ranked, is reported at the line of the
     simplex at fault, with the values as written there.
+
+    One pass over the lines reads each simplex into flat lists, with
+    each distinct vertex token read once and each vertex tuple sorted
+    once; syntax errors are raised in line order during the pass.  The
+    values are ranked with one sort, and ``FilteredComplex._of_sorted``
+    takes the simplices as read, so ``_face_index`` alone checks the
+    rules.
     """
+    vertex = _Ints().__getitem__
     lines = []
-    entries = []
-    for n, line in _content_lines(text):
+    vertex_sets = []
+    births = []
+    removals = []
+    values = []  # every value as read, in line order
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         parts = line.split(";")
         if len(parts) not in (2, 3):
             raise CliError(
@@ -143,38 +167,51 @@ def _load_complex(text):
                 f"line {n}: expected 'v0 v1 ... ; birth [; removal]'",
             )
         try:
-            vertices = tuple(map(int, parts[0].split()))
+            vertices = tuple(sorted(map(vertex, parts[0].split())))
         except ValueError:
             raise CliError(
                 PARSE_ERROR, f"line {n}: bad vertex in {parts[0].strip()!r}"
             ) from None
-        if not vertices or min(vertices) < 0:
+        if not vertices or vertices[0] < 0:
             raise CliError(
                 PARSE_ERROR, f"line {n}: vertices must be nonnegative integers"
             )
-        entry = [vertices, _parse_value(parts[1].strip(), n)]
+        birth = _parse_value(parts[1].strip(), n)
+        values.append(birth)
+        removal = INF
         if len(parts) == 3:
-            entry.append(_parse_value(parts[2].strip(), n))
+            removal = _parse_value(parts[2].strip(), n)
+            values.append(removal)
         lines.append(n)
-        entries.append(entry)
+        vertex_sets.append(vertices)
+        births.append(birth)
+        removals.append(removal)
     value_map = None
-    if any(type(v) is float for entry in entries for v in entry[1:]):
-        distinct = sorted({v for entry in entries for v in entry[1:]})
+    if float in set(map(type, values)):
+        # the first of equal values, 0 before 0.0, stands for them all
+        distinct = sorted(set(values))
         value_map = dict(zip(distinct, range(len(distinct))))
-        rank = value_map.__getitem__
-        for entry in entries:
-            entry[1:] = map(rank, entry[1:])
+        births = map(value_map.__getitem__, births)
+        removals = map(value_map.get, removals, removals)  # INF stays
+    # Simplex._make without a Python call per simplex
+    simplices = tuple(map(
+        tuple.__new__, repeat(Simplex), zip(vertex_sets, births, removals)
+    ))
+    # freed before the face index allocates its own columns, which
+    # lowers the peak resident size
+    del vertex_sets, births, removals, values
     try:
         if value_map and distinct[0] < 0:
             raise ValueError  # a rank is never negative
-        filtration = FilteredComplex(entries)
+        filtration = FilteredComplex._of_sorted(simplices)
     except ValueError:
         # ranking is monotone, so the values as written break the same
         # rules, and a negative one breaks a rule of its own
         written = _as_written(value_map)
-        _, (at, message) = _face_index(
-            [_normalized((e[0], *map(written, e[1:]))) for e in entries]
-        )
+        _, (at, message) = _face_index([
+            Simplex(vertices, written(birth), written(removal))
+            for vertices, birth, removal in simplices
+        ])
         raise CliError(
             VALIDATION_ERROR, f"line {lines[at]}: {message}"
         ) from None

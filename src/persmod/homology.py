@@ -21,7 +21,8 @@ of its kernel generator.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import itemgetter, lt, ne
 
 from . import linalg
 from .constructions import cokernel, kernel
@@ -63,25 +64,35 @@ class FilteredComplex:
     ``(vertices, birth, removal)`` tuples.  Every codimension-one face
     must be present, faces must be born no later than their cofaces,
     and faces must be removed no earlier than their cofaces.
+    ``has_removals`` says whether any simplex has a removal time.
 
     >>> c = FilteredComplex([((0,), 0), ((1,), 1), ((0, 1), 2)])
     >>> c.max_dimension
     1
     """
 
-    __slots__ = ("simplices", "_faces")
+    __slots__ = ("simplices", "_faces", "has_removals")
 
     def __init__(self, simplices):
-        self.simplices = tuple(map(_normalized, simplices))
+        self._index(tuple(map(_normalized, simplices)))
+
+    @classmethod
+    def _of_sorted(cls, simplices):
+        """The complex of a tuple of Simplex entries whose vertex tuples
+        are already sorted, as the CLI reader makes them."""
+        filtration = cls.__new__(cls)
+        filtration._index(simplices)
+        return filtration
+
+    def _index(self, simplices):
+        self.simplices = simplices
         # _faces[n]: input positions of the codimension-one faces of
         # simplex n, in the order of _codim_one_faces
-        self._faces, broken = _face_index(self.simplices)
+        self._faces, broken = _face_index(simplices)
         if broken is not None:
             raise ValueError(broken[1])
-
-    @property
-    def has_removals(self) -> bool:
-        return any(s.removal != INF for s in self.simplices)
+        removals = map(itemgetter(2), simplices)
+        self.has_removals = any(map(ne, removals, repeat(INF)))
 
     @property
     def max_dimension(self) -> int:
@@ -126,7 +137,54 @@ def _face_index(simplices):
     ``_codim_one_faces``.  Otherwise faces is None and broken is
     (position, message): the index of the simplex at fault and a
     message that names it and the times it breaks.
+
+    The rules on each simplex alone and on its faces are checked in one
+    pass that only says whether they all hold; when one is broken,
+    ``_scan_in_order`` checks them again in input order to name the
+    first.
     """
+    if simplices:
+        vertex_sets, births, removals = zip(*simplices)
+        position = dict(zip(vertex_sets, range(len(simplices))))
+        if (
+            len(position) == len(simplices)  # none is listed twice
+            and min(births) >= 0
+            and not any(map(lt, removals, births))
+        ):
+            faces = _checked_faces(vertex_sets, births, removals, position.get)
+            if faces is not None:
+                return faces, None
+    return _scan_in_order(simplices)
+
+
+def _checked_faces(vertex_sets, births, removals, position):
+    """The face index of simplices listed once each, born at no negative
+    time and removed no earlier, or None when a simplex repeats a vertex,
+    misses a face, or has a face born later or removed earlier.
+
+    The two faces of an edge (v, v) coincide, and a larger simplex that
+    repeats a vertex has a face that repeats it too.  So when every face
+    is found and no simplex has its first face at the position of its
+    last, no simplex repeats a vertex.
+    """
+    faces = [()] * len(vertex_sets)
+    for n, vertices in enumerate(vertex_sets):
+        if len(vertices) < 2:
+            continue
+        at = tuple(map(position, combinations(vertices, len(vertices) - 1)))
+        if None in at or at[0] == at[-1]:
+            return None
+        birth, removal = births[n], removals[n]
+        for m in at:
+            if births[m] > birth or removals[m] < removal:
+                return None
+        faces[n] = at
+    return tuple(faces)
+
+
+def _scan_in_order(simplices):
+    """``_face_index`` by one rule at a time, in input order: the rules
+    on each simplex alone first, then the rules on its faces."""
     position = {}
     for n, (vertices, birth, removal) in enumerate(simplices):
         if len(set(vertices)) != len(vertices):
@@ -175,17 +233,21 @@ def _codim_one_faces(vertices):
     return combinations(vertices, len(vertices) - 1)
 
 
-def graded_boundary(filtration: FilteredComplex, field=QQ) -> GradedMatrix:
+def graded_boundary(
+    filtration: FilteredComplex, field=QQ, *, order=None
+) -> GradedMatrix:
     """The boundary of a filtered complex as a square graded matrix.
 
     Rows and columns are the simplices in filtration order
-    (``FilteredComplex._order``); the entry for (face, simplex) is the
+    (``FilteredComplex._order``, or ``order`` when the caller has
+    already sorted it); the entry for (face, simplex) is the
     alternating sign, carrying an implied t-power equal to the
     difference of their births.  Vertex columns are zero.  It is the
     boundary of ``relative_complex``, whose generators take the same
     order.
     """
-    order = filtration._order()
+    if order is None:
+        order = filtration._order()
     ordered = [filtration.simplices[n] for n in order]
     basis = GradedBasis(
         (simplex_label(s.vertices), s.birth) for s in ordered
@@ -344,8 +406,9 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
     grade g exactly when the boundary descends; for p >= 1 and a
     boundary that does not descend it is a choice of this package.
     """
-    boundary = graded_boundary(filtration, field)
-    ordered = [filtration.simplices[n] for n in filtration._order()]
+    order = filtration._order()
+    boundary = graded_boundary(filtration, field, order=order)
+    ordered = [filtration.simplices[n] for n in order]
     removed = sorted(
         (i for i, s in enumerate(ordered) if s.removal != INF),
         key=lambda i: (ordered[i].removal, i),

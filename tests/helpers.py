@@ -25,12 +25,14 @@ from persmod import (
     PrimeField,
     QQ,
     Rationals,
+    Simplex,
     SnfResult,
     column_echelon,
     free_kernel,
     graded_boundary,
     membership,
 )
+from persmod.cli import CliError
 
 
 def hstack(matrices):
@@ -1069,6 +1071,110 @@ def int_then_float(token, lineno):
     if not math.isfinite(value):
         raise ValueError(f"line {lineno}: non-finite filtration value {token!r}")
     return value
+
+
+def reference_load_complex(text):
+    """``cli._load_complex`` as it read a complex before the one-pass
+    reader: the reference for its results and for its errors.
+
+    Reads line by line, each value by ``int_then_float``, sorts each
+    vertex tuple after the line is read, ranks the values when one is a
+    float, and indexes faces with ``reference_face_index``.  Returns
+    (simplices, faces, value map or None, line numbers), or raises the
+    CliError the reader must raise.
+    """
+    lines = []
+    entries = []
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(";")
+        if len(parts) not in (2, 3):
+            raise CliError(
+                1, f"line {n}: expected 'v0 v1 ... ; birth [; removal]'"
+            )
+        try:
+            vertices = tuple(map(int, parts[0].split()))
+        except ValueError:
+            raise CliError(
+                1, f"line {n}: bad vertex in {parts[0].strip()!r}"
+            ) from None
+        if not vertices or min(vertices) < 0:
+            raise CliError(1, f"line {n}: vertices must be nonnegative integers")
+        try:
+            entry = [vertices]
+            entry += (int_then_float(p.strip(), n) for p in parts[1:])
+        except ValueError as e:
+            raise CliError(1, str(e)) from None
+        lines.append(n)
+        entries.append(entry)
+    value_map = None
+    if any(type(v) is float for entry in entries for v in entry[1:]):
+        distinct = sorted({v for entry in entries for v in entry[1:]})
+        value_map = dict(zip(distinct, range(len(distinct))))
+    rank = (value_map or {}).get
+
+    def simplex(vertices, birth, removal=INF):
+        return Simplex(
+            tuple(sorted(vertices)), rank(birth, birth), rank(removal, removal)
+        )
+
+    simplices = tuple(simplex(*entry) for entry in entries)
+    faces, broken = reference_face_index(simplices)
+    if broken is None and not (value_map and distinct[0] < 0):
+        return simplices, faces, value_map, tuple(lines)
+    # the values as written break the same rules, a negative one too;
+    # of equal values, the first read stands for all
+    value_of = {r: v for v, r in (value_map or {}).items()}.get
+    written = [
+        Simplex(vertices, value_of(birth, birth), value_of(removal, removal))
+        for vertices, birth, removal in simplices
+    ]
+    at, message = reference_face_index(written)[1]
+    raise CliError(2, f"line {lines[at]}: {message}")
+
+
+def reference_face_index(simplices):
+    """``homology._face_index`` one rule at a time in input order, as it
+    was written before the one-pass check: the rules on each simplex
+    alone first, then the rules on its faces."""
+    position = {}
+    for n, (vertices, birth, removal) in enumerate(simplices):
+        if len(set(vertices)) != len(vertices):
+            return None, (n, f"repeated vertex in simplex {vertices}")
+        if birth < 0:
+            return None, (n, f"simplex {vertices} born at {birth} < 0")
+        if removal < birth:
+            return None, (n, (
+                f"simplex {vertices} removed at {removal} before "
+                f"its birth {birth}"
+            ))
+        if vertices in position:
+            return None, (n, f"simplex {vertices} listed twice")
+        position[vertices] = n
+    faces = []
+    for n, (vertices, birth, removal) in enumerate(simplices):
+        at = []
+        size = len(vertices) - 1
+        for face in itertools.combinations(vertices, size) if size > 0 else ():
+            m = position.get(face)
+            if m is None:
+                return None, (n, f"simplex {vertices} is missing face {face}")
+            _, face_birth, face_removal = simplices[m]
+            if face_birth > birth:
+                return None, (n, (
+                    f"face {face} born at {face_birth}, after "
+                    f"{vertices} at {birth}"
+                ))
+            if face_removal < removal:
+                return None, (n, (
+                    f"face {face} removed at {face_removal}, before "
+                    f"{vertices} at {removal}"
+                ))
+            at.append(m)
+        faces.append(tuple(at))
+    return tuple(faces), None
 
 
 def element_terms(matrix, j):

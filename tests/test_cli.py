@@ -31,9 +31,12 @@ from helpers import (
     int_then_float,
     random_filtered_complex,
     random_presentation,
+    reference_load_complex,
     terms,
+    with_component_removals,
 )
 from persmod import (
+    INF,
     GradedBasis,
     GradedMatrix,
     Presentation,
@@ -284,6 +287,122 @@ class TestParseComplex:
             for _ in range(10):
                 c = random_filtered_complex(rng, with_removals=with_removals)
                 assert _load_complex(complex_text(c))[0] == c
+
+    def test_reader_matches_reference(self):
+        # the one-pass reader against the line-by-line one it replaced:
+        # equal simplices with their value types, faces, value map and
+        # line numbers, or the same error, on decorated complexes with
+        # at most one mutation each
+        rng = random.Random(25)
+        ends = ["\n", "\r\n", "\x0c", "\x0b", "\x1c", "\x1e", "\r"]
+        aims, messages = set(), []
+        for n in range(660):
+            c = random_filtered_complex(
+                rng, max_vertices=6, with_removals=n % 2 == 1
+            )
+            if n % 4 == 3:  # removal times among the birth times
+                c = with_component_removals(rng, c)
+            style = n // 2 % 3  # ints, floats, or ints and equal floats
+            shift = rng.choice([0, 8])  # reach the two-digit "1_0"
+            rows = [[[v + shift for v in vs], b, r] for vs, b, r in c.simplices]
+            mutation = n // 6 % 11
+            if mutation:
+                aims.add(self.mutate(rng, rows, mutation))
+
+            def value(v):
+                if isinstance(v, str) or style == 0:
+                    return str(v)
+                if style == 2:
+                    return rng.choice([str(v), f"{v}.0"])
+                return rng.choice(["0", "0.0"]) if v == 0 else repr(v / 4)
+
+            def vertex(v):
+                if isinstance(v, str):
+                    return v
+                if v >= 10 and rng.random() < 0.5:
+                    return f"{v // 10}_{v % 10}"
+                return rng.choice(["", "", "+"]) + str(v)
+
+            text = []
+            for vertices, birth, removal in rows:
+                rng.shuffle(vertices)
+                line = " ".join(map(vertex, vertices)) + f" ; {value(birth)}"
+                if removal != INF:
+                    line += f" ; {value(removal)}"
+                if rng.random() < 0.1:
+                    line += " # note"
+                if rng.random() < 0.1:
+                    text.append(rng.choice(["", "  ", "# comment"]))
+                text.append(line)
+            text = "".join(line + rng.choice(ends) for line in text)
+            try:
+                want = reference_load_complex(text)
+            except CliError as e:
+                with pytest.raises(CliError) as err:
+                    _load_complex(text)
+                assert (err.value.code, str(err.value)) == (e.code, str(e))
+                messages.append(str(e))
+                continue
+            filtration, value_map, lines = _load_complex(text)
+            got = (filtration.simplices, filtration._faces, value_map, lines)
+            assert got == want
+            typed = [
+                (type(b), type(r)) for _, b, r in filtration.simplices
+            ]
+            assert typed == [(type(b), type(r)) for _, b, r in want[0]]
+            if value_map:
+                assert list(map(type, value_map)) == list(map(type, want[2]))
+        assert len(aims) == 10
+        for rule in aims:  # each mutation is the first error at least once
+            assert any(rule in m for m in messages), rule
+
+    @staticmethod
+    def mutate(rng, rows, mutation):
+        """Break one rule of the complex in ``rows`` in place; the rule
+        the mutation aims at, which an earlier one may hide."""
+        faces = [row for row in rows if any(
+            len(other[0]) == len(row[0]) + 1 and set(row[0]) < set(other[0])
+            for other in rows
+        )]
+        row = rng.choice(faces or rows)
+        if mutation == 1:
+            rows.remove(row)
+            return "is missing face"
+        if mutation == 2:
+            rows.insert(rng.randrange(rows.index(row), len(rows) + 1), row)
+            return "listed twice"
+        if mutation == 3:
+            if rng.random() < 0.5:
+                row[0] = row[0] + row[0][:1]
+            else:  # an edge (v, v) whose faces are all there
+                vertex = rng.choice([r for r in rows if len(r[0]) == 1])
+                rows.append([vertex[0] * 2, *vertex[1:]])
+            return "repeated vertex"
+        if mutation == 4:
+            row[1] = max(b for _, b, _ in rows) + 1
+            if row[2] != INF:
+                row[2] = max(row[2], row[1])
+            return "born at"
+        if mutation == 5:
+            row[2] = row[1]
+            return "removed at"
+        if mutation == 6:
+            row[1] = -1
+            return "< 0"
+        if mutation == 7:
+            row[1] = "-0.5"
+            return "< 0"
+        if mutation == 8:
+            row[1], row[2] = row[1] + 2, row[1] + 1
+            return "before its birth"
+        if mutation == 9:
+            if rng.random() < 0.5:
+                row[1] = "soon"
+                return "bad filtration value"
+            row[0] = row[0] + ["x"]
+            return "bad vertex"
+        row[1] = f"{row[1]} ; 1 ; 2"
+        return "expected 'v0"
 
 
 class TestParsePresentation:
