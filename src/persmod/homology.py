@@ -138,88 +138,86 @@ def _face_index(simplices):
     (position, message): the index of the simplex at fault and a
     message that names it and the times it breaks.
 
-    The rules on each simplex alone and on its faces are checked in one
-    pass that only says whether they all hold; when one is broken,
-    ``_scan_in_order`` checks them again in input order to name the
-    first.
+    The rules on each simplex alone come first.  Listed twice, born
+    before 0 and removed before its birth are checked over whole
+    columns; when one may be broken, ``_alone_broken`` walks the
+    simplices in input order to name the first.  One pass in input
+    order then indexes the faces and checks the face rules.  It needs
+    no set per simplex for a repeated vertex: the two faces of an edge
+    (v, v) coincide, and a larger simplex that repeats a vertex has a
+    face that repeats it too, so once every face is found and no
+    simplex has its first face at the position of its last, no simplex
+    repeats a vertex.  A fault the pass meets may still come after a
+    repeated vertex, so ``_alone_broken`` is asked first.
     """
-    if simplices:
-        vertex_sets, births, removals = zip(*simplices)
-        position = dict(zip(vertex_sets, range(len(simplices))))
-        if (
-            len(position) == len(simplices)  # none is listed twice
-            and min(births) >= 0
-            and not any(map(lt, removals, births))
-        ):
-            faces = _checked_faces(vertex_sets, births, removals, position.get)
-            if faces is not None:
-                return faces, None
-    return _scan_in_order(simplices)
-
-
-def _checked_faces(vertex_sets, births, removals, position):
-    """The face index of simplices listed once each, born at no negative
-    time and removed no earlier, or None when a simplex repeats a vertex,
-    misses a face, or has a face born later or removed earlier.
-
-    The two faces of an edge (v, v) coincide, and a larger simplex that
-    repeats a vertex has a face that repeats it too.  So when every face
-    is found and no simplex has its first face at the position of its
-    last, no simplex repeats a vertex.
-    """
-    faces = [()] * len(vertex_sets)
+    if not simplices:
+        return (), None
+    vertex_sets, births, removals = zip(*simplices)
+    position = dict(zip(vertex_sets, range(len(simplices))))
+    if not (
+        len(position) == len(simplices)  # none is listed twice
+        and min(births) >= 0  # also false when a NaN comes first
+        and not any(map(lt, removals, births))
+    ):
+        broken = _alone_broken(simplices)
+        if broken is not None:
+            return None, broken
+    get = position.get
+    faces = [()] * len(simplices)
     for n, vertices in enumerate(vertex_sets):
         if len(vertices) < 2:
             continue
-        at = tuple(map(position, combinations(vertices, len(vertices) - 1)))
-        if None in at or at[0] == at[-1]:
-            return None
-        birth, removal = births[n], removals[n]
-        for m in at:
-            if births[m] > birth or removals[m] < removal:
-                return None
-        faces[n] = at
-    return tuple(faces)
+        at = tuple(map(get, combinations(vertices, len(vertices) - 1)))
+        if None not in at and at[0] != at[-1]:
+            birth, removal = births[n], removals[n]
+            for m in at:
+                if births[m] > birth or removals[m] < removal:
+                    break
+            else:
+                faces[n] = at
+                continue
+        return None, _alone_broken(simplices) or _face_broken(simplices, n, at)
+    return tuple(faces), None
 
 
-def _scan_in_order(simplices):
-    """``_face_index`` by one rule at a time, in input order: the rules
-    on each simplex alone first, then the rules on its faces."""
-    position = {}
+def _alone_broken(simplices):
+    """The first simplex, in input order, that breaks a rule on a
+    simplex alone, as (position, message), or None."""
+    seen = set()
     for n, (vertices, birth, removal) in enumerate(simplices):
         if len(set(vertices)) != len(vertices):
-            return None, (n, f"repeated vertex in simplex {vertices}")
+            return n, f"repeated vertex in simplex {vertices}"
         if birth < 0:
-            return None, (n, f"simplex {vertices} born at {birth} < 0")
+            return n, f"simplex {vertices} born at {birth} < 0"
         if removal < birth:
-            return None, (n, (
+            return n, (
                 f"simplex {vertices} removed at {removal} before "
                 f"its birth {birth}"
-            ))
-        if vertices in position:
-            return None, (n, f"simplex {vertices} listed twice")
-        position[vertices] = n
-    faces = []
-    for n, (vertices, birth, removal) in enumerate(simplices):
-        at = []
-        for face in _codim_one_faces(vertices):
-            m = position.get(face)
-            if m is None:
-                return None, (n, f"simplex {vertices} is missing face {face}")
-            _, face_birth, face_removal = simplices[m]
-            if face_birth > birth:
-                return None, (n, (
-                    f"face {face} born at {face_birth}, after "
-                    f"{vertices} at {birth}"
-                ))
-            if face_removal < removal:
-                return None, (n, (
-                    f"face {face} removed at {face_removal}, before "
-                    f"{vertices} at {removal}"
-                ))
-            at.append(m)
-        faces.append(tuple(at))
-    return tuple(faces), None
+            )
+        if vertices in seen:
+            return n, f"simplex {vertices} listed twice"
+        seen.add(vertices)
+    return None
+
+
+def _face_broken(simplices, n, at):
+    """The first face rule that simplex n breaks, given the positions
+    ``at`` of its faces (None for a missing one), as (n, message)."""
+    vertices, birth, removal = simplices[n]
+    for face, m in zip(_codim_one_faces(vertices), at):
+        if m is None:
+            return n, f"simplex {vertices} is missing face {face}"
+        _, face_birth, face_removal = simplices[m]
+        if face_birth > birth:
+            return n, (
+                f"face {face} born at {face_birth}, after "
+                f"{vertices} at {birth}"
+            )
+        if face_removal < removal:
+            return n, (
+                f"face {face} removed at {face_removal}, before "
+                f"{vertices} at {removal}"
+            )
 
 
 def _codim_one_faces(vertices):
@@ -233,21 +231,17 @@ def _codim_one_faces(vertices):
     return combinations(vertices, len(vertices) - 1)
 
 
-def graded_boundary(
-    filtration: FilteredComplex, field=QQ, *, order=None
-) -> GradedMatrix:
+def graded_boundary(filtration: FilteredComplex, field=QQ) -> GradedMatrix:
     """The boundary of a filtered complex as a square graded matrix.
 
     Rows and columns are the simplices in filtration order
-    (``FilteredComplex._order``, or ``order`` when the caller has
-    already sorted it); the entry for (face, simplex) is the
+    (``FilteredComplex._order``); the entry for (face, simplex) is the
     alternating sign, carrying an implied t-power equal to the
     difference of their births.  Vertex columns are zero.  It is the
     boundary of ``relative_complex``, whose generators take the same
     order.
     """
-    if order is None:
-        order = filtration._order()
+    order = filtration._order()
     ordered = [filtration.simplices[n] for n in order]
     basis = GradedBasis(
         (simplex_label(s.vertices), s.birth) for s in ordered
@@ -406,9 +400,8 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
     grade g exactly when the boundary descends; for p >= 1 and a
     boundary that does not descend it is a choice of this package.
     """
-    order = filtration._order()
-    boundary = graded_boundary(filtration, field, order=order)
-    ordered = [filtration.simplices[n] for n in order]
+    boundary = graded_boundary(filtration, field)
+    ordered = [filtration.simplices[n] for n in filtration._order()]
     removed = sorted(
         (i for i, s in enumerate(ordered) if s.removal != INF),
         key=lambda i: (ordered[i].removal, i),

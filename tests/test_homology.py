@@ -31,6 +31,7 @@ from helpers import (
     matrix_of_columns,
     random_filtered_complex,
     reduce_boundary,
+    reference_face_index,
     rips_complex,
     scrambled,
     terms,
@@ -55,7 +56,7 @@ from persmod import (
     torsion_homology,
     validate_morphism,
 )
-from persmod.homology import _descent_failure
+from persmod.homology import Simplex, _descent_failure, _face_index
 
 
 def labeled_terms(matrix, label):
@@ -189,6 +190,52 @@ class TestFilteredComplex:
     def test_removal_before_birth_rejected(self):
         with pytest.raises(ValueError, match="before\n?.*birth"):
             FilteredComplex([((0,), 4, 2)])
+
+    def test_face_index_matches_reference(self):
+        # Seeded lists with up to two faults each, as API callers may
+        # pass them: the one face pass must name the simplex and rule
+        # the rule-by-rule scan in input order names, so a repeated
+        # vertex is reported before a face fault listed earlier.  A NaN
+        # birth compares false with everything and breaks no rule; put
+        # first, it fails the pass's min() pre-check all the same.
+        rng = random.Random(53)
+        seen = set()
+        for n in range(1500):
+            c = random_filtered_complex(
+                rng, max_vertices=4, with_removals=n % 2 == 0
+            )
+            entries = [list(s) for s in c.simplices]
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(len(entries))
+                kind = rng.randrange(6)
+                if kind == 0:
+                    vertices = entries[i][0]  # (v,) becomes (v, v)
+                    entries[i][0] = tuple(sorted(vertices + vertices[:1]))
+                elif kind == 1:
+                    entries[i][1] = -rng.choice((1, 0.5))
+                elif kind == 2:
+                    entries.insert(rng.randrange(len(entries)), entries[i][:])
+                elif kind == 3:
+                    entries[0][1] = float("nan")
+                elif kind == 4:
+                    entries[i][1 + rng.randrange(2)] = rng.randint(0, 20)
+                elif len(entries) > 1:
+                    del entries[i]
+            simplices = [Simplex(*e) for e in entries]
+            faces, broken = _face_index(simplices)
+            assert (faces, broken) == reference_face_index(simplices)
+            if broken is None:
+                first = simplices[0].birth
+                seen.add("nan" if first != first else "ok")
+            else:
+                seen.add(next(rule for rule in (
+                    "repeated", "< 0", "its birth", "twice", "missing",
+                    "after", "before",
+                ) if rule in broken[1]))
+        assert seen == {
+            "ok", "nan", "repeated", "< 0", "its birth", "twice",
+            "missing", "after", "before",
+        }
 
     def test_filtration_order(self, two_triangles):
         # birth first, then dimension, then input order: listed in
