@@ -504,13 +504,11 @@ def _read(path: str) -> str:
         raise CliError(PARSE_ERROR, bad) from None
 
 
-def _format_grade(value) -> str:
-    return "inf" if value == INF else str(value)
-
-
 def _bar_line(bar) -> str:
-    dim = "-" if bar.dim is None else bar.dim
-    return f"{dim} {_format_grade(bar.birth)} {_format_grade(bar.death)}"
+    # %s writes each grade by str(), so math.inf as "inf"; an f-string
+    # would call format(), which is slower on a float
+    dim, birth, death = bar
+    return "%s %s %s" % ("-" if dim is None else dim, birth, death)
 
 
 def _print_bars(bars):
@@ -592,9 +590,9 @@ def _cmd_stream(args):
         if args.emit_events:
             head = " ".join(str(v) for v in s.vertices)
             events.append(f"# insert {head} ; {s.birth}\n")
-            for bar in sorted(delta.removed, key=lambda b: b.key()):
+            for bar in sorted(delta.removed):
                 events.append(f"- {_bar_line(bar)}\n")
-            for bar in sorted(delta.added, key=lambda b: b.key()):
+            for bar in sorted(delta.added):
                 events.append(f"+ {_bar_line(bar)}\n")
     _echo_value_map(value_map)
     sys.stdout.write("".join(events))

@@ -24,6 +24,7 @@ reduction engine, which makes them useful as independent checks.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .linalg import (
     GradedBasis,
@@ -187,72 +188,39 @@ def validate_morphism(m: PresentationMorphism) -> bool:
     return membership(m.phi @ m.src.incl, m.dst.incl)
 
 
-class Bar:
+class Bar(namedtuple("Bar", ["dim", "birth", "death"])):
     """One barcode interval [birth, death), possibly infinite.
 
     ``dim`` is a homological dimension label when the bar came from a
     complex, otherwise None.  A bar with birth == death is ephemeral: it
     is present in the presentation but invisible in every degree slice.
+    A bar is the plain triple (dim, birth, death) and compares as one.
     """
 
-    __slots__ = ("dim", "birth", "death")
+    __slots__ = ()
 
-    def __init__(self, dim, birth, death):
+    def __new__(cls, dim, birth, death):
         if death != INF and death < birth:
             raise ValueError(f"bar dies at {death} before birth {birth}")
-        self.dim = dim
-        self.birth = birth
-        self.death = death
+        return tuple.__new__(cls, (dim, birth, death))
 
     @property
     def ephemeral(self) -> bool:
         return self.death == self.birth
 
-    def key(self):
-        return (self.dim if self.dim is not None else -1, self.birth, self.death)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bar)
-            and self.dim == other.dim
-            and self.birth == other.birth
-            and self.death == other.death
-        )
+class Barcode(tuple):
+    """A multiset of bars, stored as a sorted tuple for deterministic
+    output.  One barcode's dimensions are all ints or all None, so
+    tuple order never compares None with <."""
 
-    def __hash__(self):
-        return hash((self.dim, self.birth, self.death))
+    __slots__ = ()
 
-    def __repr__(self):
-        d = "-" if self.dim is None else self.dim
-        return f"Bar({d}, {self.birth}, {self.death})"
-
-
-class Barcode:
-    """A multiset of bars, stored sorted for deterministic output."""
-
-    __slots__ = ("bars",)
-
-    def __init__(self, bars):
-        self.bars = tuple(sorted(bars, key=Bar.key))
-
-    def __iter__(self):
-        return iter(self.bars)
-
-    def __len__(self):
-        return len(self.bars)
+    def __new__(cls, bars):
+        return tuple.__new__(cls, sorted(bars))
 
     def without_ephemeral(self) -> "Barcode":
-        return Barcode(b for b in self.bars if not b.ephemeral)
-
-    def __eq__(self, other):
-        # sorted tuples make multiset equality plain tuple equality
-        return isinstance(other, Barcode) and self.bars == other.bars
-
-    def __hash__(self):
-        return hash(self.bars)
-
-    def __repr__(self):
-        return f"Barcode({list(self.bars)!r})"
+        return Barcode(b for b in self if not b.ephemeral)
 
 
 def _annihilators(p: Presentation, lows=None) -> list:

@@ -1135,6 +1135,23 @@ def reference_load_complex(text):
     raise CliError(2, f"line {lines[at]}: {message}")
 
 
+def reference_bar_key(bar):
+    """``Bar.key`` as bars were sorted before a bar was a plain tuple:
+    a None dimension sorts as -1."""
+    return (bar.dim if bar.dim is not None else -1, bar.birth, bar.death)
+
+
+def reference_bar_line(bar):
+    """``cli._bar_line`` as it wrote a bar before it was one f-string:
+    each grade by ``str``, an infinite one as ``inf``."""
+
+    def grade(value):
+        return "inf" if value == INF else str(value)
+
+    dim = "-" if bar.dim is None else bar.dim
+    return f"{dim} {grade(bar.birth)} {grade(bar.death)}"
+
+
 def reference_face_index(simplices):
     """``homology._face_index`` one rule at a time in input order, as it
     was written before the one-pass check: the rules on each simplex

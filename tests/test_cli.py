@@ -30,36 +30,47 @@ from helpers import (
     incl_built,
     int_then_float,
     random_filtered_complex,
+    random_insertion_order,
     random_presentation,
+    reference_bar_key,
+    reference_bar_line,
     reference_load_complex,
     terms,
     with_component_removals,
 )
 from persmod import (
     INF,
+    FilteredComplex,
     GradedBasis,
     GradedMatrix,
     Presentation,
     PrimeField,
     QQ,
     PresentationMorphism,
+    StreamState,
+    add_simplex,
     barcode,
     cokernel,
+    current_barcode,
     direct_sum,
     dual,
     exterior_power,
     hom,
     image,
     kernel,
+    persistent_homology,
+    relative_complex,
     snf_form,
     symmetric_power,
     tensor,
     tensor_over_k,
+    torsion_homology,
 )
 from persmod.cli import (
     CliError,
     _load_complex,
     _parse_value,
+    _print_bars,
     format_presentation,
     main,
     parse_morphism,
@@ -904,6 +915,62 @@ class TestStreamCommand:
             assert code == 2
             assert out == ""
             assert err == "error: line 2: simplex (0, 1) is missing face (1,)\n"
+
+
+class TestBarOutput:
+    def check(self, bars, capsys):
+        """Bars in reference key order, written as the reference lines,
+        none dying before its birth."""
+        assert list(bars) == sorted(bars, key=reference_bar_key)
+        _print_bars(bars)
+        assert capsys.readouterr().out == "".join(
+            reference_bar_line(bar) + "\n" for bar in bars
+        )
+        assert all(bar.birth <= bar.death for bar in bars)
+
+    def test_bars_match_reference(self, tmp_path, capsys):
+        # every engine that builds bars, with int, float and Fraction
+        # births on the batch path, and ``stream --emit-events`` with
+        # each delta sorted and written by the references
+        rng = random.Random(26)
+        grades = [int, lambda b: b / 4, lambda b: Fraction(b, 4)]
+        for field, spec in [(QQ, "Q"), (PrimeField(5), "Zp:5")]:
+            for n in range(60):
+                c = random_filtered_complex(rng, max_vertices=6)
+                scaled = FilteredComplex(
+                    (s.vertices, grades[n % 3](s.birth)) for s in c.simplices
+                )
+                self.check(persistent_homology(scaled, field), capsys)
+                if n % 2:
+                    dissolving = with_component_removals(rng, c)
+                else:
+                    dissolving = random_filtered_complex(
+                        rng, max_vertices=6, with_removals=True
+                    )
+                bars = torsion_homology(relative_complex(dissolving, field))
+                self.check(bars, capsys)
+                self.check(bars.without_ephemeral(), capsys)
+                self.check(barcode(random_presentation(field, rng)), capsys)
+
+                order = FilteredComplex(random_insertion_order(rng, c))
+                path = write(tmp_path, "c.flt", complex_text(order))
+                argv = ["--field", spec, "stream", "--emit-events", path]
+                code, out, _ = invoke(argv, capsys)
+                state, want = StreamState(field), []
+                for s in order.simplices:
+                    state, delta = add_simplex(state, s.vertices, s.birth)
+                    head = " ".join(map(str, s.vertices))
+                    want.append(f"# insert {head} ; {s.birth}\n")
+                    for sign, side in [("-", delta.removed), ("+", delta.added)]:
+                        assert all(bar.birth <= bar.death for bar in side)
+                        want += (
+                            f"{sign} {reference_bar_line(bar)}\n"
+                            for bar in sorted(side, key=reference_bar_key)
+                        )
+                bars = current_barcode(state)
+                want += (reference_bar_line(bar) + "\n" for bar in bars)
+                assert (code, out) == (0, "".join(want))
+                self.check(bars, capsys)
 
 
 class TestOpCommand:

@@ -119,6 +119,14 @@ class TestBarTypes:
         bc = Barcode([Bar(None, 1, 1), Bar(None, 1, 3)])
         assert bc.without_ephemeral() == Barcode([Bar(None, 1, 3)])
 
+    def test_bars_are_sorted_triples(self):
+        bc = Barcode([Bar(1, 0, 2), Bar(0, 3, INF), Bar(0, 3, 4)])
+        assert bc == ((0, 3, 4), (0, 3, INF), (1, 0, 2))
+        assert hash(Bar(0, 3, 4)) == hash((0, 3, 4))
+        # one barcode's dimensions are all ints or all None
+        with pytest.raises(TypeError):
+            Barcode([Bar(0, 1, 2), Bar(None, 0, 2)])
+
 
 class TestBarcode:
     def test_five_gen_module(self, five_gen_module):

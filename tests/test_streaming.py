@@ -239,7 +239,7 @@ class TestBarcodeDelta:
                     for bar in delta.removed:
                         folded[bar] -= 1
                 folded = +folded
-                assert folded == Counter(current_barcode(state).bars)
+                assert folded == Counter(current_barcode(state))
 
 
 class TestCurrentBarcode:
