@@ -204,6 +204,11 @@ class Bar(namedtuple("Bar", ["dim", "birth", "death"])):
             raise ValueError(f"bar dies at {death} before birth {birth}")
         return tuple.__new__(cls, (dim, birth, death))
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
     @property
     def ephemeral(self) -> bool:
         return self.death == self.birth

@@ -22,9 +22,24 @@ same value, the one inserted earlier reduces the one inserted later.
 A simplex whose face has not arrived is rejected; faces are checked in
 the lexicographic order that ``FilteredComplex`` uses, so both name the
 same missing face.
+
+A new d-simplex with value v starts a cycle without being reduced
+when no (d-1)-bar is alive at v, none with birth <= v < death.  This is
+exact: the new simplex has the largest id, so the creators before it in
+filtration position are those with value <= v and the killers after it
+those with value > v.  No live bar then means that the (d-1)-homology
+of the simplices before it is zero, so its boundary lies in the span of
+the chains of earlier killers (R = DV, as in the batch reduction of
+*Vines and vineyards*) and would reduce to zero.  It is the stream's
+form of clearing, which skips the columns a batch reduction knows will
+reach zero (Chen and Kerber, *Persistent homology computation with a
+twist*, 2011).  The sorted births and finite deaths of each dimension's
+bars answer the test by two bisects.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right, insort
 
 from . import homology, linalg
 from .fields import QQ
@@ -89,10 +104,15 @@ class StreamState:
         Cycle-creating id -> the id that kills its class.
     cycles : set
         Ids of creators whose class is still alive.
+    births : dict
+        Dimension -> sorted births of that dimension's bars.
+    deaths : dict
+        Dimension -> sorted finite deaths of that dimension's bars.
     """
 
     __slots__ = (
         "field", "index", "simplices", "keys", "chains", "pairing", "cycles",
+        "births", "deaths",
     )
 
     def __init__(self, field=QQ):
@@ -103,6 +123,8 @@ class StreamState:
         self.chains = {}
         self.pairing = {}
         self.cycles = set()
+        self.births = {}
+        self.deaths = {}
 
     def __len__(self):
         return len(self.simplices)
@@ -142,13 +164,32 @@ def _interval(state: StreamState, creator, killer=None) -> Bar:
     )
 
 
+def _record(state: StreamState, added, removed):
+    """Move a delta's bars into the sorted births and finite deaths."""
+    births, deaths = state.births, state.deaths
+    for dim, birth, death in removed:
+        _drop(births[dim], birth)
+        if death != INF:
+            _drop(deaths[dim], death)
+    for dim, birth, death in added:
+        insort(births.setdefault(dim, []), birth)
+        if death != INF:
+            insort(deaths.setdefault(dim, []), death)
+
+
+def _drop(values, value):
+    del values[bisect_left(values, value)]
+
+
 def add_simplex(state: StreamState, vertices, value):
     """Insert one simplex; return the state and the barcode delta.
 
-    The new boundary is reduced against chains earlier in filtration
-    position.  If it survives with a leading simplex owned by a pair
-    later in the filtration, that pair is stolen and the displaced
-    chain re-settled, cascading to later and later positions.
+    If no bar one dimension down is alive at ``value``, the simplex
+    starts a cycle.  Otherwise the new boundary is reduced against
+    chains earlier in filtration position.  If it survives with a
+    leading simplex owned by a pair later in the filtration, that pair
+    is stolen and the displaced chain re-settled, cascading to later
+    and later positions.
     """
     vertices = tuple(sorted(vertices))
     if len(set(vertices)) != len(vertices):
@@ -165,11 +206,16 @@ def add_simplex(state: StreamState, vertices, value):
     key = state.keys.__getitem__
     added = []
     removed = []
-    while True:
-        # reduce against chains earlier in the filtration than carrier
+    below = len(vertices) - 2
+    if bisect_right(state.births.get(below, ()), value) == bisect_right(
+        state.deaths.get(below, ()), value
+    ):
+        leading = None  # no class alive below: the boundary bounds
+    else:
         leading = linalg._reduce(
             field, chain, key, state.pairing, state.chains, key(carrier)
         )
+    while True:
         if leading is None:
             state.cycles.add(carrier)
             added.append(_interval(state, carrier))
@@ -190,6 +236,11 @@ def add_simplex(state: StreamState, vertices, value):
         ratio = field.div(displaced[leading], chain[leading])
         field.combine(displaced, chain, ratio)
         carrier, chain = owner, displaced
+        # reduce against chains earlier in the filtration than carrier
+        leading = linalg._reduce(
+            field, chain, key, state.pairing, state.chains, key(carrier)
+        )
+    _record(state, added, removed)
     return state, BarcodeDelta(added, removed)
 
 

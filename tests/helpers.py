@@ -28,10 +28,12 @@ from persmod import (
     Simplex,
     SnfResult,
     column_echelon,
+    current_barcode,
     free_kernel,
     graded_boundary,
     membership,
 )
+from persmod import linalg, streaming
 from persmod.cli import CliError
 
 
@@ -1335,6 +1337,51 @@ def random_insertion_order(rng, filtration):
     return out
 
 
+def reference_add_simplex(state, vertices, value):
+    """``streaming.add_simplex`` as it was before a simplex with no
+    class alive below it skipped its reduction: every new boundary is
+    reduced.  Keeps ``index``, ``simplices``, ``keys``, ``chains``,
+    ``pairing`` and ``cycles``, not the sorted births and deaths."""
+    vertices = tuple(sorted(vertices))
+    if len(set(vertices)) != len(vertices):
+        raise ValueError(f"repeated vertex in simplex {vertices}")
+    if vertices in state.index:
+        raise ValueError(f"simplex {vertices} inserted twice")
+    chain = streaming._boundary_chain(state, vertices, value)
+    carrier = len(state.simplices)
+    state.index[vertices] = carrier
+    state.simplices.append(vertices)
+    state.keys.append((value, carrier))
+
+    field = state.field
+    key = state.keys.__getitem__
+    added = []
+    removed = []
+    while True:
+        leading = linalg._reduce(
+            field, chain, key, state.pairing, state.chains, key(carrier)
+        )
+        if leading is None:
+            state.cycles.add(carrier)
+            added.append(streaming._interval(state, carrier))
+            break
+        owner = state.pairing.get(leading)
+        state.pairing[leading] = carrier
+        state.chains[carrier] = chain
+        if owner is None:
+            state.cycles.remove(leading)
+            removed.append(streaming._interval(state, leading))
+            added.append(streaming._interval(state, leading, carrier))
+            break
+        removed.append(streaming._interval(state, leading, owner))
+        added.append(streaming._interval(state, leading, carrier))
+        displaced = state.chains.pop(owner)
+        ratio = field.div(displaced[leading], chain[leading])
+        field.combine(displaced, chain, ratio)
+        carrier, chain = owner, displaced
+    return state, streaming.BarcodeDelta(added, removed)
+
+
 def audit_stream(state):
     """Re-derive a stream state's pairing invariant from scratch.
 
@@ -1343,7 +1390,8 @@ def audit_stream(state):
     exactly one of: unpaired cycle, paired creator, or chain owner.
     Re-reducing each raw boundary against the chains earlier in the
     filtration must reach zero for cycles and creators, and reach the
-    paired creator as leading id for chain owners.
+    paired creator as leading id for chain owners.  The sorted births
+    and finite deaths kept per dimension must be those of the barcode.
     """
     field = state.field
     n = len(state)
@@ -1384,3 +1432,10 @@ def audit_stream(state):
             assert max(chain, key=key) == creator_of[sid]
         else:
             assert not chain, f"cycle {simplex} re-reduces to a boundary"
+    births, deaths = {}, {}
+    for dim, birth, death in current_barcode(state):
+        births.setdefault(dim, []).append(birth)
+        if death != INF:
+            deaths.setdefault(dim, []).append(death)
+    for kept, barcode in ((state.births, births), (state.deaths, deaths)):
+        assert kept == {d: sorted(v) for d, v in barcode.items()}

@@ -103,6 +103,14 @@ class TestBarTypes:
         with pytest.raises(ValueError):
             Bar(None, 3, 2)
 
+    def test_make_and_replace_check_death_before_birth(self):
+        with pytest.raises(ValueError):
+            Bar(None, 1, 2)._replace(death=0)
+        with pytest.raises(ValueError):
+            Bar._make((None, 3, 2))
+        assert Bar(None, 1, 2)._replace(death=INF) == Bar(None, 1, INF)
+        assert type(Bar._make((0, 1, 1))) is Bar
+
     def test_ephemeral_flag(self):
         assert Bar(None, 2, 2).ephemeral
         assert not Bar(None, 2, 3).ephemeral

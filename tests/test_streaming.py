@@ -7,8 +7,10 @@ orders and require exact agreement with the batch pipeline, with the
 reduction invariant re-audited from scratch along the way.
 """
 
+import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from helpers import (
     random_filtered_complex,
     random_insertion_order,
     reduce_boundary,
+    reference_add_simplex,
     rips_complex,
 )
 from persmod import (
@@ -60,6 +63,35 @@ def named_pairing(state):
 
 def named_cycles(state):
     return {state.simplices[c] for c in state.cycles}
+
+
+def random_stream(rng, values):
+    """A random face-closed complex of dimension up to 3 on a few
+    vertices, in random face-compatible order.  Each simplex takes a
+    value from the sorted ``values`` no smaller than its faces', most
+    often the largest of theirs, so values tie heavily."""
+    def faces(s):
+        return [f for f in itertools.combinations(s, len(s) - 1) if f]
+
+    vertices = range(rng.randint(3, 6))
+    rank = {}
+    for size in range(1, 5):
+        for s in itertools.combinations(vertices, size):
+            if all(f in rank for f in faces(s)) and rng.random() < 0.9:
+                floor = max((rank[f] for f in faces(s)), default=0)
+                step = 0 if rng.random() < 0.6 else rng.randint(1, 2)
+                rank[s] = min(floor + step, len(values) - 1)
+    placed = set()
+    out = []
+    while len(out) < len(rank):
+        ready = [
+            s for s in rank
+            if s not in placed and all(f in placed for f in faces(s))
+        ]
+        pick = rng.choice(ready)
+        placed.add(pick)
+        out.append((pick, values[rank[pick]]))
+    return out
 
 
 def feed(state, trace):
@@ -186,6 +218,43 @@ class TestAddSimplex:
         assert bar_triples(current_barcode(state)) == [
             (0, 1, INF), (0, 2, 3), (0, 4, 5), (1, 6, 7),
         ]
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
+    def test_tied_simplex_kills_class_born_with_it(self, field):
+        # the triangle ties with the edge that creates the 1-class, so
+        # that class is alive at the triangle's value: it dies at once
+        trace = [
+            ((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 0), ((0, 2), 0),
+            ((1, 2), 1), ((0, 1, 2), 1),
+        ]
+        state, deltas = feed(StreamState(field), trace)
+        assert deltas[-1] == BarcodeDelta([Bar(1, 1, 1)], [Bar(1, 1, INF)])
+        assert [bar for bar in current_barcode(state) if bar.dim == 2] == []
+        audit_stream(state)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
+    def test_matches_reduction_of_every_boundary(self, field):
+        # a simplex with no class alive below skips its reduction; the
+        # reference reduces every boundary, so both must agree exactly
+        value_sets = [
+            [0, 1, 2, 3, 4],
+            [0.0, 0.25, 1.5, 2.0, 3.5],
+            [Fraction(k, 3) for k in range(5)],
+            [0, 0.5, Fraction(2, 3), 1, 1.25, Fraction(7, 4)],
+        ]
+        rng = random.Random(59)
+        for trial in range(80):
+            state, reference = StreamState(field), StreamState(field)
+            for vertices, value in random_stream(rng, value_sets[trial % 4]):
+                state, delta = add_simplex(state, vertices, value)
+                reference, want = reference_add_simplex(
+                    reference, vertices, value
+                )
+                assert (delta.added, delta.removed) == (want.added, want.removed)
+                assert state.pairing == reference.pairing
+                assert state.cycles == reference.cycles
+                assert state.chains == reference.chains
+                audit_stream(state)
 
     def test_audit_after_every_trace_step(self):
         for field in BOTH_FIELDS:
