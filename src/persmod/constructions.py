@@ -38,12 +38,8 @@ from __future__ import annotations
 import math
 from itertools import combinations, combinations_with_replacement, starmap
 
-from .linalg import (
-    GradedBasis,
-    GradedMatrix,
-    free_kernel,
-    graded_snf,
-)
+from . import linalg
+from .linalg import GradedBasis, GradedMatrix, graded_snf
 from .presentation import (
     INF,
     Presentation,
@@ -87,8 +83,9 @@ def image(f: PresentationMorphism) -> Presentation:
     """The image of f, presented on the source's own generators.
 
     im f = F_P / phi^-1(i_Q G_Q), and that preimage, the relations
-    rel0, rel1, ..., is the first step of :func:`kernel`.  A generator
-    that phi sends into i_Q(G_Q) at its own degree is an ephemeral bar.
+    rel0, rel1, ..., is the first step of :func:`kernel`: one reduction
+    of [phi | -i_Q].  A generator that phi sends into i_Q(G_Q) at its
+    own degree is an ephemeral bar.
 
     >>> from persmod.fields import QQ
     >>> src = Presentation.free(QQ, [("a", 2)])
@@ -98,7 +95,7 @@ def image(f: PresentationMorphism) -> Presentation:
     >>> list(im.gens), len(im.rels)
     ([('a', 2)], 0)
     """
-    return Presentation(f.src.field, _kernel_step(f.phi, f.dst.incl, "rel"))
+    return Presentation(f.src.field, linalg._preimage(f.phi, f.dst.incl, "rel"))
 
 
 def cokernel(f: PresentationMorphism) -> Presentation:
@@ -111,44 +108,19 @@ def cokernel(f: PresentationMorphism) -> Presentation:
     )
 
 
-def _kernel_step(main: GradedMatrix, modders: GradedMatrix, prefix: str):
-    """Elements of the main source whose image lies in the modders' span.
-
-    Takes the free kernel of [main | -modders] and projects it to the
-    main block; columns with zero projection are pure syzygies of the
-    modders and present nothing, so they are pruned.  The projections
-    are the columns prefix0, prefix1, ... of the matrix returned.
-    """
-    field = main.field
-    cols = list(main.cols) + [
-        {i: field.neg(v) for i, v in c.items()} for c in modders.cols
-    ]
-    stacked = GradedMatrix(
-        field, _joined(main.source, modders.source), main.target, cols
-    )
-    k = free_kernel(stacked)
-    na = main.ncols
-    kept = []
-    for col, degree in zip(k.cols, k.source.degrees):
-        proj = {i: v for i, v in col.items() if i < na}
-        if proj:
-            kept.append((proj, degree))
-    source = GradedBasis((f"{prefix}{n}", d) for n, (_, d) in enumerate(kept))
-    return GradedMatrix(field, source, main.source, [c for c, _ in kept])
-
-
 def kernel(f: PresentationMorphism):
-    """The kernel of f, in two steps of ``_kernel_step``.
+    """The kernel of f, as two preimages, one reduction each.
 
     Step 1, which :func:`image` shares, finds a free basis F_K, labeled
     k0, k1, ..., for the elements of F_P that phi maps into i_Q(G_Q)
     (these present kernel members).  Step 2 finds the relations rel0,
-    rel1, ...: combinations of F_K that land in i_P(G_P).  Returns the
-    kernel presentation and its inclusion morphism into f.src.
+    rel1, ...: the elements of F_K that the inclusion maps into
+    i_P(G_P).  Returns the kernel presentation and its inclusion
+    morphism into f.src.
     """
     p = f.src
-    incl_matrix = _kernel_step(f.phi, f.dst.incl, "k")
-    pres = Presentation(p.field, _kernel_step(incl_matrix, p.incl, "rel"))
+    incl_matrix = linalg._preimage(f.phi, f.dst.incl, "k")
+    pres = Presentation(p.field, linalg._preimage(incl_matrix, p.incl, "rel"))
     return pres, PresentationMorphism(pres, p, incl_matrix)
 
 

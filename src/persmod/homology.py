@@ -63,7 +63,8 @@ class FilteredComplex:
     Simplices are given as ``(vertices, birth)`` or
     ``(vertices, birth, removal)`` tuples.  Every codimension-one face
     must be present, faces must be born no later than their cofaces,
-    and faces must be removed no earlier than their cofaces.
+    and faces must be removed no earlier than their cofaces.  A NaN
+    time, which compares false with every time, is refused.
     ``has_removals`` says whether any simplex has a removal time.
 
     >>> c = FilteredComplex([((0,), 0), ((1,), 1), ((0, 1), 2)])
@@ -74,7 +75,11 @@ class FilteredComplex:
     __slots__ = ("simplices", "_faces", "has_removals")
 
     def __init__(self, simplices):
-        self._index(tuple(map(_normalized, simplices)))
+        simplices = tuple(map(_normalized, simplices))
+        for vertices, birth, removal in simplices:
+            if birth != birth or removal != removal:
+                raise ValueError(f"simplex {vertices} has a NaN time")
+        self._index(simplices)
 
     @classmethod
     def _of_sorted(cls, simplices):

@@ -17,9 +17,10 @@ The reduction engine works on columns.  A column may be subtracted from
 another only when the implied multiplier t-exponent is nonnegative,
 which holds exactly when the reducing column's degree is not larger.
 Processing columns in ascending degree keeps every operation legal.
-One loop, ``_echelon``, reduces m for its echelon form, [m ; I] for its
-kernel and [sub | x] for membership; the graded Smith normal form runs
-its own pass.
+One loop, ``_echelon``, reduces m for its echelon form,
+[main | -modders] over identity rows under main for a preimage (the
+kernel is the preimage of zero) and [sub | x] for membership; the
+graded Smith normal form runs its own pass.
 
 The pivot of a column is its bottom-most nonzero entry in degree-sorted
 row order, i.e. the entry whose row maximizes (degree, index).  That
@@ -353,21 +354,38 @@ def membership(x: GradedMatrix, sub: GradedMatrix) -> bool:
 
 
 def free_kernel(m: GradedMatrix) -> GradedMatrix:
-    """A free basis for the kernel of a map between free modules.
-
-    Reduces [m ; I] as ``column_echelon`` reduces m.  The identity rows
-    rank below every row of m, so they are never pivots and record the
-    column operations; the identity part of each column that dies spans
-    the kernel, in processing order: for the output k, ``m @ k`` is
-    zero, and each column of k has the degree of the column that died.
+    """A free basis for the kernel of a map between free modules,
+    labeled k0, k1, ...: the preimage of zero, ``_preimage`` with no
+    modders.  For the output k, ``m @ k`` is zero, and each column of
+    k has the degree of the column of m that died.
     """
-    f, n = m.field, len(m.target)
-    cols = [{**col, n + j: f.one} for j, col in enumerate(m.cols)]
-    key = (_pivot_rank(m.target) + [-1] * m.ncols).__getitem__
-    _, dead = _echelon(f, cols, m.source.sorted_indices(), key, n)
-    source = GradedBasis((f"k{i}", m.source.degrees[c]) for i, c in enumerate(dead))
-    kernel = [{i - n: v for i, v in cols[c].items()} for c in dead]
-    return GradedMatrix(f, source, m.source, kernel)
+    nothing = GradedMatrix(m.field, GradedBasis(()), m.target, ())
+    return _preimage(m, nothing, "k")
+
+
+def _preimage(main: GradedMatrix, modders: GradedMatrix, prefix: str):
+    """A free basis, labeled prefix0, prefix1, ..., for the elements of
+    main's source that main maps into the span of the modders' columns.
+
+    Reduces [main | -modders] as ``column_echelon`` reduces a matrix,
+    main's columns first at a degree tie, with identity rows under
+    main's columns only.  Those rows rank below every row of the
+    target, so they are never pivots and record the column operations.
+    Each column that dies keeps only its record part; that part spans
+    the preimage, in processing order.  A dead column with an empty
+    record part is a syzygy of the modders alone and is pruned.
+    """
+    f, n = main.field, len(main.target)
+    cols = [{**col, n + j: f.one} for j, col in enumerate(main.cols)]
+    cols += [{i: f.neg(v) for i, v in col.items()} for col in modders.cols]
+    degrees = main.source.degrees + modders.source.degrees
+    order = sorted(range(len(cols)), key=degrees.__getitem__)
+    key = (_pivot_rank(main.target) + [-1] * main.ncols).__getitem__
+    _, dead = _echelon(f, cols, order, key, n)
+    kept = [c for c in dead if cols[c]]
+    source = GradedBasis((f"{prefix}{i}", degrees[c]) for i, c in enumerate(kept))
+    preimage = [{i - n: v for i, v in cols[c].items()} for c in kept]
+    return GradedMatrix(f, source, main.source, preimage)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from persmod import (
     graded_boundary,
     membership,
 )
-from persmod import linalg, streaming
+from persmod import constructions, linalg, streaming
 from persmod.cli import CliError
 
 
@@ -499,6 +499,38 @@ def replayed_free_kernel(m):
             dead.append(c)
     source = GradedBasis((f"k{n}", m.source.degrees[c]) for n, c in enumerate(dead))
     return GradedMatrix(f, source, m.source, [track[c] for c in dead])
+
+
+def reference_kernel_step(main, modders, prefix):
+    """``linalg._preimage`` as ``constructions._kernel_step`` computed
+    it before it was one reduction: stack [main | -modders] into one
+    matrix with primed labels, take its free kernel by reducing
+    [stacked ; I] with an identity row under every column (labels k0,
+    k1, ...), and keep the nonzero projections to main's block."""
+    field = main.field
+    cols = list(main.cols) + [
+        {i: field.neg(v) for i, v in c.items()} for c in modders.cols
+    ]
+    labels = constructions._joined(main.source, modders.source)
+    stacked = GradedMatrix(field, labels, main.target, cols)
+
+    # the parent's free_kernel(stacked)
+    m, f, n = stacked, field, len(stacked.target)
+    cols = [{**col, n + j: f.one} for j, col in enumerate(m.cols)]
+    key = (linalg._pivot_rank(m.target) + [-1] * m.ncols).__getitem__
+    _, dead = linalg._echelon(f, cols, m.source.sorted_indices(), key, n)
+    source = GradedBasis((f"k{i}", m.source.degrees[c]) for i, c in enumerate(dead))
+    kernel = [{i - n: v for i, v in cols[c].items()} for c in dead]
+    k = GradedMatrix(f, source, m.source, kernel)
+
+    na = main.ncols
+    kept = []
+    for col, degree in zip(k.cols, k.source.degrees):
+        proj = {i: v for i, v in col.items() if i < na}
+        if proj:
+            kept.append((proj, degree))
+    source = GradedBasis((f"{prefix}{n}", d) for n, (_, d) in enumerate(kept))
+    return GradedMatrix(field, source, main.source, [c for c, _ in kept])
 
 
 def snf_exactly(snf):

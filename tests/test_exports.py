@@ -50,15 +50,18 @@ def test_package_exports_match_bound_names():
 def test_reduce_loop_is_bound_only_in_linalg():
     # perfbench/layers.py traces every function that a second module
     # binds; homology and streaming reach the column loop as
-    # ``linalg._reduce``, so that it stays untraced
+    # ``linalg._reduce``, and constructions the preimage reduction as
+    # ``linalg._preimage``, so that their time stays with the caller
     from persmod import linalg
 
     for module in [persmod] + [
         importlib.import_module(f"persmod.{name}") for name in SUBMODULES
     ]:
         if module is not linalg:
-            bound = [n for n, obj in vars(module).items() if obj is linalg._reduce]
-            assert not bound, f"{module.__name__} binds _reduce as {bound}"
+            for fn in (linalg._reduce, linalg._preimage):
+                bound = [n for n, obj in vars(module).items() if obj is fn]
+                name = fn.__name__
+                assert not bound, f"{module.__name__} binds {name} as {bound}"
 
 
 def test_package_imports_only_the_standard_library():

@@ -7,6 +7,7 @@ bar counts per degree slice against the dense Betti-number oracle in
 helpers, and the cohomology pairing against the boundary reduction.
 """
 
+import math
 import random
 
 import pytest
@@ -190,6 +191,24 @@ class TestFilteredComplex:
     def test_removal_before_birth_rejected(self):
         with pytest.raises(ValueError, match="before\n?.*birth"):
             FilteredComplex([((0,), 4, 2)])
+
+    @pytest.mark.parametrize(
+        "at, entry, named",
+        [
+            (1, ((1,), math.nan), "(1,)"),  # once gave the bar (0, nan, 1)
+            (0, ((0,), math.nan), "(0,)"),
+            (2, ((1, 0), 1, math.nan), "(0, 1)"),
+            (2, ((0, 1), math.nan, 3), "(0, 1)"),
+        ],
+    )
+    def test_nan_time_rejected(self, at, entry, named):
+        # NaN compares false with every time, so it breaks no other
+        # rule: it is refused by name, births and removals alike
+        entries = [((0,), 0), ((1,), 0), ((0, 1), 1)]
+        entries[at] = entry
+        with pytest.raises(ValueError) as refused:
+            FilteredComplex(entries)
+        assert str(refused.value) == f"simplex {named} has a NaN time"
 
     def test_face_index_matches_reference(self):
         # Seeded lists with up to two faults each, as API callers may

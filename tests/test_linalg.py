@@ -14,6 +14,7 @@ from persmod import (
     QQ,
     column_echelon,
     free_kernel,
+    linalg,
     membership,
 )
 from helpers import (
@@ -28,9 +29,11 @@ from helpers import (
     identity_matrix,
     low,
     matrix_of_columns,
+    random_basis,
     random_element,
     random_graded_matrix,
     random_scalar,
+    reference_kernel_step,
     replayed_free_kernel,
     scale,
     slice_rank,
@@ -505,3 +508,59 @@ class TestFreeKernel:
         k = free_kernel(m)
         assert k.source.labels == ("k0",)
         assert k.cols == ({0: Fraction(-1), 1: Fraction(1)},)
+
+
+class TestPreimage:
+    @staticmethod
+    def random_block(field, rng, target, size, prefix, density):
+        source = random_basis(rng, size, prefix, max_degree=5)
+        cols = [
+            {
+                i: random_scalar(field, rng)
+                for i, low in enumerate(target.degrees)
+                if low <= d and rng.random() < density
+            }
+            for d in source.degrees
+        ]
+        return GradedMatrix(field, source, target, cols)
+
+    def test_equals_reference_kernel_step(self):
+        # one reduction of [main | -modders], identity rows under main
+        # only, against the stacked free kernel it replaced: same
+        # labels, degrees, target, and columns including entry order
+        rng = random.Random(97)
+        seen = dict.fromkeys(("no modders", "zero", "syzygy", "tie"), 0)
+        for field in (QQ, PrimeField(2), PrimeField(5)):
+            for trial in range(150):
+                target = random_basis(rng, rng.randint(1, 5), "y", max_degree=4)
+                density = rng.choice((0.0, 0.3, 0.6, 0.9))
+                main = self.random_block(
+                    field, rng, target, rng.randint(0, 6), "x", density
+                )
+                size = 0 if trial % 5 == 0 else rng.randint(1, 5)
+                modders = self.random_block(field, rng, target, size, "x", density)
+                if size > 1 and rng.random() < 0.5:
+                    # a syzygy: a combination of two modders, at or
+                    # above the degree of both
+                    a, b = rng.sample(range(size), 2)
+                    d = max(modders.source.degrees[a], modders.source.degrees[b])
+                    col = dict(modders.cols[a])
+                    field.combine(col, modders.cols[b], random_scalar(field, rng))
+                    labels = list(modders.source) + [("s", d + rng.randint(0, 1))]
+                    modders = GradedMatrix(
+                        field, GradedBasis(labels), target, [*modders.cols, col]
+                    )
+                    seen["syzygy"] += 1
+                prefix = rng.choice(("k", "rel"))
+                got = linalg._preimage(main, modders, prefix)
+                want = reference_kernel_step(main, modders, prefix)
+                assert got.source == want.source and got.target == want.target
+                assert [list(c.items()) for c in got.cols] == [
+                    list(c.items()) for c in want.cols
+                ]
+                seen["no modders"] += not modders.ncols
+                seen["zero"] += any(not c for c in (*main.cols, *modders.cols))
+                seen["tie"] += bool(
+                    set(main.source.degrees) & set(modders.source.degrees)
+                )
+        assert min(seen.values()) > 60, seen

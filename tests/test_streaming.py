@@ -8,6 +8,7 @@ reduction invariant re-audited from scratch along the way.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -156,6 +157,15 @@ class TestAddSimplex:
             ((1, 3), 8, "inserted twice"),
             ((1, 2, 4), 8, "missing face"),
             ((1, 2, 3), 5.5, "after"),
+            # kept, a NaN would sit unsorted in the births bisected
+            pytest.param(
+                (4,), math.nan, r"^simplex \(4,\) has a NaN value$",
+                id="nan-vertex",
+            ),
+            pytest.param(
+                (3, 1, 2), math.nan, r"^simplex \(1, 2, 3\) has a NaN value$",
+                id="nan-triangle",
+            ),
         ],
     )
     def test_rejection_consumes_no_id(self, vertices, value, message):
@@ -173,6 +183,7 @@ class TestAddSimplex:
             )
             with pytest.raises(ValueError, match=message):
                 add_simplex(state, vertices, value)
+            audit_stream(state)
             assert (
                 len(state),
                 state.index,
