@@ -18,7 +18,6 @@ from .linalg import (
     GradedMatrix,
     SnfResult,
     column_echelon,
-    free_kernel,
     graded_snf,
     membership,
 )
@@ -29,8 +28,6 @@ from .presentation import (
     Presentation,
     PresentationMorphism,
     barcode,
-    dimension_at,
-    rank_t_power,
     validate_morphism,
 )
 from .constructions import (
@@ -75,7 +72,6 @@ __all__ = [
     "GradedMatrix",
     "SnfResult",
     "column_echelon",
-    "free_kernel",
     "graded_snf",
     "membership",
     "INF",
@@ -84,8 +80,6 @@ __all__ = [
     "Presentation",
     "PresentationMorphism",
     "barcode",
-    "dimension_at",
-    "rank_t_power",
     "validate_morphism",
     "SnfForm",
     "cokernel",

@@ -26,6 +26,7 @@ import os
 import sys
 from itertools import repeat
 
+from . import homology
 from .constructions import (
     cokernel,
     direct_sum,
@@ -46,7 +47,6 @@ from .homology import (
     FilteredComplex,
     Simplex,
     _descent_failure,
-    _face_index,
     persistent_homology,
     relative_complex,
     torsion_homology,
@@ -208,7 +208,7 @@ def _load_complex(text):
         # ranking is monotone, so the values as written break the same
         # rules, and a negative one breaks a rule of its own
         written = _as_written(value_map)
-        _, (at, message) = _face_index([
+        _, (at, message) = homology._face_index([
             Simplex(vertices, written(birth), written(removal))
             for vertices, birth, removal in simplices
         ])

@@ -64,7 +64,8 @@ class FilteredComplex:
     ``(vertices, birth, removal)`` tuples.  Every codimension-one face
     must be present, faces must be born no later than their cofaces,
     and faces must be removed no earlier than their cofaces.  A NaN
-    time, which compares false with every time, is refused.
+    time, which compares false with every time, and a time that is not
+    a number, such as None or a str, are refused.
     ``has_removals`` says whether any simplex has a removal time.
 
     >>> c = FilteredComplex([((0,), 0), ((1,), 1), ((0, 1), 2)])
@@ -77,8 +78,11 @@ class FilteredComplex:
     def __init__(self, simplices):
         simplices = tuple(map(_normalized, simplices))
         for vertices, birth, removal in simplices:
-            if birth != birth or removal != removal:
-                raise ValueError(f"simplex {vertices} has a NaN time")
+            fault = _time_fault(vertices, birth, "time") or _time_fault(
+                vertices, removal, "time"
+            )
+            if fault:
+                raise ValueError(fault)
         self._index(simplices)
 
     @classmethod
@@ -131,6 +135,17 @@ def _normalized(entry) -> Simplex:
         return Simplex(tuple(sorted(entry[0])), entry[1], INF)
     vertices, birth, removal = entry
     return Simplex(tuple(sorted(vertices)), birth, removal)
+
+
+def _time_fault(vertices, t, noun):
+    """Why a time t of a simplex is refused, or None: t is NaN, which
+    compares false with every number, or compares with none at all."""
+    try:
+        if t <= INF:
+            return None
+    except TypeError:
+        return f"simplex {vertices} has {noun} {t!r}, which is not a number"
+    return f"simplex {vertices} has a NaN {noun}"
 
 
 def _face_index(simplices):

@@ -353,16 +353,6 @@ def membership(x: GradedMatrix, sub: GradedMatrix) -> bool:
     return set(dead).issuperset(range(sub.ncols, len(cols)))
 
 
-def free_kernel(m: GradedMatrix) -> GradedMatrix:
-    """A free basis for the kernel of a map between free modules,
-    labeled k0, k1, ...: the preimage of zero, ``_preimage`` with no
-    modders.  For the output k, ``m @ k`` is zero, and each column of
-    k has the degree of the column of m that died.
-    """
-    nothing = GradedMatrix(m.field, GradedBasis(()), m.target, ())
-    return _preimage(m, nothing, "k")
-
-
 def _preimage(main: GradedMatrix, modders: GradedMatrix, prefix: str):
     """A free basis, labeled prefix0, prefix1, ..., for the elements of
     main's source that main maps into the span of the modders' columns.

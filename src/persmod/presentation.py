@@ -14,11 +14,6 @@ Length-0 intervals (a = 0) are generators killed on arrival.  They are
 invisible in every degree slice but do appear in the relation data, so
 barcodes carry them flagged as ephemeral; the diagonal constructions in
 :mod:`persmod.constructions` drop them.
-
-Two brute-force oracles, :func:`dimension_at` and :func:`rank_t_power`,
-evaluate the presented module degreewise using nothing but dense
-Gaussian elimination over k.  They share no machinery with the graded
-reduction engine, which makes them useful as independent checks.
 """
 
 from __future__ import annotations
@@ -260,67 +255,3 @@ def barcode(p: Presentation) -> Barcode:
         Bar(None, d, d + a) for d, a in zip(p.gens.degrees, _annihilators(p))
     )
 
-
-def _dense_rank(field, rows) -> int:
-    """Plain Gaussian elimination over k on a dense scalar matrix."""
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = field.mul(rows[r][col], inv)
-                rows[r] = [
-                    field.sub(a, field.mul(factor, b))
-                    for a, b in zip(rows[r], rows[rank])
-                ]
-        rank += 1
-    return rank
-
-
-def _slice_matrix(m: GradedMatrix, rows, cols):
-    return [[m.entry(i, j) for j in cols] for i in rows]
-
-
-def dimension_at(p: Presentation, d: int) -> int:
-    """dim_k of the degree-d slice of the presented module.
-
-    Brute force: the slice of F has one k-dimension per generator of
-    degree <= d, and the slice of iG is spanned by the scalar columns of
-    the relations of degree <= d.  No graded machinery is involved.
-    """
-    rows = [i for i in range(len(p.gens)) if p.gens.degrees[i] <= d]
-    cols = [j for j in range(len(p.rels)) if p.rels.degrees[j] <= d]
-    rank = _dense_rank(p.field, _slice_matrix(p.incl, rows, cols))
-    return len(rows) - rank
-
-
-def rank_t_power(p: Presentation, d: int, j: int) -> int:
-    """Rank of t^j as a k-linear map from degree d to degree d + j.
-
-    The image of the slice M_d in M_{d+j} is spanned by the generators
-    of degree <= d taken modulo the relations of degree <= d+j, so the
-    rank is rank[B | A] - rank[A] with B the inclusion of those
-    generators into the degree-(d+j) slice of F and A the relation
-    slice there.
-    """
-    if j < 0:
-        raise ValueError("t-power must be nonnegative")
-    rows = [i for i in range(len(p.gens)) if p.gens.degrees[i] <= d + j]
-    row_pos = {i: n for n, i in enumerate(rows)}
-    cols = [k for k in range(len(p.rels)) if p.rels.degrees[k] <= d + j]
-    a = _slice_matrix(p.incl, rows, cols)
-    rank_a = _dense_rank(p.field, a)
-    b_cols = [i for i in rows if p.gens.degrees[i] <= d]
-    combined = [
-        [p.field.one if i == bc else p.field.zero for bc in b_cols] + a[row_pos[i]]
-        for i in rows
-    ]
-    return _dense_rank(p.field, combined) - rank_a

@@ -189,13 +189,14 @@ def add_simplex(state: StreamState, vertices, value):
     chains earlier in filtration position.  If it survives with a
     leading simplex owned by a pair later in the filtration, that pair
     is stolen and the displaced chain re-settled, cascading to later
-    and later positions.  A NaN value, a repeated vertex, a repeat
-    simplex, and a face missing or with a later value are refused
-    before the state changes.
+    and later positions.  A NaN value, a value that is not a number, a
+    repeated vertex, a repeat simplex, and a face missing or with a
+    later value are refused before the state changes.
     """
     vertices = tuple(sorted(vertices))
-    if value != value:
-        raise ValueError(f"simplex {vertices} has a NaN value")
+    fault = homology._time_fault(vertices, value, "value")
+    if fault:
+        raise ValueError(fault)
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"repeated vertex in simplex {vertices}")
     if vertices in state.index:

@@ -29,7 +29,6 @@ from persmod import (
     SnfResult,
     column_echelon,
     current_barcode,
-    free_kernel,
     graded_boundary,
     membership,
 )
@@ -469,9 +468,18 @@ def row_operation_snf(m):
     return SnfResult(s, s_inv, lows)
 
 
+def free_kernel(m):
+    """A free basis, labeled k0, k1, ..., for the kernel of a map m
+    between free modules: the public ``kernel`` of m as a morphism of
+    free presentations, whose first preimage reduces [m ; I]."""
+    src = Presentation.free(m.field, m.source)
+    dst = Presentation.free(m.field, m.target)
+    return constructions.kernel(PresentationMorphism(src, dst, m))[1].phi
+
+
 def replayed_free_kernel(m):
-    """``free_kernel`` by replay: the reference for its reduction of
-    [m ; I].
+    """``free_kernel`` by replay: the reference for the reduction of
+    [m ; I] that computes it.
 
     Reduces m's columns in ascending (degree, position) order, each
     against the pivots of the columns before it, and replays every
@@ -575,6 +583,20 @@ def induced_slice_rank(phi, dst, d, j=0):
     if not rows or not (pcols or rcols):
         return 0
     return gauss_rank(field, combined) - rank_rel
+
+
+def dimension_at(p, d):
+    """dim_k of the degree-d slice of the presented module p, densely:
+    the rank of the identity of p's generators into it."""
+    return induced_slice_rank(identity_matrix(p.field, p.gens), p, d)
+
+
+def rank_t_power(p, d, j):
+    """Rank of t^j as a k-linear map from degree d to degree d + j of
+    the presented module p, densely."""
+    if j < 0:
+        raise ValueError("t-power must be nonnegative")
+    return induced_slice_rank(identity_matrix(p.field, p.gens), p, d, j)
 
 
 def dense_homology_dimension(tcc, p, g):

@@ -15,6 +15,7 @@ from helpers import (
     assert_snf_certificate,
     columns,
     degree_bound,
+    dimension_at,
     free_rows,
     induced_slice_rank,
     random_filtered_complex,
@@ -22,6 +23,7 @@ from helpers import (
     random_insertion_order,
     random_presentation,
     random_valid_morphism,
+    rank_t_power,
     slice_rank,
     terms,
     times_t,
@@ -48,7 +50,7 @@ from persmod.linalg import (
     graded_snf,
     membership,
 )
-from persmod.presentation import PresentationMorphism, dimension_at, rank_t_power
+from persmod.presentation import PresentationMorphism
 
 DISSOLVING_TRIANGLE = FilteredComplex([
     ((0,), 0, 13), ((1,), 1, 12), ((2,), 2, 11),

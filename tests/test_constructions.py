@@ -15,6 +15,7 @@ from helpers import (
     alive_at,
     column,
     degree_bound,
+    dimension_at,
     eager_diagonal_presentation,
     hand_built_presentations,
     hstack,
@@ -27,6 +28,7 @@ from helpers import (
     random_valid_cospan,
     random_valid_morphism,
     random_valid_span,
+    rank_t_power,
     sub,
     terms,
     vstack,
@@ -43,7 +45,6 @@ from persmod import (
     QQ,
     barcode,
     cokernel,
-    dimension_at,
     direct_sum,
     dual,
     exterior_power,
@@ -53,7 +54,6 @@ from persmod import (
     membership,
     pullback,
     pushout,
-    rank_t_power,
     snf_form,
     symmetric_power,
     tensor,

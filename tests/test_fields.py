@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     FractionQ,
+    free_kernel,
     random_filtered_complex,
     random_graded_matrix,
     random_insertion_order,
@@ -32,7 +33,6 @@ from persmod import (
     add_simplex,
     current_barcode,
     field_from_string,
-    free_kernel,
     image,
     snf_form,
 )

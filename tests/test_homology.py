@@ -210,6 +210,25 @@ class TestFilteredComplex:
             FilteredComplex(entries)
         assert str(refused.value) == f"simplex {named} has a NaN time"
 
+    @pytest.mark.parametrize("value", [None, "1"])
+    @pytest.mark.parametrize(
+        "at, entry, named",
+        [
+            (0, ((0,), "t"), "(0,)"),
+            (2, ((1, 0), 1, "t"), "(0, 1)"),
+        ],
+    )
+    def test_time_that_is_not_a_number_rejected(self, at, entry, named, value):
+        # refused by name before the face check, whose comparisons
+        # would raise TypeError on it
+        entries = [((0,), 0), ((1,), 0), ((0, 1), 1)]
+        entries[at] = tuple(value if t == "t" else t for t in entry)
+        with pytest.raises(ValueError) as refused:
+            FilteredComplex(entries)
+        assert str(refused.value) == (
+            f"simplex {named} has time {value!r}, which is not a number"
+        )
+
     def test_face_index_matches_reference(self):
         # Seeded lists with up to two faults each, as API callers may
         # pass them: the one face pass must name the simplex and rule

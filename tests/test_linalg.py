@@ -13,7 +13,6 @@ from persmod import (
     PrimeField,
     QQ,
     column_echelon,
-    free_kernel,
     linalg,
     membership,
 )
@@ -25,6 +24,7 @@ from helpers import (
     degree,
     element,
     express_in_columns,
+    free_kernel,
     hstack,
     identity_matrix,
     low,

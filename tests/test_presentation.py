@@ -18,9 +18,7 @@ from persmod import (
     QQ,
     barcode,
     column_echelon,
-    dimension_at,
     graded_snf,
-    rank_t_power,
     snf_form,
     validate_morphism,
 )
@@ -28,6 +26,7 @@ from helpers import (
     BOTH_FIELDS,
     alive_at,
     degree_bound,
+    dimension_at,
     element,
     free_rows,
     hand_built_presentations,
@@ -38,6 +37,7 @@ from helpers import (
     random_presentation,
     random_scalar,
     random_valid_morphism,
+    rank_t_power,
     slice_rank,
     zero_morphism,
 )

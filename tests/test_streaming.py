@@ -166,6 +166,18 @@ class TestAddSimplex:
                 (3, 1, 2), math.nan, r"^simplex \(1, 2, 3\) has a NaN value$",
                 id="nan-triangle",
             ),
+            # kept, a value that is no number would break the next
+            # insertion's bisect after that one had taken its id
+            pytest.param(
+                (4,), None,
+                r"^simplex \(4,\) has value None, which is not a number$",
+                id="none-vertex",
+            ),
+            pytest.param(
+                (2, 4), "1",
+                r"^simplex \(2, 4\) has value '1', which is not a number$",
+                id="str-edge",
+            ),
         ],
     )
     def test_rejection_consumes_no_id(self, vertices, value, message):
@@ -200,6 +212,20 @@ class TestAddSimplex:
             assert current_barcode(state) == persistent_homology(
                 FilteredComplex(TRIANGLE_TRACE), field
             )
+
+    @pytest.mark.parametrize("value", [None, "1"])
+    def test_first_value_not_a_number_leaves_no_trace(self, value):
+        # nothing else compares the first value, so only the check keeps
+        # it out of the live births, where the next insertion's bisect
+        # would raise TypeError after that simplex had taken its id
+        state = StreamState()
+        with pytest.raises(ValueError, match="which is not a number$"):
+            add_simplex(state, (0,), value)
+        assert len(state) == 0 and not state.births
+        state, delta = add_simplex(state, (1,), 1)
+        audit_stream(state)
+        assert len(state) == 1 and state.births == {0: [1]}
+        assert bar_triples(delta.added) == [(0, 1, INF)]
 
     def test_worked_trace(self):
         state = StreamState()
