@@ -46,7 +46,6 @@ from .fields import QQ, field_from_string
 from .homology import (
     FilteredComplex,
     Simplex,
-    _descent_failure,
     persistent_homology,
     relative_complex,
     torsion_homology,
@@ -562,7 +561,7 @@ def _cmd_relative(args):
     bars = torsion_homology(relative_complex(filtration, args.field))
     if not args.keep_ephemeral:
         bars = bars.without_ephemeral()
-    failure = _descent_failure(filtration, _as_written(value_map))
+    failure = homology._descent_failure(filtration, _as_written(value_map))
     if failure is not None:
         sys.stderr.write(
             f"warning: line {lines[failure[0]]}: {failure[1]}; bars of "
@@ -588,12 +587,11 @@ def _cmd_stream(args):
         except ValueError as e:
             raise CliError(VALIDATION_ERROR, f"line {lines[n]}: {e}") from None
         if args.emit_events:
-            head = " ".join(str(v) for v in s.vertices)
+            head = " ".join(map(str, s.vertices))
             events.append(f"# insert {head} ; {s.birth}\n")
-            for bar in sorted(delta.removed):
-                events.append(f"- {_bar_line(bar)}\n")
-            for bar in sorted(delta.added):
-                events.append(f"+ {_bar_line(bar)}\n")
+            for sign, bars in ("-", delta.removed), ("+", delta.added):
+                for bar in sorted(bars):
+                    events.append(f"{sign} {_bar_line(bar)}\n")
     _echo_value_map(value_map)
     sys.stdout.write("".join(events))
     _print_bars(current_barcode(state))

@@ -34,7 +34,9 @@ the chains of earlier killers (R = DV, as in the batch reduction of
 form of clearing, which skips the columns a batch reduction knows will
 reach zero (Chen and Kerber, *Persistent homology computation with a
 twist*, 2011).  The sorted births and finite deaths of each dimension's
-bars answer the test by two bisects.
+bars answer the test by two bisects.  Each event updates one of those
+lists once: a new cycle inserts its birth, a new pair its death, and a
+steal moves the owner's death down to the carrier's in place.
 """
 
 from __future__ import annotations
@@ -105,9 +107,11 @@ class StreamState:
     cycles : set
         Ids of creators whose class is still alive.
     births : dict
-        Dimension -> sorted births of that dimension's bars.
+        Dimension -> sorted births of that dimension's bars; each new
+        cycle inserts one.
     deaths : dict
-        Dimension -> sorted finite deaths of that dimension's bars.
+        Dimension -> sorted finite deaths of that dimension's bars; each
+        new pair inserts one, and a steal moves one down in place.
     """
 
     __slots__ = (
@@ -164,23 +168,6 @@ def _interval(state: StreamState, creator, killer=None) -> Bar:
     )
 
 
-def _record(state: StreamState, added, removed):
-    """Move a delta's bars into the sorted births and finite deaths."""
-    births, deaths = state.births, state.deaths
-    for dim, birth, death in removed:
-        _drop(births[dim], birth)
-        if death != INF:
-            _drop(deaths[dim], death)
-    for dim, birth, death in added:
-        insort(births.setdefault(dim, []), birth)
-        if death != INF:
-            insort(deaths.setdefault(dim, []), death)
-
-
-def _drop(values, value):
-    del values[bisect_left(values, value)]
-
-
 def add_simplex(state: StreamState, vertices, value):
     """Insert one simplex; return the state and the barcode delta.
 
@@ -205,47 +192,57 @@ def add_simplex(state: StreamState, vertices, value):
     carrier = len(state.simplices)
     state.index[vertices] = carrier
     state.simplices.append(vertices)
-    state.keys.append((value, carrier))
+    keys = state.keys
+    keys.append((value, carrier))
 
+    # delta bars skip Bar's check: killers follow creators in filtration order
+    dim = len(vertices) - 1
+    below = dim - 1
+    births, deaths = state.births, state.deaths
+    # no class alive below: the boundary bounds, with no reduction
+    bounds = bisect_right(births.get(below, ()), value) == bisect_right(
+        deaths.get(below, ()), value
+    )
     field = state.field
-    key = state.keys.__getitem__
+    key = keys.__getitem__
+    pairing, chains = state.pairing, state.chains
     added = []
     removed = []
-    below = len(vertices) - 2
-    if bisect_right(state.births.get(below, ()), value) == bisect_right(
-        state.deaths.get(below, ()), value
-    ):
-        leading = None  # no class alive below: the boundary bounds
-    else:
-        leading = linalg._reduce(
-            field, chain, key, state.pairing, state.chains, key(carrier)
-        )
     while True:
+        leading = None if bounds else linalg._reduce(
+            field, chain, key, pairing, chains, key(carrier)
+        )
         if leading is None:
             state.cycles.add(carrier)
-            added.append(_interval(state, carrier))
+            birth = keys[carrier][0]
+            insort(births.setdefault(dim, []), birth)
+            added.append(tuple.__new__(Bar, (dim, birth, INF)))
             break
-        owner = state.pairing.get(leading)
-        state.pairing[leading] = carrier
-        state.chains[carrier] = chain
+        owner = pairing.get(leading)
+        pairing[leading] = carrier
+        chains[carrier] = chain
+        birth = keys[leading][0]
+        death = keys[carrier][0]
         if owner is None:
             # the leading simplex was an unpaired cycle: new pair
             state.cycles.remove(leading)
-            removed.append(_interval(state, leading))
-            added.append(_interval(state, leading, carrier))
+            insort(deaths.setdefault(below, []), death)
+            removed.append(tuple.__new__(Bar, (below, birth, INF)))
+            added.append(tuple.__new__(Bar, (below, birth, death)))
             break
-        # steal the pair from a later chain and re-settle that chain
-        removed.append(_interval(state, leading, owner))
-        added.append(_interval(state, leading, carrier))
-        displaced = state.chains.pop(owner)
+        # steal the pair from a later chain: its death moves down to
+        # the carrier's, and the displaced chain is re-settled
+        stolen = keys[owner][0]
+        ends = deaths[below]
+        i = bisect_left(ends, stolen)
+        del ends[i]
+        insort(ends, death, 0, i)
+        removed.append(tuple.__new__(Bar, (below, birth, stolen)))
+        added.append(tuple.__new__(Bar, (below, birth, death)))
+        displaced = chains.pop(owner)
         ratio = field.div(displaced[leading], chain[leading])
         field.combine(displaced, chain, ratio)
         carrier, chain = owner, displaced
-        # reduce against chains earlier in the filtration than carrier
-        leading = linalg._reduce(
-            field, chain, key, state.pairing, state.chains, key(carrier)
-        )
-    _record(state, added, removed)
     return state, BarcodeDelta(added, removed)
 
 

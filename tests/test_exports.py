@@ -69,12 +69,20 @@ def test_reduce_loop_is_bound_only_in_linalg():
 
 
 def test_face_index_is_bound_only_in_homology():
-    # cli names a broken rule through ``homology._face_index``, and
-    # streaming checks a value through ``homology._time_fault``, so
-    # neither is a span of its own and the time stays with the caller
+    # cli names a broken rule through ``homology._face_index`` and tests
+    # descent through ``homology._descent_failure``, and streaming checks
+    # a value through ``homology._time_fault``, so none is a span of its
+    # own and the time stays with the caller
     from persmod import homology
 
-    _assert_bound_only_in(homology, (homology._face_index, homology._time_fault))
+    _assert_bound_only_in(
+        homology,
+        (
+            homology._face_index,
+            homology._time_fault,
+            homology._descent_failure,
+        ),
+    )
 
 
 # Exported functions that no module of the package calls, each with

@@ -38,6 +38,7 @@ from persmod import (
     add_simplex,
     current_barcode,
     graded_boundary,
+    linalg,
     persistent_homology,
 )
 
@@ -50,6 +51,41 @@ TRIANGLE_TRACE = [
     ((2, 3), 5),
     ((1, 2, 3), 7),
 ]
+
+
+# vertex 1 dies at 6 on edge 01; the edge 15 at 2, inserted last,
+# steals that pair and moves the death down past 3 and 4 (edges 23 and
+# 34), and 01 re-settles as a 1-cycle through 05
+STEAL_TRACE = [
+    ((0,), 0), ((1,), 1), ((2,), 0), ((3,), 0), ((4,), 0), ((5,), 0),
+    ((0, 5), 0), ((0, 1), 6), ((2, 3), 3), ((3, 4), 4),
+]
+
+# the vertices and edges of a tetrahedron, all at 0
+TETRAHEDRON_GRAPH = [
+    (v, 0) for v in itertools.chain(
+        itertools.combinations(range(4), 1), itertools.combinations(range(4), 2)
+    )
+]
+
+# one insertion per branch of add_simplex: (trace before, insertion,
+# reductions run, added, removed)
+DELTA_BRANCHES = {
+    "no-live-class-cycle": (
+        TETRAHEDRON_GRAPH + [((0, 1, 2), 1), ((0, 1, 3), 1), ((0, 2, 3), 1)],
+        ((1, 2, 3), 2), 0, [(2, 2, INF)], [],
+    ),
+    "cycle-after-reduction": (
+        [((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 0), ((0, 2), 0)],
+        ((1, 2), 1), 1, [(1, 1, INF)], [],
+    ),
+    "new-pair": (
+        [((0,), 0), ((1,), 2)], ((0, 1), 5), 1, [(0, 2, 5)], [(0, 2, INF)],
+    ),
+    "steal-cascade": (
+        STEAL_TRACE, ((1, 5), 2), 2, [(0, 1, 2), (1, 6, INF)], [(0, 1, 6)],
+    ),
+}
 
 
 def bar_triples(bars):
@@ -267,6 +303,45 @@ class TestAddSimplex:
         state, deltas = feed(StreamState(field), trace)
         assert deltas[-1] == BarcodeDelta([Bar(1, 1, 1)], [Bar(1, 1, INF)])
         assert [bar for bar in current_barcode(state) if bar.dim == 2] == []
+        audit_stream(state)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+    @pytest.mark.parametrize("branch", sorted(DELTA_BRANCHES))
+    def test_delta_bars_in_every_branch(self, branch, field, monkeypatch):
+        # delta bars skip Bar's check, so each branch must still give
+        # true Bars that die no earlier than they are born
+        before, (vertices, value), reductions, added, removed = (
+            DELTA_BRANCHES[branch]
+        )
+        state, _ = feed(StreamState(field), before)
+        reduce = linalg._reduce
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(linalg, "_reduce", counted)
+        state, delta = add_simplex(state, vertices, value)
+        assert len(calls) == reductions
+        for bar in delta.added + delta.removed:
+            assert type(bar) is Bar and bar.birth <= bar.death
+        assert bar_triples(delta.added) == added
+        assert bar_triples(delta.removed) == removed
+        audit_stream(state)
+
+    def test_steal_moves_death_down_in_place(self):
+        state, _ = feed(StreamState(), STEAL_TRACE)
+        assert state.births == {0: [0, 0, 0, 0, 0, 1]}
+        assert state.deaths == {0: [0, 3, 4, 6]}
+        state, delta = add_simplex(state, (1, 5), 2)
+        assert state.births == {0: [0, 0, 0, 0, 0, 1], 1: [6]}
+        assert state.deaths == {0: [0, 2, 3, 4]}
+        assert named_pairing(state)[(1,)] == (1, 5)
+        assert (0, 1) in named_cycles(state)
+        assert delta == BarcodeDelta(
+            [Bar(0, 1, 2), Bar(1, 6, INF)], [Bar(0, 1, 6)]
+        )
         audit_stream(state)
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
