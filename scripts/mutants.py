@@ -40,35 +40,43 @@ MUTANTS = (
     # at v, so a tied simplex that kills it would start a cycle (the
     # same change on the deaths side only adds reductions: equivalent)
     Mutant(
-        "live-test-births-bisect-left", "streaming", "add_simplex",
+        "live-test-births-bisect-left", "streaming", "_insert",
         "bounds = bisect_right(births.get(below, ()), value)",
         "bounds = bisect_left(births.get(below, ()), value)",
         STREAM_TESTS,
     ),
     Mutant(
-        "live-test-same-dimension", "streaming", "add_simplex",
+        "live-test-same-dimension", "streaming", "_insert",
         "below = dim - 1", "below = dim", STREAM_TESTS,
     ),
     Mutant(
-        "steal-keeps-old-death", "streaming", "add_simplex",
+        "steal-keeps-old-death", "streaming", "_insert",
         "        del ends[i]\n        insort(ends, death, 0, i)\n", "",
         STREAM_TESTS,
     ),
     Mutant(
-        "steal-death-left-in-place", "streaming", "add_simplex",
+        "steal-death-left-in-place", "streaming", "_insert",
         "        del ends[i]\n        insort(ends, death, 0, i)\n",
         "        ends[i] = death\n",
         STREAM_TESTS,
     ),
     Mutant(
-        "new-pair-records-nothing", "streaming", "add_simplex",
+        "new-pair-records-nothing", "streaming", "_insert",
         "            insort(deaths.setdefault(below, []), death)\n", "",
         STREAM_TESTS,
     ),
     Mutant(
-        "new-cycle-records-nothing", "streaming", "add_simplex",
+        "new-cycle-records-nothing", "streaming", "_insert",
         "            insort(births.setdefault(dim, []), birth)\n", "",
         STREAM_TESTS,
+    ),
+    # accepting a face id equal to n (``> n`` for ``>= n``) is not
+    # listed: a face never sits at its coface's own position, so that
+    # mutant is equivalent
+    Mutant(
+        "arrival-check-last-face-only", "cli", "_cmd_stream",
+        "max(faces) >= n", "faces[-1] >= n",
+        ("tests/test_cli.py::TestStreamCommand::test_first_face_listed_late",),
     ),
     Mutant(
         "preimage-modders-first-at-tie", "linalg", "_preimage",

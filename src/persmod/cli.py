@@ -59,7 +59,7 @@ from .presentation import (
     barcode,
     validate_morphism,
 )
-from .streaming import StreamState, add_simplex, current_barcode
+from .streaming import StreamState, _insert, current_barcode
 
 __all__ = [
     "CliError",
@@ -578,14 +578,17 @@ def _cmd_stream(args):
             VALIDATION_ERROR, "stream input cannot carry removal times"
         )
     # insert everything first, so a simplex listed before one of its
-    # faces fails before anything is printed
+    # faces fails before anything is printed.  The reader checked every
+    # other rule.  Input positions are arrival ids, so a face at
+    # position n or later has not arrived, and is named as missing
     state = StreamState(args.field)
     events = []
-    for n, s in enumerate(filtration.simplices):
-        try:
-            state, delta = add_simplex(state, s.vertices, s.birth)
-        except ValueError as e:
-            raise CliError(VALIDATION_ERROR, f"line {lines[n]}: {e}") from None
+    for n, (s, faces) in enumerate(zip(filtration.simplices, filtration._faces)):
+        if faces and max(faces) >= n:
+            at = [None if m >= n else m for m in faces]
+            _, message = homology._face_broken(filtration.simplices, n, at)
+            raise CliError(VALIDATION_ERROR, f"line {lines[n]}: {message}")
+        state, delta = _insert(state, s.vertices, s.birth, faces)
         if args.emit_events:
             head = " ".join(map(str, s.vertices))
             events.append(f"# insert {head} ; {s.birth}\n")

@@ -19,9 +19,12 @@ lookup hashes an int, not a vertex tuple.
 
 Filtration ties are broken by arrival order: of two simplices with the
 same value, the one inserted earlier reduces the one inserted later.
-A simplex whose face has not arrived is rejected; faces are checked in
-the lexicographic order that ``FilteredComplex`` uses, so both name the
-same missing face.
+``add_simplex`` checks a simplex and finds its face ids; the core
+``_insert`` takes those ids and checks nothing, so a caller holding a
+checked face index, as the CLI reader does, calls it directly.
+``add_simplex`` rejects a simplex whose face has not arrived; it checks
+faces in the lexicographic order that ``FilteredComplex`` uses, so both
+name the same missing face.
 
 A new d-simplex with value v starts a cycle without being reduced
 when no (d-1)-bar is alive at v, none with birth <= v < death.  This is
@@ -140,34 +143,6 @@ class StreamState:
         )
 
 
-def _boundary_chain(state: StreamState, vertices, value):
-    """The signed face ids of a simplex, each face already inserted."""
-    signs = (state.field.one, state.field.neg(state.field.one))
-    d = len(vertices) - 1
-    index = state.index
-    keys = state.keys
-    chain = {}
-    for k, face in enumerate(homology._codim_one_faces(vertices)):
-        i = index.get(face)
-        if i is None:
-            raise ValueError(f"simplex {vertices} is missing face {face}")
-        face_value = keys[i][0]
-        if face_value > value:
-            raise ValueError(
-                f"face {face} has value {face_value}, after "
-                f"{vertices} at {value}"
-            )
-        chain[i] = signs[(d - k) % 2]
-    return chain
-
-
-def _interval(state: StreamState, creator, killer=None) -> Bar:
-    death = INF if killer is None else state.keys[killer][0]
-    return Bar(
-        len(state.simplices[creator]) - 1, state.keys[creator][0], death
-    )
-
-
 def add_simplex(state: StreamState, vertices, value):
     """Insert one simplex; return the state and the barcode delta.
 
@@ -188,7 +163,28 @@ def add_simplex(state: StreamState, vertices, value):
         raise ValueError(f"repeated vertex in simplex {vertices}")
     if vertices in state.index:
         raise ValueError(f"simplex {vertices} inserted twice")
-    chain = _boundary_chain(state, vertices, value)
+    faces = []
+    for face in homology._codim_one_faces(vertices):
+        i = state.index.get(face)
+        if i is None:
+            raise ValueError(f"simplex {vertices} is missing face {face}")
+        face_value = state.keys[i][0]
+        if face_value > value:
+            raise ValueError(
+                f"face {face} has value {face_value}, after "
+                f"{vertices} at {value}"
+            )
+        faces.append(i)
+    return _insert(state, vertices, value, faces)
+
+
+def _insert(state: StreamState, vertices, value, faces):
+    """``add_simplex`` without its checks: ``vertices`` is sorted and
+    new, ``value`` a number, and ``faces`` the ids of its faces in the
+    order of ``homology._codim_one_faces``, none with a later value."""
+    dim = len(vertices) - 1
+    signs = (state.field.one, state.field.neg(state.field.one))
+    chain = {i: signs[(dim - k) % 2] for k, i in enumerate(faces)}
     carrier = len(state.simplices)
     state.index[vertices] = carrier
     state.simplices.append(vertices)
@@ -196,7 +192,6 @@ def add_simplex(state: StreamState, vertices, value):
     keys.append((value, carrier))
 
     # delta bars skip Bar's check: killers follow creators in filtration order
-    dim = len(vertices) - 1
     below = dim - 1
     births, deaths = state.births, state.deaths
     # no class alive below: the boundary bounds, with no reduction
@@ -248,9 +243,14 @@ def add_simplex(state: StreamState, vertices, value):
 
 def current_barcode(state: StreamState) -> Barcode:
     """Snapshot barcode: one bar per pair, one infinite bar per cycle."""
+    # no Bar check, as for delta bars: a killer follows its creator
+    keys, simplices = state.keys, state.simplices
     bars = [
-        _interval(state, creator, killer)
-        for creator, killer in state.pairing.items()
+        tuple.__new__(Bar, (len(simplices[c]) - 1, keys[c][0], keys[k][0]))
+        for c, k in state.pairing.items()
     ]
-    bars.extend(_interval(state, creator) for creator in state.cycles)
+    bars.extend(
+        tuple.__new__(Bar, (len(simplices[c]) - 1, keys[c][0], INF))
+        for c in state.cycles
+    )
     return Barcode(bars)

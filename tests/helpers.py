@@ -1391,17 +1391,48 @@ def random_insertion_order(rng, filtration):
     return out
 
 
+def reference_boundary_chain(state, vertices, value):
+    """The signed face ids of a simplex, each face already inserted:
+    the face without vertex i has sign (-1)^i.  Faces are checked from
+    the last vertex left out to the first, which is lexicographic."""
+    field = state.field
+    chain = {}
+    for i in reversed(range(len(vertices))):
+        face = vertices[:i] + vertices[i + 1 :]
+        if not face:
+            break
+        sid = state.index.get(face)
+        if sid is None:
+            raise ValueError(f"simplex {vertices} is missing face {face}")
+        face_value = state.keys[sid][0]
+        if face_value > value:
+            raise ValueError(
+                f"face {face} has value {face_value}, after "
+                f"{vertices} at {value}"
+            )
+        chain[sid] = field.one if i % 2 == 0 else field.neg(field.one)
+    return chain
+
+
+def reference_interval(state, creator, killer=None):
+    """The checked bar of a creator and its killer, or of a cycle."""
+    death = INF if killer is None else state.keys[killer][0]
+    return Bar(len(state.simplices[creator]) - 1, state.keys[creator][0], death)
+
+
 def reference_add_simplex(state, vertices, value):
     """``streaming.add_simplex`` as it was before a simplex with no
     class alive below it skipped its reduction: every new boundary is
     reduced.  Keeps ``index``, ``simplices``, ``keys``, ``chains``,
-    ``pairing`` and ``cycles``, not the sorted births and deaths."""
+    ``pairing`` and ``cycles``, not the sorted births and deaths.
+    Builds its own chains and checked bars, sharing none of the
+    stream's shortcuts."""
     vertices = tuple(sorted(vertices))
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"repeated vertex in simplex {vertices}")
     if vertices in state.index:
         raise ValueError(f"simplex {vertices} inserted twice")
-    chain = streaming._boundary_chain(state, vertices, value)
+    chain = reference_boundary_chain(state, vertices, value)
     carrier = len(state.simplices)
     state.index[vertices] = carrier
     state.simplices.append(vertices)
@@ -1417,18 +1448,18 @@ def reference_add_simplex(state, vertices, value):
         )
         if leading is None:
             state.cycles.add(carrier)
-            added.append(streaming._interval(state, carrier))
+            added.append(reference_interval(state, carrier))
             break
         owner = state.pairing.get(leading)
         state.pairing[leading] = carrier
         state.chains[carrier] = chain
         if owner is None:
             state.cycles.remove(leading)
-            removed.append(streaming._interval(state, leading))
-            added.append(streaming._interval(state, leading, carrier))
+            removed.append(reference_interval(state, leading))
+            added.append(reference_interval(state, leading, carrier))
             break
-        removed.append(streaming._interval(state, leading, owner))
-        added.append(streaming._interval(state, leading, carrier))
+        removed.append(reference_interval(state, leading, owner))
+        added.append(reference_interval(state, leading, carrier))
         displaced = state.chains.pop(owner)
         ratio = field.div(displaced[leading], chain[leading])
         field.combine(displaced, chain, ratio)

@@ -916,6 +916,19 @@ class TestStreamCommand:
             assert out == ""
             assert err == "error: line 2: simplex (0, 1) is missing face (1,)\n"
 
+    def test_first_face_listed_late(self, tmp_path, capsys):
+        # only the lexicographically first face of the triangle comes
+        # after it, so a check of the last face id alone lets it pass
+        text = "0 ; 0\n1 ; 0\n2 ; 0\n1 2 ; 0\n0 2 ; 0\n0 1 2 ; 1\n0 1 ; 0\n"
+        path = write(tmp_path, "c.flt", text)
+        for flags in ([], ["--emit-events"]):
+            code, out, err = invoke(["stream", *flags, path], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "error: line 6: simplex (0, 1, 2) is missing face (0, 1)\n"
+            )
+
 
 class TestBarOutput:
     def check(self, bars, capsys):

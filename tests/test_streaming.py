@@ -40,6 +40,7 @@ from persmod import (
     graded_boundary,
     linalg,
     persistent_homology,
+    streaming,
 )
 
 TRIANGLE_TRACE = [
@@ -367,6 +368,34 @@ class TestAddSimplex:
                 assert state.cycles == reference.cycles
                 assert state.chains == reference.chains
                 audit_stream(state)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
+    def test_insert_by_face_ids_matches_add_simplex(self, field):
+        # the CLI inserts through _insert with the reader's face index;
+        # it and the checked add_simplex must leave one state, which a
+        # last add_simplex on each then extends alike
+        values = [0, 0.5, Fraction(2, 3), 1, 1.25, Fraction(7, 4)]
+        rng = random.Random(31)
+        for _ in range(60):
+            *trace, last = random_stream(rng, values)
+            filtration = FilteredComplex(trace)
+            checked, core = StreamState(field), StreamState(field)
+            for n, (vertices, value) in enumerate(trace):
+                checked, want = add_simplex(checked, vertices, value)
+                core, delta = streaming._insert(
+                    core, vertices, value, filtration._faces[n]
+                )
+                assert (delta.added, delta.removed) == (want.added, want.removed)
+            assert current_barcode(core) == current_barcode(checked)
+            core, delta = add_simplex(core, *last)
+            checked, want = add_simplex(checked, *last)
+            assert (delta.added, delta.removed) == (want.added, want.removed)
+            for name in (
+                "index", "simplices", "keys", "chains", "pairing", "cycles",
+                "births", "deaths",
+            ):
+                assert getattr(core, name) == getattr(checked, name), name
+            audit_stream(core)
 
     def test_audit_after_every_trace_step(self):
         for field in BOTH_FIELDS:
