@@ -457,43 +457,62 @@ class TestParsePresentation:
             parse_presentation("gen x 0\ngen y 5\nrel 1t^0*x + 1t^0*y\n")
         assert err.value.code == 2
 
+    # command, input, exit code, error line
+    ERROR_LINES = [
+        ("presentation-barcode", "gen x 0\nrel 1t^1*z\n",
+         2, "line 2: no basis element labeled 'z'"),
+        ("presentation-barcode",
+         "gen x 0\ngen y 1\n\nrel 1t^1*x + 1t^1*y\n",
+         2, "line 4: relation 0 mixes degrees 1 and 2"),
+        ("presentation-barcode",
+         "gen x 0\nrel 1t^1*x\n# y\nrel 1t^2*x + 1t^0*y\n",
+         2, "line 4: no basis element labeled 'y'"),
+        ("op", "source\ngen x 0\ntarget\ngen u 0\nmaps\n"
+         "map x -> 1t^0*v\n",
+         2, "line 6: no basis element labeled 'v'"),
+        ("op", "source\ngen x 0\ntarget\ngen u 0\nmaps\n"
+         "map q -> 1t^0*u\n",
+         2, "line 6: no basis element labeled 'q'"),
+        ("op", "source\ngen x 0\ntarget\ngen u 0\n"
+         "rel 1t^2*u + 1t^1*u\nmaps\n",
+         2, "line 5: relation 0 mixes degrees 2 and 1"),
+        ("presentation-barcode", "gen x 0\ngen x 1\n",
+         2, "line 2: duplicate basis label 'x'"),
+        ("presentation-barcode",
+         "gen x 0\ngen y 0\n# again\ngen y 2\ngen x 1\nrel 1t^1*z\n",
+         2, "line 4: duplicate basis label 'y'"),
+        ("op", "source\ngen x 0\ngen x 0\ntarget\ngen u 0\nmaps\n",
+         2, "line 3: duplicate basis label 'x'"),
+        ("op", "source\ngen x 0\ntarget\ngen u 0\ngen u 1\nmaps\n",
+         2, "line 5: duplicate basis label 'u'"),
+        # reader errors: each exits 1 with one line
+        ("presentation-barcode", "gen x\n", 1,
+         "line 1: expected 'gen <name> <degree>'"),
+        ("presentation-barcode", "gen x a\n", 1,
+         "line 1: bad degree 'a'"),
+        ("presentation-barcode", "gen x 0\nrel 1t^a*x\n", 1,
+         "line 2: bad exponent in '1t^a*x'"),
+        ("presentation-barcode", "gen x 0\nrel 1t^-1*x\n", 1,
+         "line 2: negative exponent in '1t^-1*x'"),
+        ("op", "source\ngen x 0\ntarget\ngen y 0\nmaps\nfoo x\n", 1,
+         "line 6: unknown directive 'foo'"),
+        ("op", "source\ngen x 0\ntarget\ngen y 0\nmaps\n"
+         "map x 1t^0*y\n", 1,
+         "line 6: expected 'map <name> -> <terms>'"),
+    ]
+
     @pytest.mark.parametrize(
-        "command, text, message",
-        [
-            ("presentation-barcode", "gen x 0\nrel 1t^1*z\n",
-             "line 2: no basis element labeled 'z'"),
-            ("presentation-barcode",
-             "gen x 0\ngen y 1\n\nrel 1t^1*x + 1t^1*y\n",
-             "line 4: relation 0 mixes degrees 1 and 2"),
-            ("presentation-barcode",
-             "gen x 0\nrel 1t^1*x\n# y\nrel 1t^2*x + 1t^0*y\n",
-             "line 4: no basis element labeled 'y'"),
-            ("op", "source\ngen x 0\ntarget\ngen u 0\nmaps\n"
-             "map x -> 1t^0*v\n",
-             "line 6: no basis element labeled 'v'"),
-            ("op", "source\ngen x 0\ntarget\ngen u 0\nmaps\n"
-             "map q -> 1t^0*u\n",
-             "line 6: no basis element labeled 'q'"),
-            ("op", "source\ngen x 0\ntarget\ngen u 0\n"
-             "rel 1t^2*u + 1t^1*u\nmaps\n",
-             "line 5: relation 0 mixes degrees 2 and 1"),
-            ("presentation-barcode", "gen x 0\ngen x 1\n",
-             "line 2: duplicate basis label 'x'"),
-            ("presentation-barcode",
-             "gen x 0\ngen y 0\n# again\ngen y 2\ngen x 1\nrel 1t^1*z\n",
-             "line 4: duplicate basis label 'y'"),
-            ("op", "source\ngen x 0\ngen x 0\ntarget\ngen u 0\nmaps\n",
-             "line 3: duplicate basis label 'x'"),
-            ("op", "source\ngen x 0\ntarget\ngen u 0\ngen u 1\nmaps\n",
-             "line 5: duplicate basis label 'u'"),
-        ],
+        "command, text, code, message",
+        ERROR_LINES,
+        # the exit code is left out of the ids
+        ids=[f"{c}-{t}-{m}" for c, t, _, m in ERROR_LINES],
     )
-    def test_error_lines(self, tmp_path, capsys, command, text, message):
+    def test_error_lines(self, tmp_path, capsys, command, text, code, message):
         path = write(tmp_path, "in.txt", text)
         argv = [command, path]
         if command == "op":
             argv = ["op", "image", path, "-o", str(tmp_path / "out.pmod")]
-        assert invoke(argv, capsys) == (2, "", f"error: {message}\n")
+        assert invoke(argv, capsys) == (code, "", f"error: {message}\n")
 
     def test_unknown_directive(self):
         with pytest.raises(CliError) as err:
