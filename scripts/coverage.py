@@ -59,17 +59,21 @@ def executable_lines(path: Path):
 
 
 def unrun_lines(hits):
-    """Every executable line of the package not in ``hits``, a set of
-    (file name, line number) pairs, in file and line order."""
+    """(number of executable lines in the package, those not in
+    ``hits``), ``hits`` being a set of (file name, line number) pairs;
+    the unrun lines come in file and line order."""
+    total = 0
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text().splitlines()
-        for number, function in sorted(executable_lines(path).items()):
+        lines = executable_lines(path)
+        total += len(lines)
+        for number, function in sorted(lines.items()):
             if (str(path), number) not in hits:
                 found.append(Line(
                     path.stem, function, number, text[number - 1].strip()
                 ))
-    return found
+    return total, found
 
 
 def check(unrun, allowlist):
@@ -134,11 +138,14 @@ def main() -> int:
         sys.stdout.write(output.getvalue())
         print(f"the tier-1 tests do not pass (pytest {int(code)})")
         return 1
-    unrun = unrun_lines(hits)
+    total, unrun = unrun_lines(hits)
     report, failures = check(unrun, ALLOWLIST)
     for line in report:
         print(line)
-    print(f"{len(unrun)} unrun lines, {failures} not allowed")
+    print(
+        f"{total - len(unrun)} of {total} executable lines ran; "
+        f"{len(unrun)} did not, {failures} failures"
+    )
     return 1 if failures else 0
 
 

@@ -306,24 +306,24 @@ def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
     except (ValueError, KeyError) as e:
         message = e.args[0]  # str() of a KeyError would quote it
     # error path: a repeated label is reported at its second line, else
-    # the relation at fault is the first that fails alone
-    try:
+    # the relation at fault is the first that fails alone.  The reader's
+    # int degrees leave GradedBasis only a repeated label to refuse, and
+    # a relation that fails within the whole call also fails alone
+    gen_lines = [n for n, line in pairs if line.partition(" ")[0] == "gen"]
+    seen = set()
+    for n, (label, _) in zip(gen_lines, gens):
+        if label in seen:
+            break
+        seen.add(label)
+    else:
         basis = GradedBasis(gens)
-    except ValueError:
-        gen_lines = [n for n, line in pairs if line.partition(" ")[0] == "gen"]
-        seen = set()
-        for n, (label, _) in zip(gen_lines, gens):
-            if label in seen:
-                raise CliError(VALIDATION_ERROR, f"line {n}: {message}") from None
-            seen.add(label)
-        raise CliError(VALIDATION_ERROR, message) from None
-    rel_lines = [n for n, line in pairs if line.partition(" ")[0] == "rel"]
-    for n, terms in zip(rel_lines, rels):
-        try:
-            Presentation.from_terms(field, basis, [terms])
-        except (ValueError, KeyError):
-            raise CliError(VALIDATION_ERROR, f"line {n}: {message}") from None
-    raise CliError(VALIDATION_ERROR, message)
+        rel_lines = [n for n, line in pairs if line.partition(" ")[0] == "rel"]
+        for n, terms in zip(rel_lines, rels):
+            try:
+                Presentation.from_terms(field, basis, [terms])
+            except (ValueError, KeyError):
+                break
+    raise CliError(VALIDATION_ERROR, f"line {n}: {message}")
 
 
 def parse_presentation(text: str, field=QQ) -> Presentation:
@@ -474,10 +474,9 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
                     f"line {n}: term on {label!r} must have exponent "
                     f"{implied} to preserve degree, got {exponent}",
                 )
-            c = field.scalar(coeff)
             if (i, j) in entries:
-                c = field.add(entries[(i, j)], c)
-            entries[(i, j)] = c
+                coeff = field.add(entries[(i, j)], coeff)
+            entries[(i, j)] = coeff
     phi = GradedMatrix.from_entries(field, src.gens, dst.gens, entries)
     morphism = PresentationMorphism(src, dst, phi)
     if not validate_morphism(morphism):
@@ -565,7 +564,7 @@ def _cmd_relative(args):
     if failure is not None:
         sys.stderr.write(
             f"warning: line {lines[failure[0]]}: {failure[1]}; bars of "
-            "dimension >= 1 are torsion-chain homology, not slice homology\n"
+            "every dimension are torsion-chain homology, not slice homology\n"
         )
     _echo_value_map(value_map)
     _print_bars(bars)
@@ -751,7 +750,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return PARSE_ERROR
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -417,8 +417,9 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
     first simplex at fault.  The complex is built either way.
     ``torsion_homology`` of it is torsion-chain homology, which equals
     the homology of the slice complex {birth <= g < removal} at every
-    grade g exactly when the boundary descends; for p >= 1 and a
-    boundary that does not descend it is a choice of this package.
+    grade g exactly when the boundary descends; for a boundary that
+    does not descend it is a choice of this package in every dimension,
+    H0 included.
     """
     boundary = graded_boundary(filtration, field)
     ordered = [filtration.simplices[n] for n in filtration._order()]
@@ -465,14 +466,16 @@ def torsion_homology(tcc: TorsionChainComplex) -> Barcode:
     columns that share a pivot row, so each kernel generator lies in
     one dimension, which its bar carries.
 
-    H0 is a cokernel, so it is well defined whether or not the boundary
-    descends to the torsion chains (see ``relative_complex``).  When
-    the boundary descends, taking the degree-g part is exact, so the
+    When the boundary descends to the torsion chains (see
+    ``relative_complex``), taking the degree-g part is exact, so the
     bars alive at grade g count the homology of the slice complex
     {birth <= g < removal}; the tests check this against dense Betti
-    numbers of every slice.  For p >= 1 and a boundary that does not
-    descend, this torsion-chain homology is a choice of this package
-    and not the homology of the complex alive at each grade.
+    numbers of every slice.  For a boundary that does not descend, this
+    torsion-chain homology is a choice of this package and not the
+    homology of the complex alive at each grade, in any dimension.  H0
+    is then still the cokernel of the boundary into the vertex chains,
+    where an edge's boundary holds at every degree although the edge
+    is removed.
     """
     quotient = cokernel(
         PresentationMorphism(tcc.chains, tcc.chains, tcc.boundary)

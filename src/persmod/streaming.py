@@ -183,8 +183,6 @@ def _insert(state: StreamState, vertices, value, faces):
     new, ``value`` a number, and ``faces`` the ids of its faces in the
     order of ``homology._codim_one_faces``, none with a later value."""
     dim = len(vertices) - 1
-    signs = (state.field.one, state.field.neg(state.field.one))
-    chain = {i: signs[(dim - k) % 2] for k, i in enumerate(faces)}
     carrier = len(state.simplices)
     state.index[vertices] = carrier
     state.simplices.append(vertices)
@@ -194,11 +192,15 @@ def _insert(state: StreamState, vertices, value, faces):
     # delta bars skip Bar's check: killers follow creators in filtration order
     below = dim - 1
     births, deaths = state.births, state.deaths
-    # no class alive below: the boundary bounds, with no reduction
+    # no class alive below: the boundary bounds, with no reduction, and
+    # its signed chain is never built
     bounds = bisect_right(births.get(below, ()), value) == bisect_right(
         deaths.get(below, ()), value
     )
     field = state.field
+    if not bounds:
+        signs = (field.one, field.neg(field.one))
+        chain = {i: signs[(dim - k) % 2] for k, i in enumerate(faces)}
     key = keys.__getitem__
     pairing, chains = state.pairing, state.chains
     added = []

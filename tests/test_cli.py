@@ -10,6 +10,7 @@ import contextlib
 import io
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -768,6 +769,31 @@ class TestBarcodeCommand:
         assert (proc.returncode, proc.stdout) == (code, out)
         assert code == 0 and out
 
+    def test_package_main_runs_the_cli(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "c.flt", FIG_COMPLEX)
+        monkeypatch.setattr(sys, "argv", ["persmod", "barcode", path])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("persmod", run_name="__main__")
+        assert exit_.value.code == 0
+        assert capsys.readouterr() == (
+            "0 1 2\n0 1 inf\n0 2 2\n0 2 3\n1 3 6\n1 4 5\n", ""
+        )
+
+    def test_closed_stdout_in_process(self, tmp_path, capsys, monkeypatch):
+        # Python ignores SIGPIPE, so the flush into a pipe whose read end
+        # is closed raises.  main then dup2s /dev/null onto the pipe's
+        # descriptor, so it must be one the test owns, never fd 1
+        path = write(tmp_path, "c.flt", FIG_COMPLEX)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["barcode", path]) == 1
+            monkeypatch.undo()
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        # closing flushed the held output into /dev/null without an error
+        assert capsys.readouterr() == ("", "")
+
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # more output than a pipe holds: the child blocks on the full
         # pipe until the read end is closed, then its write fails
@@ -845,7 +871,7 @@ class TestRelativeCommand:
         # does not descend to the torsion chains
         assert err == (
             "warning: line 4: face (0,) of simplex (0, 1) is removed at 13, "
-            "after (0, 1) at 10; bars of dimension >= 1 are torsion-chain "
+            "after (0, 1) at 10; bars of every dimension are torsion-chain "
             "homology, not slice homology\n"
         )
 

@@ -909,6 +909,13 @@ class TestLazyDiagonal:
             assert (got.to_new, got.from_new) == (want.to_new, want.from_new)
             assert got.presentation.triples == want.presentation.triples
 
+    def test_missing_attribute_builds_nothing(self):
+        d = dual(Presentation.from_terms(QQ, [("x", 1)], [[(1, 2, "x")]]))
+        with pytest.raises(AttributeError) as err:
+            d.nothing
+        assert err.value.args == ("nothing",)
+        assert not incl_built(d)
+
     def test_colliding_labels_fail_at_construction(self):
         # (x*, y*.z) and (x*.y*, z) both make (x*.y*.z)
         p = Presentation.free(QQ, [("x*.y", 0), ("x", 0)])

@@ -57,6 +57,15 @@ class TestRationals:
         with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
             QQ.inv(QQ.zero)
 
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            QQ.div(1, 0)
+
+    def test_scalar_reads_what_fraction_reads(self):
+        # text, say, in canonical form: an int when integral
+        assert QQ.scalar("1/2") == Fraction(1, 2)
+        assert type(QQ.scalar("4/2")) is int and QQ.scalar("4/2") == 2
+
     def test_characteristic_zero(self):
         assert QQ.char == 0
 

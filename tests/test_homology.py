@@ -162,6 +162,13 @@ class TestFilteredComplex:
         assert c.max_dimension == -1
         assert not c.has_removals
 
+    def test_equal_complexes_hash_equal(self):
+        entries = [((0,), 0), ((1,), 1, 4), ((1, 0), 2, 3)]
+        a, b = FilteredComplex(entries), FilteredComplex(list(entries))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert repr(a) == "FilteredComplex(3 simplices)"
+
     def test_missing_face_rejected(self):
         with pytest.raises(ValueError, match="missing face"):
             FilteredComplex([((0,), 0), ((0, 1), 1)])
@@ -711,6 +718,11 @@ class TestTorsionChainComplex:
         with pytest.raises(ValueError, match="square"):
             TorsionChainComplex(chains, boundary, (0,))
 
+    def test_repr(self, dissolving_triangle):
+        assert repr(relative_complex(dissolving_triangle)) == (
+            "TorsionChainComplex(7 generators, max dim 2)"
+        )
+
 
 class TestTorsionHomology:
     def test_dissolving_triangle_barcode(self, dissolving_triangle):
@@ -799,6 +811,29 @@ class TestTorsionHomology:
                         )
                         assert alive == want.get(p, 0), (c.simplices, p, g)
         assert descending >= 130
+
+    def test_without_descent_h0_is_not_slice_homology(self):
+        # vertex 1 outlives the edge (0, 1): at grade 1 the slice complex
+        # is vertex 1 alone, but the edge's boundary still joins the
+        # vertex chains there, so no dimension-0 bar is alive
+        c = FilteredComplex([((0,), 0, 1), ((1,), 0, 2), ((0, 1), 0, 1)])
+        assert _descent_failure(c) is not None
+        for field in BOTH_FIELDS:
+            bars = torsion_homology(relative_complex(c, field))
+            assert bar_triples(bars.without_ephemeral()) == [(0, 0, 1)]
+            slice_h0 = [
+                betti_numbers(
+                    [s.vertices for s in c.simplices
+                     if s.birth <= g < s.removal],
+                    field,
+                ).get(0, 0)
+                for g in range(3)
+            ]
+            alive = [
+                sum(1 for b in bars if b.dim == 0 and alive_at(b, g))
+                for g in range(3)
+            ]
+            assert (slice_h0, alive) == ([1, 1, 0], [1, 0, 0])
 
     def test_matches_cone_oracle_where_boundary_descends(self):
         # random_filtered_complex descends only on inputs without edges;

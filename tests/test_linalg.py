@@ -91,6 +91,10 @@ class TestGradedBasis:
         b = GradedBasis([("x", 2), ("y", 0), ("z", 2)])
         assert b.sorted_indices() == [1, 0, 2]
 
+    def test_repr_lists_label_and_degree(self):
+        assert repr(GradedBasis([("x", 1), ("y", -2)])) == "GradedBasis(x:1, y:-2)"
+        assert repr(GradedBasis([])) == "GradedBasis()"
+
 
 class TestHomogeneousElement:
     """A homogeneous element is a one-column matrix."""
@@ -300,6 +304,16 @@ class TestGradedMatrix:
         sub = GradedBasis([("x", 1), ("z", 3)])
         r = m.restrict_rows([0, 2], sub)
         assert r.cols == ({0: Fraction(1), 1: Fraction(2)},)
+        with pytest.raises(
+            ValueError, match="^row selection does not match new target basis$"
+        ):
+            m.restrict_rows([0], sub)
+
+    def test_matmul_needs_matching_bases(self):
+        a = identity_matrix(QQ, GradedBasis([("x", 1)]))
+        b = identity_matrix(QQ, GradedBasis([("y", 1)]))
+        with pytest.raises(ValueError, match="^matrix shapes do not compose$"):
+            a @ b
 
 
 class TestColumnEchelon:
@@ -353,6 +367,14 @@ class TestNormalForm:
                 m = random_graded_matrix(field, rng)
                 x = random_element(field, rng, m.source)
                 assert membership(m @ x, m)
+
+    def test_membership_needs_one_target_basis(self):
+        m = identity_matrix(QQ, GradedBasis([("x", 1)]))
+        x = identity_matrix(QQ, GradedBasis([("y", 1)]))
+        with pytest.raises(
+            ValueError, match="^columns are not over the matrix target basis$"
+        ):
+            membership(x, m)
 
     def test_membership_closed_under_t(self):
         rng = random.Random(37)

@@ -255,8 +255,24 @@ class TestMorphisms:
     def test_shape_mismatch_rejected(self):
         p = Presentation.free(QQ, [("x", 0)])
         q = Presentation.free(QQ, [("y", 0), ("z", 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^phi target must be the target generators$"
+        ):
             PresentationMorphism(p, q, identity_matrix(QQ, p.gens))
+        with pytest.raises(
+            ValueError, match="^phi source must be the source generators$"
+        ):
+            PresentationMorphism(q, p, identity_matrix(QQ, p.gens))
+
+    def test_repr_names_both_modules(self):
+        p = Presentation.from_terms(QQ, [("x", 0)], [[(1, 2, "x")]])
+        q = Presentation.free(PrimeField(5), [("y", 0), ("z", 1)])
+        assert repr(p) == "Presentation(1 gens, 1 rels over Q)"
+        assert repr(q) == "Presentation(2 gens, 0 rels over Zp:5)"
+        assert repr(identity_morphism(p)) == (
+            "PresentationMorphism(Presentation(1 gens, 1 rels over Q) -> "
+            "Presentation(1 gens, 1 rels over Q))"
+        )
 
     def test_compose(self):
         # composing generator maps composes the morphisms
@@ -387,6 +403,13 @@ class TestFromTerms:
         with pytest.raises(ValueError):
             Presentation.from_terms(
                 QQ, [("x", 0), ("y", 1)], [[(1, 0, "x"), (1, 0, "y")]]
+            )
+
+    def test_negative_exponent_rejected(self):
+        # the first relation at fault is named by its position
+        with pytest.raises(ValueError, match="^relation 1: negative exponent$"):
+            Presentation.from_terms(
+                QQ, [("x", 0)], [[(1, 2, "x")], [(1, -1, "x")]]
             )
 
     def test_empty_relation_rejected(self):

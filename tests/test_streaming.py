@@ -435,6 +435,17 @@ class TestBarcodeDelta:
         assert BarcodeDelta((a, b)) == BarcodeDelta((b, a))
         assert BarcodeDelta((a,), (b,)) != BarcodeDelta((b,), (a,))
 
+    def test_equal_deltas_hash_equal_and_repr(self):
+        a = Bar(0, 1, 2)
+        b = Bar(1, 3, INF)
+        left, right = BarcodeDelta((a, b), (b,)), BarcodeDelta([b, a], [b])
+        assert left == right and hash(left) == hash(right)
+        assert len({left, right, BarcodeDelta((a,), (b,))}) == 2
+        assert repr(BarcodeDelta((a,), (b,))) == (
+            "BarcodeDelta(added=[Bar(dim=0, birth=1, death=2)], "
+            "removed=[Bar(dim=1, birth=3, death=inf)])"
+        )
+
     def test_folding_deltas_reproduces_barcode(self):
         for field in BOTH_FIELDS:
             rng = random.Random(19)
@@ -455,6 +466,10 @@ class TestBarcodeDelta:
 class TestCurrentBarcode:
     def test_empty_state(self):
         assert len(current_barcode(StreamState())) == 0
+
+    def test_state_repr_counts(self):
+        state, _ = feed(StreamState(), [((0,), 1), ((1,), 2), ((0, 1), 3)])
+        assert repr(state) == "StreamState(3 simplices, 1 pairs, 1 cycles)"
 
     def test_path_complex(self):
         state, _ = feed(
