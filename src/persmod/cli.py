@@ -306,9 +306,8 @@ def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
     except (ValueError, KeyError) as e:
         message = e.args[0]  # str() of a KeyError would quote it
     # error path: a repeated label is reported at its second line, else
-    # the relation at fault is the first that fails alone.  The reader's
-    # int degrees leave GradedBasis only a repeated label to refuse, and
-    # a relation that fails within the whole call also fails alone
+    # the relation at fault is the first that fails alone; with int
+    # degrees, one of the two searches always finds its line
     gen_lines = [n for n, line in pairs if line.partition(" ")[0] == "gen"]
     seen = set()
     for n, (label, _) in zip(gen_lines, gens):

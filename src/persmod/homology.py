@@ -417,9 +417,8 @@ def relative_complex(filtration: FilteredComplex, field=QQ) -> TorsionChainCompl
     first simplex at fault.  The complex is built either way.
     ``torsion_homology`` of it is torsion-chain homology, which equals
     the homology of the slice complex {birth <= g < removal} at every
-    grade g exactly when the boundary descends; for a boundary that
-    does not descend it is a choice of this package in every dimension,
-    H0 included.
+    grade g exactly when the boundary descends; without descent it is a
+    choice of this package in every dimension.
     """
     boundary = graded_boundary(filtration, field)
     ordered = [filtration.simplices[n] for n in filtration._order()]
@@ -470,12 +469,9 @@ def torsion_homology(tcc: TorsionChainComplex) -> Barcode:
     ``relative_complex``), taking the degree-g part is exact, so the
     bars alive at grade g count the homology of the slice complex
     {birth <= g < removal}; the tests check this against dense Betti
-    numbers of every slice.  For a boundary that does not descend, this
-    torsion-chain homology is a choice of this package and not the
-    homology of the complex alive at each grade, in any dimension.  H0
-    is then still the cokernel of the boundary into the vertex chains,
-    where an edge's boundary holds at every degree although the edge
-    is removed.
+    numbers of every slice.  Otherwise torsion-chain homology is a
+    choice of this package in every dimension: H0, say, is the cokernel
+    of a boundary that joins an edge's vertices after the edge is gone.
     """
     quotient = cokernel(
         PresentationMorphism(tcc.chains, tcc.chains, tcc.boundary)

@@ -192,8 +192,7 @@ def _insert(state: StreamState, vertices, value, faces):
     # delta bars skip Bar's check: killers follow creators in filtration order
     below = dim - 1
     births, deaths = state.births, state.deaths
-    # no class alive below: the boundary bounds, with no reduction, and
-    # its signed chain is never built
+    # no class alive below: the boundary bounds, unbuilt and unreduced
     bounds = bisect_right(births.get(below, ()), value) == bisect_right(
         deaths.get(below, ()), value
     )
