@@ -82,7 +82,7 @@ def check(unrun, allowlist):
     A failure is an unrun line that no entry allows, or an entry that
     allows no unrun line.
     """
-    allowed = {(a.module, a.function, a.text) for a in allowlist}
+    allowed = {(a.module, a.function, a.text): a.reason for a in allowlist}
     report, failures = [], 0
     matched = set()
     for line in unrun:
@@ -90,7 +90,7 @@ def check(unrun, allowlist):
         where = f"src/persmod/{line.module}.py:{line.number}: {line.text}"
         if key in allowed:
             matched.add(key)
-            report.append(f"{where}  (allowed)")
+            report.append(f"{where}  (allowed: {allowed[key]})")
         else:
             failures += 1
             report.append(where)

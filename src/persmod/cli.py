@@ -747,5 +747,6 @@ def main(argv=None) -> int:
         # that the interpreter's own flush at exit cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return PARSE_ERROR
     return code

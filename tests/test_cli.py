@@ -505,7 +505,7 @@ class TestParsePresentation:
     @pytest.mark.parametrize(
         "command, text, code, message",
         ERROR_LINES,
-        # the exit code is left out of the ids
+        # ids without the exit code, so each row keeps its test name
         ids=[f"{c}-{t}-{m}" for c, t, _, m in ERROR_LINES],
     )
     def test_error_lines(self, tmp_path, capsys, command, text, code, message):
@@ -783,14 +783,21 @@ class TestBarcodeCommand:
         # Python ignores SIGPIPE, so the flush into a pipe whose read end
         # is closed raises.  main then dup2s /dev/null onto the pipe's
         # descriptor, so it must be one the test owns, never fd 1
+        def lowest_free_descriptor():
+            fd = os.open(os.devnull, os.O_RDONLY)
+            os.close(fd)
+            return fd
+
         path = write(tmp_path, "c.flt", FIG_COMPLEX)
         read_end, write_end = os.pipe()
         os.close(read_end)
         with open(write_end, "w") as pipe:
             monkeypatch.setattr(sys, "stdout", pipe)
+            free = lowest_free_descriptor()
             assert main(["barcode", path]) == 1
             monkeypatch.undo()
             assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+            assert lowest_free_descriptor() == free, "a descriptor leaked"
         # closing flushed the held output into /dev/null without an error
         assert capsys.readouterr() == ("", "")
 

@@ -92,7 +92,8 @@ class TestGradedBasis:
         assert b.sorted_indices() == [1, 0, 2]
 
     def test_repr_lists_label_and_degree(self):
-        assert repr(GradedBasis([("x", 1), ("y", -2)])) == "GradedBasis(x:1, y:-2)"
+        b = GradedBasis([("x", 1), ("y", -2)])
+        assert repr(b) == "GradedBasis(x:1, y:-2)"
         assert repr(GradedBasis([])) == "GradedBasis()"
 
 
