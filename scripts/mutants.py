@@ -70,6 +70,24 @@ MUTANTS = (
         "            insort(births.setdefault(dim, []), birth)\n", "",
         STREAM_TESTS,
     ),
+    # a chain owner counted as a live cycle adds an infinite bar
+    Mutant(
+        "current-barcode-owners-as-cycles", "streaming", "current_barcode",
+        "if c not in chains and c not in pairing", "if c not in pairing",
+        STREAM_TESTS,
+    ),
+    Mutant(
+        "current-barcode-dimension-off-by-one", "streaming",
+        "current_barcode", "dim[i] = len(vertices) - 1",
+        "dim[i] = len(vertices)", STREAM_TESTS,
+    ),
+    Mutant(
+        "empty-simplex-accepted-by-stream", "streaming", "add_simplex",
+        "    if not vertices:\n"
+        "        raise ValueError(f\"simplex {vertices} has no vertices\")\n",
+        "",
+        ("tests/test_streaming.py::TestAddSimplex",),
+    ),
     # accepting a face id equal to n (``> n`` for ``>= n``) is not
     # listed: a face never sits at its coface's own position, so that
     # mutant is equivalent
@@ -147,6 +165,13 @@ MUTANTS = (
         "tensor-label-size-drops-a-separator", "constructions", "tensor",
         "len(pl) + 3", "len(pl) + 2",
         ("tests/test_constructions.py::TestDiagonalLabelLimit",),
+    ),
+    Mutant(
+        "empty-simplex-accepted", "homology", "FilteredComplex.__init__",
+        "            if not vertices:\n"
+        "                raise ValueError(f\"simplex {vertices} has no vertices\")\n",
+        "",
+        ("tests/test_homology.py::TestFilteredComplex",),
     ),
     Mutant(
         "face-index-misses-repeated-vertex", "homology", "_face_index",

@@ -13,7 +13,6 @@ from .fields import (
     field_from_string,
 )
 from .linalg import (
-    ColumnEchelon,
     GradedBasis,
     GradedMatrix,
     SnfResult,
@@ -67,7 +66,6 @@ __all__ = [
     "QQ",
     "Rationals",
     "field_from_string",
-    "ColumnEchelon",
     "GradedBasis",
     "GradedMatrix",
     "SnfResult",

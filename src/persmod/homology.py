@@ -63,9 +63,9 @@ class FilteredComplex:
     Simplices are given as ``(vertices, birth)`` or
     ``(vertices, birth, removal)`` tuples.  Every codimension-one face
     must be present, faces must be born no later than their cofaces,
-    and faces must be removed no earlier than their cofaces.  A NaN
-    time, which compares false with every time, and a time that is not
-    a number, such as None or a str, are refused.
+    and faces must be removed no earlier than their cofaces.  A simplex
+    with no vertices, a NaN time, which compares false with every time,
+    and a time that is not a number, such as None or a str, are refused.
     ``has_removals`` says whether any simplex has a removal time.
 
     >>> c = FilteredComplex([((0,), 0), ((1,), 1), ((0, 1), 2)])
@@ -78,6 +78,8 @@ class FilteredComplex:
     def __init__(self, simplices):
         simplices = tuple(map(_normalized, simplices))
         for vertices, birth, removal in simplices:
+            if not vertices:
+                raise ValueError(f"simplex {vertices} has no vertices")
             fault = _time_fault(vertices, birth, "time") or _time_fault(
                 vertices, removal, "time"
             )

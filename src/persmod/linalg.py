@@ -17,7 +17,7 @@ The reduction engine works on columns.  A column may be subtracted from
 another only when the implied multiplier t-exponent is nonnegative,
 which holds exactly when the reducing column's degree is not larger.
 Processing columns in ascending degree keeps every operation legal.
-One loop, ``_echelon``, reduces m for its echelon form,
+One loop, ``_echelon``, reduces m for its pivot pairing,
 [main | -modders] over identity rows under main for a preimage (the
 kernel is the preimage of zero) and [sub | x] for membership; the
 graded Smith normal form runs its own pass.
@@ -88,13 +88,9 @@ class GradedBasis:
         except KeyError:
             raise KeyError(f"no basis element labeled {label!r}") from None
 
-    def sort_key(self, i: int):
-        """Ordering key for reductions: ascending degree, then position."""
-        return (self.degrees[i], i)
-
     def sorted_indices(self):
         """Indices in ascending (degree, position) order."""
-        return sorted(range(len(self.labels)), key=self.sort_key)
+        return sorted(range(len(self.labels)), key=self.degrees.__getitem__)
 
     def __eq__(self, other):
         return (
@@ -174,9 +170,6 @@ class GradedMatrix:
     def ncols(self):
         return len(self.source)
 
-    def entry(self, i: int, j: int):
-        return self.cols[j].get(i, self.field.zero)
-
     @property
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
@@ -241,43 +234,18 @@ class GradedMatrix:
 # ---------------------------------------------------------------------------
 
 
-class ColumnEchelon:
-    """Result of a column reduction.
-
-    Attributes
-    ----------
-    reduced : GradedMatrix
-        Column echelon form; every nonzero column has a distinct pivot
-        row (its bottom-most entry in degree order).
-    lows : dict
-        pivot row index -> column index.
-    zero_cols : tuple
-        Columns that reduced to zero, in processing order (ascending
-        degree, then position).
-    """
-
-    __slots__ = ("reduced", "lows", "zero_cols")
-
-    def __init__(self, reduced, lows, zero_cols):
-        self.reduced = reduced
-        self.lows = lows
-        self.zero_cols = zero_cols
-
-
-def column_echelon(m: GradedMatrix) -> ColumnEchelon:
-    """Reduce columns until every nonzero column has a unique pivot row.
+def column_echelon(m: GradedMatrix) -> dict:
+    """The pivot pairing of m's column echelon form: pivot row -> column.
 
     One pass of ``_echelon`` in ascending (degree, position) order; a
     column is only ever reduced by earlier columns, so each subtraction
-    multiplies the reducing column by a nonnegative power of t.  No
-    change of basis is kept: callers read the reduced columns or the
-    pivot pairing.
+    multiplies the reducing column by a nonnegative power of t.  The
+    reduced columns are a scratch copy, and no change of basis is kept.
     """
     cols = [dict(col) for col in m.cols]
     key = _pivot_rank(m.target).__getitem__
-    lows, dead = _echelon(m.field, cols, m.source.sorted_indices(), key, len(m.target))
-    reduced = GradedMatrix(m.field, m.source, m.target, cols)
-    return ColumnEchelon(reduced, lows, tuple(dead))
+    lows, _ = _echelon(m.field, cols, m.source.sorted_indices(), key, len(m.target))
+    return lows
 
 
 def _pivot_rank(basis: GradedBasis) -> list:
@@ -389,10 +357,10 @@ class SnfResult:
     S (``row_change``, inverse ``row_change_inv``) is graded-invertible,
     and S @ F @ T is diagonal for a graded-invertible T that is not
     built.  ``lows`` is the pivot pairing, pivot row -> column in
-    treatment order, as in :class:`ColumnEchelon`; the diagonal entry in
-    row p is (S @ F)[p, lows[p]], and its exponent is the degree
-    difference of that column and row.  A row with no entry is a free
-    generator when F presents a module.
+    treatment order, the shape :func:`column_echelon` returns; the
+    diagonal entry in row p is (S @ F)[p, lows[p]], and its exponent is
+    the degree difference of that column and row.  A row with no entry
+    is a free generator when F presents a module.
 
     New generator j is column j of ``row_change_inv`` read over the
     original target basis; a diagonal entry c*t^e in row j means that

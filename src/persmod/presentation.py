@@ -226,17 +226,17 @@ class Barcode(tuple):
 def _annihilators(p: Presentation, lows=None) -> list:
     """Each generator's annihilator exponent, from a pivot pairing.
 
-    ``lows`` maps pivot rows to relation columns, and defaults to that
-    of one untracked column reduction of the inclusion: pivot row i of
-    relation column j gives deg rel j - deg gen i, and a generator row
-    that is no pivot gives INF.  Zero relation columns contribute
-    nothing.  The pairing does not depend on which legal column
-    operations reach it, so ``graded_snf(p.incl).lows`` is the same
-    pairing, and these are the diagonal entries of the graded Smith
-    normal form.
+    ``lows`` maps pivot rows to relation columns, and defaults to
+    ``column_echelon(p.incl)``, the pairing of one untracked column
+    reduction of the inclusion: pivot row i of relation column j gives
+    deg rel j - deg gen i, and a generator row that is no pivot gives
+    INF.  Zero relation columns contribute nothing.  The pairing does
+    not depend on which legal column operations reach it, so
+    ``graded_snf(p.incl).lows`` is the same pairing, and these are the
+    diagonal entries of the graded Smith normal form.
     """
     if lows is None:
-        lows = column_echelon(p.incl).lows
+        lows = column_echelon(p.incl)
     ann = [INF] * len(p.gens)
     gdeg, rdeg = p.gens.degrees, p.rels.degrees
     for i, j in lows.items():

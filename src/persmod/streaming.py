@@ -96,19 +96,18 @@ class StreamState:
     Attributes
     ----------
     index : dict
-        Simplex (sorted vertex tuple) -> id; read only to find a new
-        simplex's faces and to reject a repeat.
-    simplices : list
-        Id -> simplex.
+        Simplex (sorted vertex tuple) -> id; read to find a new
+        simplex's faces, to reject a repeat, and for each id's
+        dimension in a snapshot barcode.
     keys : list
         Id -> (filtration value, id), its filtration position.
     chains : dict
         Killing id -> reduced boundary chain, a mapping from ids to
         nonzero scalars.
     pairing : dict
-        Cycle-creating id -> the id that kills its class.
-    cycles : set
-        Ids of creators whose class is still alive.
+        Cycle-creating id -> the id that kills its class.  An id that
+        is neither a key of ``pairing`` nor of ``chains`` created a
+        class that is still alive: a live cycle.
     births : dict
         Dimension -> sorted births of that dimension's bars; each new
         cycle inserts one.
@@ -118,29 +117,25 @@ class StreamState:
     """
 
     __slots__ = (
-        "field", "index", "simplices", "keys", "chains", "pairing", "cycles",
-        "births", "deaths",
+        "field", "index", "keys", "chains", "pairing", "births", "deaths",
     )
 
     def __init__(self, field=QQ):
         self.field = field
         self.index = {}
-        self.simplices = []
         self.keys = []
         self.chains = {}
         self.pairing = {}
-        self.cycles = set()
         self.births = {}
         self.deaths = {}
 
     def __len__(self):
-        return len(self.simplices)
+        return len(self.keys)
 
     def __repr__(self):
-        return (
-            f"StreamState({len(self.simplices)} simplices, "
-            f"{len(self.pairing)} pairs, {len(self.cycles)} cycles)"
-        )
+        # each pair holds two ids, and every other id is a live cycle
+        n, pairs = len(self.keys), len(self.pairing)
+        return f"StreamState({n} simplices, {pairs} pairs, {n - 2 * pairs} cycles)"
 
 
 def add_simplex(state: StreamState, vertices, value):
@@ -151,11 +146,14 @@ def add_simplex(state: StreamState, vertices, value):
     chains earlier in filtration position.  If it survives with a
     leading simplex owned by a pair later in the filtration, that pair
     is stolen and the displaced chain re-settled, cascading to later
-    and later positions.  A NaN value, a value that is not a number, a
-    repeated vertex, a repeat simplex, and a face missing or with a
-    later value are refused before the state changes.
+    and later positions.  A simplex with no vertices, a NaN value, a
+    value that is not a number, a repeated vertex, a repeat simplex, and
+    a face missing or with a later value are refused before the state
+    changes.
     """
     vertices = tuple(sorted(vertices))
+    if not vertices:
+        raise ValueError(f"simplex {vertices} has no vertices")
     fault = homology._time_fault(vertices, value, "value")
     if fault:
         raise ValueError(fault)
@@ -183,10 +181,9 @@ def _insert(state: StreamState, vertices, value, faces):
     new, ``value`` a number, and ``faces`` the ids of its faces in the
     order of ``homology._codim_one_faces``, none with a later value."""
     dim = len(vertices) - 1
-    carrier = len(state.simplices)
-    state.index[vertices] = carrier
-    state.simplices.append(vertices)
     keys = state.keys
+    carrier = len(keys)
+    state.index[vertices] = carrier
     keys.append((value, carrier))
 
     # delta bars skip Bar's check: killers follow creators in filtration order
@@ -209,7 +206,6 @@ def _insert(state: StreamState, vertices, value, faces):
             field, chain, key, pairing, chains, key(carrier)
         )
         if leading is None:
-            state.cycles.add(carrier)
             birth = keys[carrier][0]
             insort(births.setdefault(dim, []), birth)
             added.append(tuple.__new__(Bar, (dim, birth, INF)))
@@ -221,7 +217,6 @@ def _insert(state: StreamState, vertices, value, faces):
         death = keys[carrier][0]
         if owner is None:
             # the leading simplex was an unpaired cycle: new pair
-            state.cycles.remove(leading)
             insort(deaths.setdefault(below, []), death)
             removed.append(tuple.__new__(Bar, (below, birth, INF)))
             added.append(tuple.__new__(Bar, (below, birth, death)))
@@ -243,15 +238,20 @@ def _insert(state: StreamState, vertices, value, faces):
 
 
 def current_barcode(state: StreamState) -> Barcode:
-    """Snapshot barcode: one bar per pair, one infinite bar per cycle."""
+    """Snapshot barcode: one bar per pair, one infinite bar per live
+    cycle, an id that neither owns a chain nor created a pair."""
     # no Bar check, as for delta bars: a killer follows its creator
-    keys, simplices = state.keys, state.simplices
+    keys, chains, pairing = state.keys, state.chains, state.pairing
+    dim = [0] * len(keys)
+    for vertices, i in state.index.items():
+        dim[i] = len(vertices) - 1
     bars = [
-        tuple.__new__(Bar, (len(simplices[c]) - 1, keys[c][0], keys[k][0]))
-        for c, k in state.pairing.items()
+        tuple.__new__(Bar, (dim[c], keys[c][0], keys[k][0]))
+        for c, k in pairing.items()
     ]
     bars.extend(
-        tuple.__new__(Bar, (len(simplices[c]) - 1, keys[c][0], INF))
-        for c in state.cycles
+        tuple.__new__(Bar, (dim[c], keys[c][0], INF))
+        for c in range(len(keys))
+        if c not in chains and c not in pairing
     )
     return Barcode(bars)

@@ -27,7 +27,6 @@ from persmod import (
     Rationals,
     Simplex,
     SnfResult,
-    column_echelon,
     current_barcode,
     graded_boundary,
     membership,
@@ -92,6 +91,11 @@ def gauss_rank(field, rows):
     return rank
 
 
+def entry(matrix, i, j):
+    """The scalar of a graded matrix at row i, column j, zero if none."""
+    return matrix.cols[j].get(i, matrix.field.zero)
+
+
 def slice_rank(matrix, d):
     """Rank of the degree-d slice of a graded matrix, by plain Gaussian
     elimination.
@@ -103,7 +107,7 @@ def slice_rank(matrix, d):
     rows = [i for i, deg in enumerate(matrix.target.degrees) if deg <= d]
     cols = [j for j in range(matrix.ncols) if matrix.source.degrees[j] <= d]
     dense = [
-        [matrix.entry(i, j) for j in cols]
+        [entry(matrix, i, j) for j in cols]
         for i in rows
     ]
     return gauss_rank(matrix.field, dense) if cols else 0
@@ -391,8 +395,8 @@ def assert_snf_certificate(m, snf):
     entries = {}
     for p, c in snf.lows.items():
         assert m.source.degrees[c] >= m.target.degrees[p]
-        assert sm.entry(p, c)
-        entries[(p, c)] = sm.entry(p, c)
+        assert entry(sm, p, c)
+        entries[(p, c)] = entry(sm, p, c)
     d = GradedMatrix.from_entries(m.field, m.source, m.target, entries)
     assert membership(sm, d) and membership(d, sm)
 
@@ -466,6 +470,17 @@ def row_operation_snf(m):
     s = GradedMatrix.from_entries(f, tgt, tgt, s_entries)
     s_inv = GradedMatrix(f, tgt, tgt, s_inv_cols)
     return SnfResult(s, s_inv, lows)
+
+
+def echelon(m):
+    """``column_echelon`` with what it drops: m's reduced columns as a
+    matrix, the pivot pairing and the columns that reduced to zero, in
+    processing order, from the same ``linalg._echelon`` pass."""
+    cols = [dict(col) for col in m.cols]
+    key = linalg._pivot_rank(m.target).__getitem__
+    order = m.source.sorted_indices()
+    lows, dead = linalg._echelon(m.field, cols, order, key, len(m.target))
+    return GradedMatrix(m.field, m.source, m.target, cols), lows, dead
 
 
 def free_kernel(m):
@@ -574,10 +589,10 @@ def induced_slice_rank(phi, dst, d, j=0):
     rows = [i for i in range(len(dst.gens)) if dst.gens.degrees[i] <= d + j]
     pcols = [k for k in range(phi.ncols) if phi.source.degrees[k] <= d]
     rcols = [k for k in range(len(dst.rels)) if dst.rels.degrees[k] <= d + j]
-    rel_rows = [[dst.incl.entry(i, k) for k in rcols] for i in rows]
+    rel_rows = [[entry(dst.incl, i, k) for k in rcols] for i in rows]
     rank_rel = gauss_rank(field, rel_rows) if rows and rcols else 0
     combined = [
-        [phi.entry(i, k) for k in pcols] + rel_rows[n]
+        [entry(phi, i, k) for k in pcols] + rel_rows[n]
         for n, i in enumerate(rows)
     ]
     if not rows or not (pcols or rcols):
@@ -665,7 +680,7 @@ def _random_elementary(field, rng, basis):
         return None
     i = rng.randrange(len(basis))
     j = rng.randrange(len(basis))
-    if basis.sort_key(j) <= basis.sort_key(i):
+    if (basis.degrees[j], j) <= (basis.degrees[i], i):
         return None
     c = random_scalar(field, rng, nonzero=True)
     ident = {(k, k): field.one for k in range(len(basis))}
@@ -835,7 +850,7 @@ def random_change_of_basis(field, rng, basis, ops=4):
         j = rng.randrange(len(basis))
         # entry at (row i, col j) needs deg j >= deg i; strict key order
         # keeps it triangular
-        if basis.sort_key(j) > basis.sort_key(i):
+        if (basis.degrees[j], j) > (basis.degrees[i], i):
             entries[(i, j)] = random_scalar(field, rng)
     return GradedMatrix.from_entries(field, basis, basis, entries)
 
@@ -997,13 +1012,11 @@ def boundary_pairing_barcode(filtration, field):
     [birth i, inf).
     """
     m = graded_boundary(filtration, field)
-    ech = column_echelon(m)
+    _, lows, dead = echelon(m)
     births = m.source.degrees
     dims = [len(s.vertices) - 1 for s in filtration_order(filtration)]
-    bars = [Bar(dims[i], births[i], births[j]) for i, j in ech.lows.items()]
-    bars.extend(
-        Bar(dims[i], births[i], INF) for i in ech.zero_cols if i not in ech.lows
-    )
+    bars = [Bar(dims[i], births[i], births[j]) for i, j in lows.items()]
+    bars.extend(Bar(dims[i], births[i], INF) for i in dead if i not in lows)
     return Barcode(bars)
 
 
@@ -1294,14 +1307,14 @@ def reduce_boundary(m):
     boundaries are the nonzero columns of ``m`` in processing order,
     each a boundary of the module one dimension down.
     """
-    ech = column_echelon(m)
+    _, lows, dead = echelon(m)
     b_columns = tuple(j for j in m.source.sorted_indices() if m.cols[j])
     return ReductionState(
         Z=tuple(columns(free_kernel(m))),
         B=tuple(column(m, j) for j in b_columns),
         field=m.field,
-        pivots=dict(ech.lows),
-        z_columns=ech.zero_cols,
+        pivots=lows,
+        z_columns=tuple(dead),
         b_columns=b_columns,
     )
 
@@ -1391,6 +1404,40 @@ def random_insertion_order(rng, filtration):
     return out
 
 
+def stream_simplices(state):
+    """Id -> simplex of a stream state: the inverse of its ``index``."""
+    simplices = [None] * len(state.keys)
+    for vertices, i in state.index.items():
+        simplices[i] = vertices
+    return simplices
+
+
+def live_cycles(state):
+    """The ids of a stream state whose class is alive: those that own
+    no chain and created no pair."""
+    return {
+        i for i in range(len(state.keys))
+        if i not in state.chains and i not in state.pairing
+    }
+
+
+class ReferenceStream:
+    """The state ``reference_add_simplex`` keeps: ``StreamState``'s
+    ``index``, ``keys``, ``chains`` and ``pairing``, with ``simplices``
+    (id -> simplex) and ``cycles`` (live creators) stored and kept up
+    to date explicitly, so the reference shares no derived view with
+    the state it checks."""
+
+    def __init__(self, field):
+        self.field = field
+        self.index = {}
+        self.simplices = []
+        self.keys = []
+        self.chains = {}
+        self.pairing = {}
+        self.cycles = set()
+
+
 def reference_boundary_chain(state, vertices, value):
     """The signed face ids of a simplex, each face already inserted:
     the face without vertex i has sign (-1)^i.  Faces are checked from
@@ -1423,8 +1470,8 @@ def reference_interval(state, creator, killer=None):
 def reference_add_simplex(state, vertices, value):
     """``streaming.add_simplex`` as it was before a simplex with no
     class alive below it skipped its reduction: every new boundary is
-    reduced.  Keeps ``index``, ``simplices``, ``keys``, ``chains``,
-    ``pairing`` and ``cycles``, not the sorted births and deaths.
+    reduced.  Fills a ``ReferenceStream``, not the sorted births and
+    deaths.
     Builds its own chains and checked bars, sharing none of the
     stream's shortcuts."""
     vertices = tuple(sorted(vertices))
@@ -1470,9 +1517,10 @@ def reference_add_simplex(state, vertices, value):
 def audit_stream(state):
     """Re-derive a stream state's pairing invariant from scratch.
 
-    Ids are arrival indices: ``index`` and ``simplices`` are inverse
-    maps and each id's filtration key ends in the id.  Every id must be
-    exactly one of: unpaired cycle, paired creator, or chain owner.
+    Ids are arrival indices: ``index`` maps the simplices one to one
+    onto the ids and each id's filtration key ends in the id.  Every id
+    must be exactly one of: live cycle, paired creator, or chain owner,
+    and the repr must count the live cycles.
     Re-reducing each raw boundary against the chains earlier in the
     filtration must reach zero for cycles and creators, and reach the
     paired creator as leading id for chain owners.  The sorted births
@@ -1480,20 +1528,24 @@ def audit_stream(state):
     """
     field = state.field
     n = len(state)
-    assert len(state.simplices) == len(state.keys) == len(state.index) == n
-    assert {s: i for i, s in enumerate(state.simplices)} == state.index
+    assert len(state.keys) == len(state.index) == n
+    assert sorted(state.index.values()) == list(range(n))
     assert all(state.keys[i][1] == i for i in range(n))
     key = state.keys.__getitem__  # filtration position
     owners = set(state.chains)
     creators = set(state.pairing)
+    cycles = live_cycles(state)
     assert owners == set(state.pairing.values())
-    assert not creators & state.cycles
-    assert not owners & (creators | state.cycles)
-    assert owners | creators | state.cycles == set(range(n))
+    assert not owners & creators
+    assert owners | creators | cycles == set(range(n))
+    assert repr(state) == (
+        f"StreamState({n} simplices, {len(creators)} pairs, "
+        f"{len(cycles)} cycles)"
+    )
     creator_of = {killer: c for c, killer in state.pairing.items()}
     for creator, killer in state.pairing.items():
         assert max(state.chains[killer], key=key) == creator
-    for sid, simplex in enumerate(state.simplices):
+    for sid, simplex in enumerate(stream_simplices(state)):
         chain = {}
         for i in range(len(simplex)):
             face = simplex[:i] + simplex[i + 1 :]

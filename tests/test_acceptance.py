@@ -25,6 +25,7 @@ from helpers import (
     random_valid_morphism,
     rank_t_power,
     slice_rank,
+    stream_simplices,
     terms,
     times_t,
 )
@@ -252,7 +253,7 @@ def test_criterion_6_out_of_order_stream():
 
     def killer_of_vertex_2():
         killer = state.pairing.get(state.index[(2,)])
-        return None if killer is None else state.simplices[killer]
+        return None if killer is None else stream_simplices(state)[killer]
 
     for vertices, value in OUT_OF_ORDER_TRACE:
         if vertices == (2, 3):

@@ -28,6 +28,7 @@ from helpers import (
     eager_diagonal_presentation,
     element_map_lines,
     element_presentation_text,
+    entry,
     incl_built,
     int_then_float,
     random_filtered_complex,
@@ -445,7 +446,7 @@ class TestParsePresentation:
     def test_prime_field_coefficients(self):
         field = PrimeField(5)
         p = parse_presentation("gen x 0\nrel 3t^2*x\n", field)
-        assert p.incl.entry(0, 0) == 3
+        assert entry(p.incl, 0, 0) == 3
 
     def test_unknown_generator_is_validation_error(self):
         with pytest.raises(CliError) as err:

@@ -97,17 +97,21 @@ UNCALLED_EXPORTS: dict[str, str] = {
 }
 
 
+def _package_nodes():
+    """Every AST node of the package modules, ``__init__.py`` aside."""
+    for path in Path(persmod.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            yield from ast.walk(ast.parse(path.read_text()))
+
+
 def test_every_exported_function_is_called_in_the_package():
     # a public function only the tests run belongs in tests/helpers.py
     loaded = set()
-    for path in Path(persmod.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                loaded.add(node.attr)
+    for node in _package_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
     functions = [
         n
         for n in persmod.__all__
@@ -118,6 +122,51 @@ def test_every_exported_function_is_called_in_the_package():
     ]
     assert not uncalled, f"no persmod module calls {uncalled}"
     assert set(UNCALLED_EXPORTS) <= set(functions)
+
+
+# Public members of exported classes that no module of the package
+# reads as an attribute, each with the reason it is kept.
+FIELD_PROTOCOL = (
+    "field protocol: the dense oracles in tests/helpers.py compute with "
+    "it, while the package's own column loops call combine"
+)
+UNREAD_MEMBERS: dict[str, str] = {
+    "PrimeField.char": FIELD_PROTOCOL,
+    "PrimeField.sub": FIELD_PROTOCOL,
+    "Rationals.char": FIELD_PROTOCOL,
+    "Rationals.sub": FIELD_PROTOCOL,
+    "Presentation.free": (
+        "the documented way to take the kernel of a map between free "
+        "modules (README, persmod.constructions.kernel)"
+    ),
+}
+
+
+def test_every_public_member_is_read_in_the_package():
+    # a stored field or method that nothing reads is a second copy of a
+    # fact or dead code; the tests can reach the underlying state
+    read = {
+        node.attr
+        for node in _package_nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = set()
+    for name in persmod.__all__:
+        cls = getattr(persmod, name)
+        if not isinstance(cls, type):
+            continue
+        members = set(vars(cls)) | set(getattr(cls, "__slots__", ()))
+        unread.update(
+            f"{name}.{m}"
+            for m in members
+            if not m.startswith("_") and m not in read
+        )
+    assert not unread - set(UNREAD_MEMBERS), (
+        f"no persmod module reads {sorted(unread - set(UNREAD_MEMBERS))}"
+    )
+    stale = set(UNREAD_MEMBERS) - unread
+    assert not stale, f"UNREAD_MEMBERS names read or missing members {stale}"
+    assert all(UNREAD_MEMBERS.values())
 
 
 def test_package_imports_only_the_standard_library():

@@ -200,6 +200,21 @@ class TestFilteredComplex:
             FilteredComplex([((0,), 4, 2)])
 
     @pytest.mark.parametrize(
+        "entries",
+        [
+            [((), 0)],  # once raised IndexError in persistent_homology
+            # once two dimension-0 infinite bars: the empty simplex was
+            # counted as a vertex
+            [((0,), 0), ((), 0)],
+            [((0,), 0), ([], 1, 4)],
+        ],
+    )
+    def test_simplex_without_vertices_rejected(self, entries):
+        with pytest.raises(ValueError) as refused:
+            FilteredComplex(entries)
+        assert str(refused.value) == "simplex () has no vertices"
+
+    @pytest.mark.parametrize(
         "at, entry, named",
         [
             (1, ((1,), math.nan), "(1,)"),  # once gave the bar (0, nan, 1)

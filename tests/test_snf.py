@@ -16,6 +16,7 @@ from helpers import (
     BOTH_FIELDS,
     assert_snf_certificate,
     columns,
+    entry,
     free_rows,
     identity_matrix,
     random_graded_matrix,
@@ -61,7 +62,7 @@ class TestWorkedExample:
         snf = graded_snf(m)
         sm = snf.row_change @ m
         named = [
-            (m.target.labels[p], m.source.labels[c], sm.entry(p, c),
+            (m.target.labels[p], m.source.labels[c], entry(sm, p, c),
              exponent(m, p, c))
             for p, c in snf.lows.items()
         ]
@@ -159,7 +160,7 @@ class TestRowOperationOracle:
                 m = random_presentation(field, rng, max_gens=14, max_rels=18).incl
             snf = graded_snf(m)
             assert snf_exactly(snf) == snf_exactly(row_operation_snf(m))
-            assert list(snf.lows.items()) == list(column_echelon(m).lows.items())
+            assert list(snf.lows.items()) == list(column_echelon(m).items())
 
 
 class TestSnfProperties:
@@ -199,7 +200,7 @@ class TestSnfProperties:
                 for p, c in snf.lows.items():
                     g, e = gens[p], exponent(m, p, c)
                     assert membership(
-                        times_t(scale(g, sm.entry(p, c)), e), relations
+                        times_t(scale(g, entry(sm, p, c)), e), relations
                     )
                     if e >= 1:
                         assert not membership(times_t(g, e - 1), relations)

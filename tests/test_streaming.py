@@ -18,14 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     BOTH_FIELDS,
+    ReferenceStream,
     audit_stream,
     complexes,
     filtration_order,
+    live_cycles,
     random_filtered_complex,
     random_insertion_order,
     reduce_boundary,
     reference_add_simplex,
     rips_complex,
+    stream_simplices,
 )
 from persmod import (
     INF,
@@ -95,12 +98,13 @@ def bar_triples(bars):
 
 def named_pairing(state):
     """The pairing with ids translated back to simplices."""
-    name = state.simplices
+    name = stream_simplices(state)
     return {name[c]: name[k] for c, k in state.pairing.items()}
 
 
 def named_cycles(state):
-    return {state.simplices[c] for c in state.cycles}
+    name = stream_simplices(state)
+    return {name[c] for c in live_cycles(state)}
 
 
 def random_stream(rng, values):
@@ -146,7 +150,7 @@ class TestAddSimplex:
         assert bar_triples(delta.added) == [(0, 3, INF)]
         assert delta.removed == ()
         assert state.index == {(0,): 0}, "the first arrival is id 0"
-        assert state.cycles == {0}
+        assert live_cycles(state) == {0}
         assert named_cycles(state) == {(0,)}
 
     def test_edge_joins_components(self):
@@ -215,20 +219,24 @@ class TestAddSimplex:
                 r"^simplex \(2, 4\) has value '1', which is not a number$",
                 id="str-edge",
             ),
+            # kept, it would take an id and add a bar of dimension -1
+            pytest.param(
+                (), 9, r"^simplex \(\) has no vertices$", id="no-vertices",
+            ),
         ],
     )
     def test_rejection_consumes_no_id(self, vertices, value, message):
-        # a skipped or reused id would put keys and simplices out of step
+        # a skipped or reused id would put keys and index out of step
         for field in BOTH_FIELDS:
             state, _ = feed(StreamState(field), TRIANGLE_TRACE[:6])
             before = (
                 len(state),
                 dict(state.index),
-                list(state.simplices),
                 list(state.keys),
                 {k: dict(chain) for k, chain in state.chains.items()},
                 dict(state.pairing),
-                set(state.cycles),
+                {d: list(v) for d, v in state.births.items()},
+                {d: list(v) for d, v in state.deaths.items()},
             )
             with pytest.raises(ValueError, match=message):
                 add_simplex(state, vertices, value)
@@ -236,11 +244,11 @@ class TestAddSimplex:
             assert (
                 len(state),
                 state.index,
-                state.simplices,
                 state.keys,
                 state.chains,
                 state.pairing,
-                state.cycles,
+                state.births,
+                state.deaths,
             ) == before
             n = len(state)
             state, _ = add_simplex(state, *TRIANGLE_TRACE[6])
@@ -357,7 +365,7 @@ class TestAddSimplex:
         ]
         rng = random.Random(59)
         for trial in range(80):
-            state, reference = StreamState(field), StreamState(field)
+            state, reference = StreamState(field), ReferenceStream(field)
             for vertices, value in random_stream(rng, value_sets[trial % 4]):
                 state, delta = add_simplex(state, vertices, value)
                 reference, want = reference_add_simplex(
@@ -365,7 +373,8 @@ class TestAddSimplex:
                 )
                 assert (delta.added, delta.removed) == (want.added, want.removed)
                 assert state.pairing == reference.pairing
-                assert state.cycles == reference.cycles
+                assert stream_simplices(state) == reference.simplices
+                assert live_cycles(state) == reference.cycles
                 assert state.chains == reference.chains
                 audit_stream(state)
 
@@ -391,8 +400,7 @@ class TestAddSimplex:
             checked, want = add_simplex(checked, *last)
             assert (delta.added, delta.removed) == (want.added, want.removed)
             for name in (
-                "index", "simplices", "keys", "chains", "pairing", "cycles",
-                "births", "deaths",
+                "index", "keys", "chains", "pairing", "births", "deaths",
             ):
                 assert getattr(core, name) == getattr(checked, name), name
             audit_stream(core)
