@@ -161,9 +161,8 @@ def test_every_public_member_is_read_in_the_package():
             for m in members
             if not m.startswith("_") and m not in read
         )
-    assert not unread - set(UNREAD_MEMBERS), (
-        f"no persmod module reads {sorted(unread - set(UNREAD_MEMBERS))}"
-    )
+    missing = sorted(unread - set(UNREAD_MEMBERS))
+    assert not missing, f"no persmod module reads {missing}"
     stale = set(UNREAD_MEMBERS) - unread
     assert not stale, f"UNREAD_MEMBERS names read or missing members {stale}"
     assert all(UNREAD_MEMBERS.values())
