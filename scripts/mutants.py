@@ -135,6 +135,31 @@ MUTANTS = (
         "new = a - rn * c", "new = a + rn * c",
         ("tests/test_fields.py",),
     ),
+    # a negative denominator left in the ratio gives entries that are
+    # no canonical Fraction, and wrong ints where they are integral
+    Mutant(
+        "combine-ratio-keeps-negative-denominator", "fields",
+        "Rationals.combine",
+        "        if rd < 0:\n            rn, rd = -rn, -rd\n", "",
+        ("tests/test_fields.py::TestCombine",),
+    ),
+    Mutant(
+        "combine-ratio-always-integral", "fields", "Rationals.combine",
+        "if not rem:", "if True:", ("tests/test_fields.py::TestCombine",),
+    ),
+    Mutant(
+        "prime-combine-skips-every-inverse", "fields", "PrimeField.combine",
+        "a if b == 1 else", "a if b else",
+        ("tests/test_fields.py::TestCombine",),
+    ),
+    # a later term of higher degree passes, so a relation or map line
+    # that mixes degrees is read
+    Mutant(
+        "reader-degree-check-one-sided", "cli", "_read_column",
+        "elif d != degree:", "elif d < degree:",
+        ("tests/test_cli.py::TestParsePresentation::test_error_lines",
+         "tests/test_cli.py::TestReaderMatchesReference"),
+    ),
     Mutant(
         "preimage-records-rank-first", "linalg", "_preimage",
         "[-1] * main.ncols", "[n] * main.ncols",

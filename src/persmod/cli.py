@@ -223,58 +223,88 @@ def _as_written(value_map):
     return lambda v: raw.get(v, v)
 
 
-def _parse_term(token: str, lineno: int, field, coeffs):
-    """One term ``<coeff>t^<e>*<name>`` -> (coeff, exponent, name).
+def _read_column(text, n, field, coeffs, index, degrees, degree=None):
+    """The terms of one relation or map line, read in one pass.
 
-    ``coeffs`` maps each coefficient text already read in this file to
-    its scalar, so a text is parsed once per file.
+    A term ``<coeff>t^<e>*<name>`` adds its coefficient to the entry of
+    generator ``index[name]``, and its implied degree e + degrees[i]
+    must equal ``degree``, or the first term's when that is None.
+    Returns (column, degree), or None when a name is not in ``index``
+    or a degree differs; the caller's error path names that fault.  A
+    syntax fault raises CliError at once, so the syntax of every term
+    is checked before such a None.  ``coeffs`` maps each coefficient
+    text already read in this file to its scalar, so a text is parsed
+    once per file.
     """
-    head, sep, name = token.partition("*")
-    coeff_text, tsep, exp_text = head.partition("t^")
-    if not sep or not name or not tsep:
-        raise CliError(
-            PARSE_ERROR,
-            f"line {lineno}: bad term {token!r} "
-            "(expected <coeff>t^<e>*<name>)",
-        )
-    try:
-        exponent = int(exp_text)
-    except ValueError:
-        raise CliError(
-            PARSE_ERROR, f"line {lineno}: bad exponent in {token!r}"
-        ) from None
-    if exponent < 0:
-        raise CliError(
-            PARSE_ERROR, f"line {lineno}: negative exponent in {token!r}"
-        )
-    if coeff_text:
-        coeff = coeffs.get(coeff_text)
-        if coeff is None:
-            try:
-                coeff = coeffs[coeff_text] = field.parse(coeff_text)
-            except (ValueError, ZeroDivisionError):
-                raise CliError(
-                    PARSE_ERROR,
-                    f"line {lineno}: bad coefficient in {token!r}",
-                ) from None
-    else:
-        coeff = field.one
-    return coeff, exponent, name
+    col = {}
+    ok = True
+    for token in text.split("+"):
+        token = token.strip()
+        head, sep, name = token.partition("*")
+        coeff_text, tsep, exp_text = head.partition("t^")
+        if not sep or not name or not tsep:
+            raise CliError(
+                PARSE_ERROR,
+                f"line {n}: bad term {token!r} "
+                "(expected <coeff>t^<e>*<name>)",
+            )
+        try:
+            exponent = int(exp_text)
+        except ValueError:
+            raise CliError(
+                PARSE_ERROR, f"line {n}: bad exponent in {token!r}"
+            ) from None
+        if exponent < 0:
+            raise CliError(
+                PARSE_ERROR, f"line {n}: negative exponent in {token!r}"
+            )
+        if coeff_text:
+            coeff = coeffs.get(coeff_text)
+            if coeff is None:
+                try:
+                    coeff = coeffs[coeff_text] = field.parse(coeff_text)
+                except (ValueError, ZeroDivisionError):
+                    raise CliError(
+                        PARSE_ERROR,
+                        f"line {n}: bad coefficient in {token!r}",
+                    ) from None
+        else:
+            coeff = field.one
+        i = index.get(name)
+        if i is None:
+            ok = False
+            continue
+        d = exponent + degrees[i]
+        if degree is None:
+            degree = d
+        elif d != degree:
+            ok = False
+            continue
+        if i in col:
+            coeff = field.add(col[i], coeff)
+        col[i] = coeff
+    return (col, degree) if ok else None
 
 
-def _parse_terms(text: str, lineno: int, field, coeffs):
-    return [
-        _parse_term(token.strip(), lineno, field, coeffs)
-        for token in text.split("+")
-    ]
+def _checked_terms(text, field, coeffs):
+    """(coeff, exponent, name) of each term of a line whose syntax
+    ``_read_column`` has checked; for the error paths only."""
+    terms = []
+    for token in text.split("+"):
+        head, _, name = token.strip().partition("*")
+        coeff_text, _, exp_text = head.partition("t^")
+        coeff = coeffs[coeff_text] if coeff_text else field.one
+        terms.append((coeff, int(exp_text), name))
+    return terms
 
 
 def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
     gens = []
-    rels = []
+    index = {}
+    degrees = []
+    rels = []  # (line number, terms text, _read_column's result)
     for n, line in pairs:
         keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
         if keyword == "gen":
             tokens = rest.split()
             if len(tokens) != 2:
@@ -294,20 +324,33 @@ def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
                     f"line {n}: generator name {tokens[0]!r} contains "
                     "'+' or '->'",
                 )
+            index[tokens[0]] = len(gens)
             gens.append((tokens[0], degree))
+            degrees.append(degree)
         elif keyword == "rel":
-            rels.append(_parse_terms(rest, n, field, coeffs))
+            read = _read_column(rest, n, field, coeffs, index, degrees)
+            rels.append((n, rest, read))
         else:
             raise CliError(
                 PARSE_ERROR, f"line {n}: unknown directive {keyword!r}"
             )
+    if len(index) == len(gens) and all(read for _, _, read in rels):
+        rel_basis = GradedBasis(
+            (f"rel{k}", d) for k, (_, _, (_, d)) in enumerate(rels)
+        )
+        cols = [col for _, _, (col, _) in rels]
+        incl = GradedMatrix(field, rel_basis, GradedBasis(gens), cols)
+        return Presentation(field, incl)
+    # error path: a repeated label, an unknown one or mixed degrees, or a
+    # relation read before a generator it names, which from_terms builds.
+    # from_terms names a fault; a repeated label is reported at its
+    # second line, else the relation at fault is the first that fails
+    # alone, and with int degrees one of the two searches finds its line
+    terms = [_checked_terms(text, field, coeffs) for _, text, _ in rels]
     try:
-        return Presentation.from_terms(field, gens, rels)
+        return Presentation.from_terms(field, gens, terms)
     except (ValueError, KeyError) as e:
         message = e.args[0]  # str() of a KeyError would quote it
-    # error path: a repeated label is reported at its second line, else
-    # the relation at fault is the first that fails alone; with int
-    # degrees, one of the two searches always finds its line
     gen_lines = [n for n, line in pairs if line.partition(" ")[0] == "gen"]
     seen = set()
     for n, (label, _) in zip(gen_lines, gens):
@@ -316,10 +359,9 @@ def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
         seen.add(label)
     else:
         basis = GradedBasis(gens)
-        rel_lines = [n for n, line in pairs if line.partition(" ")[0] == "rel"]
-        for n, terms in zip(rel_lines, rels):
+        for (n, _, _), relation in zip(rels, terms):
             try:
-                Presentation.from_terms(field, basis, [terms])
+                Presentation.from_terms(field, basis, [relation])
             except (ValueError, KeyError):
                 break
     raise CliError(VALIDATION_ERROR, f"line {n}: {message}")
@@ -433,7 +475,9 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
     coeffs = {}  # one coefficient table for the whole file
     src = _parse_presentation_lines(sections["source"], field, coeffs)
     dst = _parse_presentation_lines(sections["target"], field, coeffs)
-    entries = {}
+    src_degrees = src.gens.degrees
+    index, degrees = dst.gens._index, dst.gens.degrees
+    cols = [{} for _ in src_degrees]
     mapped = set()
     for n, line in sections["maps"]:
         keyword, _, rest = line.partition(" ")
@@ -458,25 +502,27 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
                 PARSE_ERROR, f"line {n}: generator {name!r} mapped twice"
             )
         mapped.add(j)
-        terms = _parse_terms(terms_text, n, field, coeffs)
-        for coeff, exponent, label in terms:
-            try:
-                i = dst.gens.index(label)
-            except KeyError as e:
-                raise CliError(
-                    VALIDATION_ERROR, f"line {n}: {e.args[0]}"
-                ) from None
-            implied = src.gens.degrees[j] - dst.gens.degrees[i]
-            if exponent != implied:
-                raise CliError(
-                    VALIDATION_ERROR,
-                    f"line {n}: term on {label!r} must have exponent "
-                    f"{implied} to preserve degree, got {exponent}",
-                )
-            if (i, j) in entries:
-                coeff = field.add(entries[(i, j)], coeff)
-            entries[(i, j)] = coeff
-    phi = GradedMatrix.from_entries(field, src.gens, dst.gens, entries)
+        read = _read_column(
+            terms_text, n, field, coeffs, index, degrees, src_degrees[j]
+        )
+        if read is None:
+            # error path: the first term at fault names the fault
+            for _, exponent, label in _checked_terms(terms_text, field, coeffs):
+                try:
+                    i = dst.gens.index(label)
+                except KeyError as e:
+                    raise CliError(
+                        VALIDATION_ERROR, f"line {n}: {e.args[0]}"
+                    ) from None
+                implied = src_degrees[j] - degrees[i]
+                if exponent != implied:
+                    raise CliError(
+                        VALIDATION_ERROR,
+                        f"line {n}: term on {label!r} must have exponent "
+                        f"{implied} to preserve degree, got {exponent}",
+                    )
+        cols[j] = read[0]
+    phi = GradedMatrix(field, src.gens, dst.gens, cols)
     morphism = PresentationMorphism(src, dst, phi)
     if not validate_morphism(morphism):
         raise CliError(

@@ -8,12 +8,14 @@ it is integral and a ``fractions.Fraction`` once a division leaves a
 remainder, so chains that start at +-1 run on int arithmetic.  There
 is no floating point anywhere.
 
-Every field has one column operation, ``combine(col, other, r)``: in
-place, the sparse column ``col`` (a dict from row to nonzero scalar)
-becomes ``col - r*other``, and entries that cancel are dropped.  Every
-column update of the reductions and of the graded Smith normal form
-goes through it.  Over Z/p it gives ints in [0, p).  Over Q it keeps
-the canonical form: on canonical scalars an ``int`` when an entry is
+Every field has one column operation, ``combine(col, other, a, b)``:
+in place, the sparse column ``col`` (a dict from row to nonzero
+scalar) becomes ``col - (a/b)*other`` for a nonzero ``b``, and entries
+that cancel are dropped.  Every column update of the reductions, of
+the graded Smith normal form and of the stream goes through it, and
+each passes the two scalars whose ratio clears an entry, so no caller
+divides.  Over Z/p it gives ints in [0, p).  Over Q it keeps the
+canonical form: on canonical scalars an ``int`` when an entry is
 integral and a ``Fraction`` otherwise.
 
     >>> F = field_from_string("Zp:5")
@@ -25,11 +27,11 @@ integral and a ``Fraction`` otherwise.
     >>> Q.div(6, -3), Q.div(1, 3)
     (-2, Fraction(1, 3))
     >>> col = {0: 1, 1: Q.parse("1/2"), 2: 3}
-    >>> Q.combine(col, {0: 2, 1: Q.parse("1/4"), 3: 1}, Q.parse("1/2"))
+    >>> Q.combine(col, {0: 2, 1: Q.parse("1/4"), 3: 1}, 1, 2)
     >>> col
     {1: Fraction(3, 8), 2: 3, 3: Fraction(-1, 2)}
     >>> col = {0: 4, 1: 2}
-    >>> F.combine(col, {0: 2, 2: 1}, 2)
+    >>> F.combine(col, {0: 2, 2: 1}, 4, 2)
     >>> col
     {1: 2, 2: 3}
 
@@ -40,6 +42,7 @@ Euclidean algorithm is never needed.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -84,12 +87,16 @@ class Rationals:
     an integral ``Fraction``, which compares, hashes and prints like
     the ``int``.
 
-    ``combine(col, other, r)``, the one column operation, makes each
-    entry ``a - r*c`` of ``col - r*other`` with the plain operators
-    when ``a``, ``r`` and ``c`` are ints, and otherwise from the raw
-    numerators and denominators with one gcd: an ``int`` if the result
-    is integral and a reduced ``Fraction`` if not.  ``div`` builds its
-    ``Fraction`` results the same way.
+    ``combine(col, other, a, b)``, the one column operation, first
+    forms the ratio a/b as a numerator over a positive denominator,
+    taken from the raw numerators and denominators of ``a`` and ``b``
+    and made an int when it is integral; it builds no ``Fraction``.
+    It then makes each entry ``x - (a/b)*c`` of ``col - (a/b)*other``
+    with the plain operators when ``x``, ``c`` and the ratio are ints,
+    and otherwise from the raw numerators and denominators with one
+    gcd: an ``int`` if the result is integral and a reduced
+    ``Fraction`` if not.  ``div`` builds its ``Fraction`` results the
+    same way.
     """
 
     __slots__ = ()
@@ -115,11 +122,21 @@ class Rationals:
     def mul(self, a, b):
         return a * b
 
-    def combine(self, col, other, r):
-        """In place: col -= r * other, dropping zeros."""
+    def combine(self, col, other, a, b):
+        """In place: col -= (a/b) * other, dropping zeros; b != 0."""
+        if type(a) is int and type(b) is int:
+            rn, rd = a, b
+        else:
+            rn = a.numerator * b.denominator
+            rd = a.denominator * b.numerator
+        if rd < 0:
+            rn, rd = -rn, -rd
+        if rd != 1:
+            q, rem = divmod(rn, rd)
+            if not rem:
+                rn, rd = q, 1
         get = col.get
-        rn = r.numerator
-        rd = r.denominator
+        # from here on, a is an entry of col
         for i, c in other.items():
             a = get(i, 0)
             if rd == 1 and type(c) is int and type(a) is int:
@@ -172,6 +189,15 @@ class Rationals:
         return _quotient(num, den)
 
     def parse(self, text: str):
+        """The scalar a text names, as ``Fraction(text)`` reads it.
+
+        A value whose numerator or denominator would have more digits
+        than ``int()`` reads from a string
+        (``sys.get_int_max_str_digits()``) raises ValueError, as a text
+        of that many digits does: so do ``1e5000`` and ``1e-5000``.  An
+        exponent too large for the value to fit is refused before any
+        power of ten is built.
+        """
         # -digits and -digits/digits in ASCII skip Fraction's regex and
         # its second normalisation; every other text goes to Fraction
         num, slash, den = text.partition("/")
@@ -187,7 +213,26 @@ class Rationals:
             if not d:
                 raise ZeroDivisionError(f"Fraction({n}, 0)")
             return _quotient(n, d)
-        return _canon(Fraction(text))
+        limit = sys.get_int_max_str_digits()
+        mantissa, e, exponent = text.lower().partition("e")
+        if limit and e:
+            try:
+                # past this, a nonzero mantissa of at most len(mantissa)
+                # digits leaves too many
+                huge = abs(int(exponent)) > limit + len(mantissa)
+            except ValueError:
+                huge = False  # Fraction refuses the exponent
+            if huge:
+                if exponent[:1].isspace() or Fraction(mantissa + "e0"):
+                    raise ValueError(f"too many digits in {text!r}")
+                return 0
+        q = Fraction(text)
+        if limit:
+            for part in (q.numerator, q.denominator):
+                # a part below 2**(3 * limit) is below 10**limit
+                if part.bit_length() > 3 * limit and abs(part) >= 10**limit:
+                    raise ValueError(f"too many digits in {text!r}")
+        return _canon(q)
 
     def format(self, a) -> str:
         return str(a)
@@ -266,9 +311,10 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def combine(self, col, other, r):
-        """In place: col -= r * other, dropping zeros."""
+    def combine(self, col, other, a, b):
+        """In place: col -= (a/b) * other, dropping zeros; b != 0 mod p."""
         p = self.p
+        r = a if b == 1 else a * pow(b, -1, p)
         get = col.get
         for i, c in other.items():
             new = (get(i, 0) - r * c) % p

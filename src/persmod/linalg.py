@@ -181,11 +181,12 @@ class GradedMatrix:
         if other.target != self.source:
             raise ValueError("matrix shapes do not compose")
         f = self.field
+        minus_one = f.neg(f.one)  # out -= (oc / -1) * col adds oc * col
         cols = []
         for j in range(other.ncols):
             out = {}
             for k, oc in other.cols[j].items():
-                f.combine(out, self.cols[k], f.neg(oc))
+                f.combine(out, self.cols[k], oc, minus_one)
             cols.append(out)
         return GradedMatrix(f, other.source, self.target, cols)
 
@@ -271,7 +272,7 @@ def _reduce(field, col, key, lows, cols, before=None):
         if owner is None or (before is not None and key(owner) >= before):
             return low
         pivot = cols[owner]
-        field.combine(col, pivot, field.div(col[low], pivot[low]))
+        field.combine(col, pivot, col[low], pivot[low])
     return None
 
 
@@ -411,16 +412,18 @@ def graded_snf(m: GradedMatrix) -> SnfResult:
         col = dict(m.cols[c])
         for i, e in pivots:
             if i in col:
-                f.combine(col, e, f.div(col[i], e[i]))
+                f.combine(col, e, col[i], e[i])
         if not col:
             continue
         p = max(col, key=key)
-        for i in col:
+        cp = col[p]
+        minus_cp = f.neg(cp)
+        for i, ci in col.items():
             if i != p:
-                # S: row i -= r * row p, legal as deg tgt[p] >= deg tgt[i]
-                r = f.div(col[i], col[p])
-                f.combine(s_rows[i], s_rows[p], r)
-                f.combine(s_inv_cols[p], s_inv_cols[i], f.neg(r))
+                # S: row i -= (ci/cp) * row p, legal as deg tgt[p] >=
+                # deg tgt[i]; S^-1: column p += (ci/cp) * column i
+                f.combine(s_rows[i], s_rows[p], ci, cp)
+                f.combine(s_inv_cols[p], s_inv_cols[i], ci, minus_cp)
         pivots.append((p, col))
         lows[p] = c
 

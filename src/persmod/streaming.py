@@ -231,8 +231,7 @@ def _insert(state: StreamState, vertices, value, faces):
         removed.append(tuple.__new__(Bar, (below, birth, stolen)))
         added.append(tuple.__new__(Bar, (below, birth, death)))
         displaced = chains.pop(owner)
-        ratio = field.div(displaced[leading], chain[leading])
-        field.combine(displaced, chain, ratio)
+        field.combine(displaced, chain, displaced[leading], chain[leading])
         carrier, chain = owner, displaced
     return state, BarcodeDelta(added, removed)
 

@@ -30,6 +30,7 @@ from persmod import (
     current_barcode,
     graded_boundary,
     membership,
+    validate_morphism,
 )
 from persmod import constructions, linalg, streaming
 from persmod.cli import CliError
@@ -299,9 +300,10 @@ class FractionQ(Rationals):
             raise ZeroDivisionError("division by zero")
         return Fraction(a) / b
 
-    def combine(self, col, other, r):
+    def combine(self, col, other, a, b):
+        r = Fraction(a) / b
         for i, c in other.items():
-            new = Fraction(col.get(i, 0)) - Fraction(r) * c
+            new = Fraction(col.get(i, 0)) - r * c
             if new:
                 col[i] = new
             else:
@@ -515,9 +517,9 @@ def replayed_free_kernel(m):
             if p is None:
                 lows[low] = c
                 break
-            r = f.div(col[low], cols[p][low])
-            f.combine(col, cols[p], r)
-            f.combine(track[c], track[p], r)
+            a, b = col[low], cols[p][low]
+            f.combine(col, cols[p], a, b)
+            f.combine(track[c], track[p], a, b)
         else:
             dead.append(c)
     source = GradedBasis((f"k{n}", m.source.degrees[c]) for n, c in enumerate(dead))
@@ -1204,6 +1206,175 @@ def reference_load_complex(text):
     raise CliError(2, f"line {lines[at]}: {message}")
 
 
+def _reference_term(token, lineno, field, coeffs):
+    """One term ``<coeff>t^<e>*<name>`` -> (coeff, exponent, name)."""
+    head, sep, name = token.partition("*")
+    coeff_text, tsep, exp_text = head.partition("t^")
+    if not sep or not name or not tsep:
+        raise CliError(
+            1,
+            f"line {lineno}: bad term {token!r} "
+            "(expected <coeff>t^<e>*<name>)",
+        )
+    try:
+        exponent = int(exp_text)
+    except ValueError:
+        raise CliError(1, f"line {lineno}: bad exponent in {token!r}") from None
+    if exponent < 0:
+        raise CliError(1, f"line {lineno}: negative exponent in {token!r}")
+    if coeff_text:
+        coeff = coeffs.get(coeff_text)
+        if coeff is None:
+            try:
+                coeff = coeffs[coeff_text] = field.parse(coeff_text)
+            except (ValueError, ZeroDivisionError):
+                raise CliError(
+                    1, f"line {lineno}: bad coefficient in {token!r}"
+                ) from None
+    else:
+        coeff = field.one
+    return coeff, exponent, name
+
+
+def _reference_terms(text, lineno, field, coeffs):
+    return [
+        _reference_term(token.strip(), lineno, field, coeffs)
+        for token in text.split("+")
+    ]
+
+
+def _reference_presentation_lines(pairs, field, coeffs):
+    gens = []
+    rels = []
+    for n, line in pairs:
+        keyword, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if keyword == "gen":
+            tokens = rest.split()
+            if len(tokens) != 2:
+                raise CliError(1, f"line {n}: expected 'gen <name> <degree>'")
+            try:
+                degree = int(tokens[1])
+            except ValueError:
+                raise CliError(1, f"line {n}: bad degree {tokens[1]!r}") from None
+            if "+" in tokens[0] or "->" in tokens[0]:
+                raise CliError(
+                    1,
+                    f"line {n}: generator name {tokens[0]!r} contains "
+                    "'+' or '->'",
+                )
+            gens.append((tokens[0], degree))
+        elif keyword == "rel":
+            rels.append(_reference_terms(rest, n, field, coeffs))
+        else:
+            raise CliError(1, f"line {n}: unknown directive {keyword!r}")
+    try:
+        return Presentation.from_terms(field, gens, rels)
+    except (ValueError, KeyError) as e:
+        message = e.args[0]
+    gen_lines = [n for n, line in pairs if line.partition(" ")[0] == "gen"]
+    seen = set()
+    for n, (label, _) in zip(gen_lines, gens):
+        if label in seen:
+            break
+        seen.add(label)
+    else:
+        basis = GradedBasis(gens)
+        rel_lines = [n for n, line in pairs if line.partition(" ")[0] == "rel"]
+        for n, terms in zip(rel_lines, rels):
+            try:
+                Presentation.from_terms(field, basis, [terms])
+            except (ValueError, KeyError):
+                break
+    raise CliError(2, f"line {n}: {message}")
+
+
+def _reference_content_lines(text):
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield n, line
+
+
+def reference_parse_presentation(text, field=QQ):
+    """``cli.parse_presentation`` as it read a presentation before the
+    one-pass reader: the reference for its results and its errors.
+
+    Parses each term by itself, then builds the presentation with
+    ``Presentation.from_terms``; on a fault there, a repeated label is
+    reported at its second line, else at the first relation that fails
+    alone.  Returns the presentation, or raises the CliError the reader
+    must raise.
+    """
+    return _reference_presentation_lines(
+        list(_reference_content_lines(text)), field, {}
+    )
+
+
+def reference_parse_morphism(text, field=QQ):
+    """``cli.parse_morphism`` as it read a morphism before the one-pass
+    reader: sections, the two presentations by
+    ``reference_parse_presentation``'s rules, then the map lines term by
+    term into a table of entries, and the morphism check."""
+    sections = {"source": [], "target": [], "maps": []}
+    current = None
+    for n, line in _reference_content_lines(text):
+        if line in sections:
+            current = sections[line]
+            continue
+        if current is None:
+            raise CliError(
+                1, f"line {n}: expected a 'source', 'target', or 'maps' header"
+            )
+        current.append((n, line))
+    coeffs = {}
+    src = _reference_presentation_lines(sections["source"], field, coeffs)
+    dst = _reference_presentation_lines(sections["target"], field, coeffs)
+    entries = {}
+    mapped = set()
+    for n, line in sections["maps"]:
+        keyword, _, rest = line.partition(" ")
+        if keyword != "map":
+            raise CliError(1, f"line {n}: unknown directive {keyword!r}")
+        name, arrow, terms_text = rest.partition("->")
+        name = name.strip()
+        if not arrow:
+            raise CliError(1, f"line {n}: expected 'map <name> -> <terms>'")
+        try:
+            j = src.gens.index(name)
+        except KeyError as e:
+            raise CliError(2, f"line {n}: {e.args[0]}") from None
+        if j in mapped:
+            raise CliError(1, f"line {n}: generator {name!r} mapped twice")
+        mapped.add(j)
+        for coeff, exponent, label in _reference_terms(
+            terms_text, n, field, coeffs
+        ):
+            try:
+                i = dst.gens.index(label)
+            except KeyError as e:
+                raise CliError(2, f"line {n}: {e.args[0]}") from None
+            implied = src.gens.degrees[j] - dst.gens.degrees[i]
+            if exponent != implied:
+                raise CliError(
+                    2,
+                    f"line {n}: term on {label!r} must have exponent "
+                    f"{implied} to preserve degree, got {exponent}",
+                )
+            if (i, j) in entries:
+                coeff = field.add(entries[(i, j)], coeff)
+            entries[(i, j)] = coeff
+    phi = GradedMatrix.from_entries(field, src.gens, dst.gens, entries)
+    morphism = PresentationMorphism(src, dst, phi)
+    if not validate_morphism(morphism):
+        raise CliError(
+            2,
+            "generator map does not send source relations into the "
+            "target relation span",
+        )
+    return morphism
+
+
 def reference_bar_key(bar):
     """``Bar.key`` as bars were sorted before a bar was a plain tuple:
     a None dimension sorts as -1."""
@@ -1508,8 +1679,7 @@ def reference_add_simplex(state, vertices, value):
         removed.append(reference_interval(state, leading, owner))
         added.append(reference_interval(state, leading, carrier))
         displaced = state.chains.pop(owner)
-        ratio = field.div(displaced[leading], chain[leading])
-        field.combine(displaced, chain, ratio)
+        field.combine(displaced, chain, displaced[leading], chain[leading])
         carrier, chain = owner, displaced
     return state, streaming.BarcodeDelta(added, removed)
 

@@ -37,6 +37,8 @@ from helpers import (
     reference_bar_key,
     reference_bar_line,
     reference_load_complex,
+    reference_parse_morphism,
+    reference_parse_presentation,
     terms,
     with_component_removals,
 )
@@ -501,6 +503,19 @@ class TestParsePresentation:
         ("op", "source\ngen x 0\ntarget\ngen y 0\nmaps\n"
          "map x 1t^0*y\n", 1,
          "line 6: expected 'map <name> -> <terms>'"),
+        # a coefficient whose value has more digits than int() reads,
+        # refused at once as its digits written out would be
+        ("presentation-barcode", "gen x 0\nrel 1e100000000t^1*x\n", 1,
+         "line 2: bad coefficient in '1e100000000t^1*x'"),
+        ("snf", "gen x 0\nrel 1e100000000t^1*x\n", 1,
+         "line 2: bad coefficient in '1e100000000t^1*x'"),
+        ("snf", "gen x 0\nrel 1e-100000000t^1*x\n", 1,
+         "line 2: bad coefficient in '1e-100000000t^1*x'"),
+        ("snf", "gen x 0\ngen y 0\nrel 1e5000t^1*x + 1t^1*y\n", 1,
+         "line 3: bad coefficient in '1e5000t^1*x'"),
+        ("op", "source\ngen x 0\ntarget\ngen y 0\nmaps\n"
+         "map x -> 1e10000000t^0*y\n", 1,
+         "line 6: bad coefficient in '1e10000000t^0*y'"),
     ]
 
     @pytest.mark.parametrize(
@@ -512,9 +527,13 @@ class TestParsePresentation:
     def test_error_lines(self, tmp_path, capsys, command, text, code, message):
         path = write(tmp_path, "in.txt", text)
         argv = [command, path]
+        if command == "snf":
+            argv.append("--dump")
         if command == "op":
             argv = ["op", "image", path, "-o", str(tmp_path / "out.pmod")]
+        started = time.perf_counter()
         assert invoke(argv, capsys) == (code, "", f"error: {message}\n")
+        assert time.perf_counter() - started < 2
 
     def test_unknown_directive(self):
         with pytest.raises(CliError) as err:
@@ -663,6 +682,204 @@ class TestParseMorphism:
             parse_morphism(text)
         assert err.value.code == 2
         assert "relation span" in str(err.value)
+
+
+class TestReaderMatchesReference:
+    """The one-pass presentation and morphism reader against the
+    term-by-term one it replaced (``helpers.reference_parse_*``): the
+    same presentation or morphism, scalar types included, or the same
+    exit code and error line."""
+
+    # coefficient texts that each field reads
+    COEFFS = {
+        0: ["", "", "", "1", "-1", "2", "-3/4", "6/4", "0", "1.5", "2e1"],
+        3: ["", "", "", "1", "-1", "2", "0", "5", "-7"],
+    }
+
+    def module(self, rng, field, prefix):
+        """[kind, ...] entries of a random presentation: its generators
+        and relations whose terms agree on their degree."""
+        gens = [
+            [f"{prefix}{i}", rng.randint(-1, 4)] for i in range(rng.randint(1, 4))
+        ]
+        entries = [["gen", *g] for g in gens]
+        for _ in range(rng.randint(0, 3)):
+            degree = max(d for _, d in gens) + rng.randint(0, 2)
+            chosen = [rng.choice(gens) for _ in range(rng.randint(1, 3))]
+            entries.append(
+                ["rel", [self.term(rng, field, g, degree) for g in chosen]]
+            )
+        return gens, entries
+
+    def term(self, rng, field, gen, degree):
+        return [rng.choice(self.COEFFS[field.char]), str(degree - gen[1]), gen[0]]
+
+    def morphism(self, rng, field):
+        src, src_entries = self.module(rng, field, "x")
+        if rng.random() < 0.5:  # a free source: every map descends
+            src_entries = [e for e in src_entries if e[0] == "gen"]
+        dst, dst_entries = self.module(rng, field, "u")
+        maps = []
+        for label, d in src:
+            below = [g for g in dst if g[1] <= d]
+            if below and rng.random() < 0.8:
+                chosen = [rng.choice(below) for _ in range(rng.randint(1, 3))]
+                terms = [self.term(rng, field, g, d) for g in chosen]
+                maps.append(["map", label, "->", terms])
+        return [
+            ["head", "source"], *src_entries, ["head", "target"], *dst_entries,
+            ["head", "maps"], *maps,
+        ]
+
+    @staticmethod
+    def mutate(rng, entries, fault):
+        """Break ``entries`` in place; the error text the fault aims at,
+        which an earlier fault may hide, or None if it is no fault."""
+        def pick(*kinds):
+            found = [e for e in entries if e[0] in kinds]
+            return rng.choice(found) if found else None
+
+        term_holder = pick("rel", "map")
+        term = term_holder and rng.choice(term_holder[-1])
+        if fault in ("term", "exponent", "negative", "coefficient", "label"):
+            if term is None:
+                return None
+            if fault == "term":
+                term.append(rng.choice(["nostar", "nocaret", "empty"]))
+                return "bad term"
+            if fault == "exponent":
+                term[1] = rng.choice(["a", "1.5", "", "2-"])
+                return "bad exponent"
+            if fault == "negative":
+                term[1] = "-1"
+                return "negative exponent"
+            if fault == "coefficient":
+                term[0] = rng.choice(["1/0", "q", "1/2/3", "1e100000000", "--1"])
+                return "bad coefficient"
+            term[2] = "zz"
+            return "no basis element labeled 'zz'"
+        if fault == "degree":
+            if term is None or not term[1].isdigit():
+                return None
+            term[1] = str(int(term[1]) + 1)
+            return "mixes degrees" if term_holder[0] == "rel" else "must have exponent"
+        if fault == "repeated":
+            gen = pick("gen")
+            entries.insert(rng.randint(entries.index(gen) + 1, len(entries)), list(gen))
+            return "duplicate basis label"
+        if fault == "gen-late":  # no fault: a relation may name a later gen
+            gen = pick("gen")
+            at = entries.index(gen)
+            end = next(
+                (k for k in range(at + 1, len(entries)) if entries[k][0] == "head"),
+                len(entries),
+            )
+            entries.insert(end - 1, entries.pop(at))
+            return None
+        if fault == "twice":
+            line = pick("map")
+            if line is None:
+                return None
+            entries.insert(rng.randint(entries.index(line) + 1, len(entries)), line)
+            return "mapped twice"
+        if fault == "arrow":
+            line = pick("map")
+            if line is None:
+                return None
+            line[2] = ""
+            return "expected 'map <name> -> <terms>'"
+        if fault == "source":
+            line = pick("map")
+            if line is None:
+                return None
+            line[1] = "zz"
+            return "no basis element labeled 'zz'"
+        gen = pick("gen")
+        if fault == "gen-degree":
+            gen[2] = "a"
+            return "bad degree"
+        entries.insert(entries.index(gen), ["raw", "foo x"])
+        return "unknown directive"
+
+    @staticmethod
+    def text(rng, entries):
+        def term(t):
+            coeff, exponent, label, *style = t
+            if style == ["nostar"]:
+                return f"{coeff}t^{exponent}{label}"
+            if style == ["nocaret"]:
+                return f"{coeff}t{exponent}*{label}"
+            return "" if style else f"{coeff}t^{exponent}*{label}"
+
+        lines = []
+        for kind, *rest in entries:
+            if kind in ("head", "raw"):
+                lines.append(rest[0])
+            elif kind == "gen":
+                lines.append(f"gen {rest[0]} {rest[1]}")
+            else:
+                terms = rng.choice([" + ", "+", "  +  "]).join(map(term, rest[-1]))
+                if kind == "rel":
+                    lines.append(f"rel {terms}")
+                else:
+                    lines.append(f"map {rest[0]} {rest[1]} {terms}")
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "# note"]))
+        return "".join(line + "\n" for line in lines)
+
+    FAULTS = (
+        "term", "exponent", "negative", "coefficient", "label", "degree",
+        "repeated", "gen-late", "twice", "arrow", "source", "gen-degree",
+        "directive",
+    )
+
+    @staticmethod
+    def outcome(read, text, field):
+        try:
+            result = read(text, field)
+        except CliError as e:
+            return e.code, str(e)
+        if isinstance(result, Presentation):
+            matrices = [result.incl]
+        else:
+            matrices = [result.src.incl, result.dst.incl, result.phi]
+        # scalars with their types, each column in its key order
+        return [
+            (m.source, m.target, [[(i, c, type(c)) for i, c in col.items()]
+                                  for col in m.cols])
+            for m in matrices
+        ]
+
+    def test_matches_reference(self):
+        rng = random.Random(34)
+        aims, messages, parsed = set(), [], {False: 0, True: 0}
+        for n in range(2000):
+            field = (QQ, PrimeField(3))[n % 2]
+            is_morphism = n % 3 != 0
+            if is_morphism:
+                entries = self.morphism(rng, field)
+                read, reference = parse_morphism, reference_parse_morphism
+            else:
+                entries = self.module(rng, field, "g")[1]
+                read, reference = parse_presentation, reference_parse_presentation
+            faults = rng.sample(self.FAULTS, rng.choice([0, 1, 1, 2]))
+            for fault in faults:
+                if not is_morphism and fault in ("twice", "arrow", "source"):
+                    continue
+                aim = self.mutate(rng, entries, fault)
+                if aim is not None:
+                    aims.add(aim)
+            text = self.text(rng, entries)
+            want = self.outcome(reference, text, field)
+            assert self.outcome(read, text, field) == want, text
+            if type(want) is tuple:
+                messages.append(want[1])
+            else:
+                parsed["gen-late" in faults] += 1
+        assert len(aims) == 12
+        for aim in aims:  # each fault is the error reported at least once
+            assert any(aim in m for m in messages), aim
+        assert min(parsed.values()) > 5, parsed
 
 
 class TestBarcodeCommand:

@@ -7,6 +7,8 @@ require equal results.
 """
 
 import random
+import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -145,66 +147,146 @@ def _random_column(rng, rows, draw):
     return col
 
 
+def _assert_canonical(col):
+    """Every entry an int exactly when integral, else a reduced
+    Fraction with a positive denominator."""
+    for c in col.values():
+        assert type(c) in (int, Fraction)
+        if type(c) is Fraction:
+            assert c.denominator > 1
+            assert gcd(c.numerator, c.denominator) == 1
+
+
+def _draw_ratio(rng):
+    """Scalars a and b != 0 for ``combine``, and the case they make: b
+    negative, b a Fraction, a/b integral with b not 1, or none."""
+    a, b = _random_q(rng) or 1, _random_q(rng) or -rng.randint(1, 6)
+    if rng.random() < 0.3:
+        a = b * rng.choice([-3, -2, 2, 3])  # an integral ratio, a of b's type
+    if (Fraction(a) / b).denominator == 1 and b not in (1, -1):
+        case = "integral"
+    elif type(b) is Fraction and b.denominator > 1:
+        case = "fraction"
+    elif b < 0:
+        case = "negative"
+    else:
+        case = "other"
+    return a, b, case
+
+
 class TestCombine:
-    """``combine`` is the entry-by-entry ``sub(a, mul(r, c))``."""
+    """``combine(col, other, a, b)`` is col - (a/b)*other, entry by
+    entry, over Q against ``Fraction`` and over Z/p against
+    (x - a * b^-1 * c) mod p."""
 
     @staticmethod
-    def _expected(field, col, other, r):
-        want = dict(col)
+    def _expected_q(col, other, a, b):
+        r = Fraction(a) / b
+        want = {i: Fraction(x) for i, x in col.items()}
         for i, c in other.items():
-            new = field.sub(want.get(i, field.zero), field.mul(r, c))
-            if new:
-                want[i] = new
-            else:
-                want.pop(i, None)
-        return want
+            want[i] = want.get(i, 0) - r * c
+        return {i: x for i, x in want.items() if x}
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
     def test_matches_entrywise_arithmetic(self, field):
         rng = random.Random(13)
-        if field.char:
-            draw = lambda g: field.scalar(g.randint(-9, 9))
-        else:
-            draw = _canonical_q
+        p = field.char
+        cases = {}
         cancelled = 0
-        for _ in range(400):
-            col = _random_column(rng, 8, draw)
-            other = _random_column(rng, 8, draw)
-            r = draw(rng)
-            if not r:
-                r = field.neg(field.one)
+        for _ in range(1500):
+            if p:
+                col = _random_column(rng, 8, lambda g: g.randrange(p))
+                other = _random_column(rng, 8, lambda g: g.randrange(p))
+                a = rng.randrange(1, p)
+                b = 1 if rng.random() < 0.3 else rng.randrange(1, p)
+                r = a * pow(b, -1, p)
+                case = "b = 1" if b == 1 else "b != 1"
+            else:
+                col = _random_column(rng, 8, _canonical_q)
+                other = _random_column(rng, 8, _random_q)
+                a, b, case = _draw_ratio(rng)
+                r = Fraction(a) / b
             if rng.random() < 0.3 and other:
                 # make one entry cancel exactly
                 i = rng.choice(sorted(other))
-                col[i] = field.mul(r, other[i])
-            want = self._expected(field, col, other, r)
+                col[i] = r * other[i] % p if p else QQ.scalar(r * other[i])
+            if p:
+                want = dict(col)
+                for i, c in other.items():
+                    want[i] = (want.get(i, 0) - r * c) % p
+                want = {i: x for i, x in want.items() if x}
+            else:
+                want = self._expected_q(col, other, a, b)
             cancelled += len(set(col) - set(want))
-            field.combine(col, other, r)
+            cases[case] = cases.get(case, 0) + 1
+            field.combine(col, other, a, b)
             assert col == want
-            assert all(col.values())
-        assert cancelled > 50
+            if p:
+                assert all(0 < x < p for x in col.values())
+            else:
+                _assert_canonical(col)
+        assert cancelled > 100
+        assert len(cases) == (2 if p else 4) and min(cases.values()) > 100, cases
 
-    def test_rational_entries_are_canonical(self):
-        rng = random.Random(17)
-        for _ in range(400):
-            col = _random_column(rng, 8, _canonical_q)
-            other = _random_column(rng, 8, _canonical_q)
-            r = _canonical_q(rng) or Fraction(-3, 2)
-            QQ.combine(col, other, r)
-            for c in col.values():
-                assert type(c) in (int, Fraction)
-                assert (type(c) is int) == (Fraction(c).denominator == 1)
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        col=st.dictionaries(st.integers(0, 5), SCALARS, max_size=4),
+        other=st.dictionaries(st.integers(0, 5), SCALARS, max_size=4),
+        a=SCALARS,
+        b=SCALARS.filter(bool),
+    )
+    def test_rational_entries_are_canonical(self, col, other, a, b):
+        # drawn Fractions may be integral: ints and integral Fractions
+        # in the columns and in the ratio
+        col = {i: QQ.scalar(x) for i, x in col.items() if x}
+        other = {i: x for i, x in other.items() if x}
+        want = self._expected_q(col, other, a, b)
+        QQ.combine(col, other, a, b)
+        assert col == want
+        _assert_canonical(col)
 
     def test_integral_fraction_operands(self):
-        # integral Fractions, which add/mul may make, still give ints
+        # integral Fractions, which add/mul may make, still give ints;
+        # the ratio is 4/2 and 1/(-2), as a Fraction and as ints
         col = {0: Fraction(3), 1: Fraction(1, 2)}
-        QQ.combine(col, {0: Fraction(1), 1: Fraction(1, 2), 2: 2}, Fraction(2))
+        QQ.combine(col, {0: Fraction(1), 1: Fraction(1, 2), 2: 2}, Fraction(4), 2)
         assert col == {0: 1, 1: Fraction(-1, 2), 2: -4}
         assert [type(c) for c in col.values()] == [int, Fraction, int]
+        col = {0: 1, 1: Fraction(1, 2)}
+        QQ.combine(col, {0: 2, 1: 3}, 1, -2)
+        assert col == {0: 2, 1: 2} and type(col[1]) is int
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_prime_field_matches_modular_arithmetic(self, p):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        draw = lambda g: g.randrange(p)
+        ones = cancelled = 0
+        for _ in range(600):
+            col = _random_column(rng, 8, draw)
+            other = _random_column(rng, 8, draw)
+            a = rng.randrange(1, p)
+            b = 1 if rng.random() < 0.3 else rng.randrange(1, p)
+            r = a * pow(b, -1, p)
+            if rng.random() < 0.3 and other:
+                i = rng.choice(sorted(other))
+                col[i] = r * other[i] % p
+            want = dict(col)
+            for i, c in other.items():
+                want[i] = (want.get(i, 0) - r * c) % p
+            want = {i: x for i, x in want.items() if x}
+            cancelled += len(set(col) - set(want))
+            ones += b == 1
+            field.combine(col, other, a, b)
+            assert col == want
+            assert all(0 < x < p for x in col.values())
+        assert ones > 100 and cancelled > 50
 
     def test_fraction_q_stays_fraction(self):
         col = {0: Fraction(1), 1: Fraction(2)}
-        FRACTION_Q.combine(col, {0: Fraction(1), 1: Fraction(1)}, Fraction(1))
+        FRACTION_Q.combine(
+            col, {0: Fraction(1), 1: Fraction(1)}, Fraction(2), Fraction(2)
+        )
         assert col == {1: 1} and type(col[1]) is Fraction
 
 
@@ -263,6 +345,7 @@ class TestRationalParse:
         "-0", "0/5", "007", "1/0", "3/-4", "+3", "1_0", "1.5", "1e3",
         "-0/0", "-12/0", "-6/4", "6/-4", "-", "/", "3/", "/4", "--3",
         "-/4", "1/2/3", "", " 3", "3 ", "٣", "3/٤", "²", "00/007",
+        "1e", "1e+", "2E-x", "0e 100000000", "1/2e100000000", "1e4_0",
     ]
 
     def _assert_same(self, text):
@@ -279,6 +362,35 @@ class TestRationalParse:
             self._assert_same(text)
         with pytest.raises(ZeroDivisionError, match=r"^Fraction\(-12, 0\)$"):
             QQ.parse("-12/0")
+
+    def test_values_past_the_digit_limit_are_refused(self):
+        # departures from Fraction, on purpose: Fraction reads these
+        # (some only after minutes), but a numerator or denominator has
+        # more digits than int() reads from a text, so they are refused
+        # as a text of that many digits is, and at once
+        limit = sys.get_int_max_str_digits()
+        refused = [
+            f"1e{limit}", f"-1e{limit}", f"1e-{limit}", f"0.5e{limit + 1}",
+            f"{'9' * 20}e{limit - 19}", f"1e{limit + 30}",
+            f"1.{'0' * 20}1e-{limit - 10}",
+            "1e5000", "-1e5000", "1e-5000", "1e10000000", "1E100000000",
+            "1e100000000", "1e-100000000", " 2.5e100000000 ", "1e9" * 2,
+        ]
+        for text in refused:
+            started = time.perf_counter()
+            with pytest.raises(ValueError):
+                QQ.parse(text)
+            assert time.perf_counter() - started < 1, text
+        with pytest.raises(ValueError):
+            QQ.parse("1" + "0" * limit)  # the value of 1e<limit> in digits
+        # at the limit, and zero at any exponent, read as Fraction does
+        assert QQ.parse(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert QQ.parse(f"-1e-{limit - 1}") == Fraction(-1, 10 ** (limit - 1))
+        assert QQ.parse(f"1.5e{limit - 1}") == 15 * 10 ** (limit - 2)
+        nines = (10**20 - 1) * 10 ** (limit - 20)
+        assert QQ.parse(f"{'9' * 20}e{limit - 20}") == nines
+        for text in ["0e100000000", "-0.0e-100000000", " 0E+100000000 "]:
+            assert type(QQ.parse(text)) is int and QQ.parse(text) == 0
 
     def test_seeded_texts_match_fraction(self):
         rng = random.Random(29)
@@ -309,17 +421,17 @@ FRACTION_Q = FractionQ()
 
 @pytest.fixture
 def inexact_divisions(monkeypatch):
-    """Records each ``Rationals.div`` of two ints that gave a Fraction."""
+    """Records each ``Rationals.combine`` whose ratio a/b of two ints
+    is not an int, which sends its entries down the Fraction path."""
     seen = []
-    base = Rationals.div
+    base = Rationals.combine
 
-    def div(self, a, b):
-        q = base(self, a, b)
-        if type(a) is int and type(b) is int and type(q) is Fraction:
+    def combine(self, col, other, a, b):
+        if type(a) is int and type(b) is int and a % b:
             seen.append((a, b))
-        return q
+        base(self, col, other, a, b)
 
-    monkeypatch.setattr(Rationals, "div", div)
+    monkeypatch.setattr(Rationals, "combine", combine)
     return seen
 
 
@@ -338,8 +450,9 @@ def morphism_over(field, f):
 class TestIntFastPath:
     """``QQ`` and ``FractionQ`` agree.
 
-    The kernel, image and SNF cases each divide two ints inexactly;
-    stream chains start at +-1, and the seeded streams never do.
+    The kernel, image and SNF cases each form an inexact ratio of two
+    ints in ``combine``; stream chains start at +-1, and the seeded
+    streams never do.
     """
 
     def test_free_kernel(self, inexact_divisions):

@@ -581,7 +581,9 @@ class TestPreimage:
                     a, b = rng.sample(range(size), 2)
                     d = max(modders.source.degrees[a], modders.source.degrees[b])
                     col = dict(modders.cols[a])
-                    field.combine(col, modders.cols[b], random_scalar(field, rng))
+                    field.combine(
+                        col, modders.cols[b], random_scalar(field, rng), field.one
+                    )
                     labels = list(modders.source) + [("s", d + rng.randint(0, 1))]
                     modders = GradedMatrix(
                         field, GradedBasis(labels), target, [*modders.cols, col]
