@@ -156,9 +156,24 @@ MUTANTS = (
     # that mixes degrees is read
     Mutant(
         "reader-degree-check-one-sided", "cli", "_read_column",
-        "elif d != degree:", "elif d < degree:",
+        "exponent + degrees[i] != degree", "exponent + degrees[i] < degree",
         ("tests/test_cli.py::TestParsePresentation::test_error_lines",
          "tests/test_cli.py::TestReaderMatchesReference"),
+    ),
+    # a later faulty term names the fault, not the first in term order
+    Mutant(
+        "reader-keeps-last-fault", "cli", "_read_column",
+        "            if fault is None:\n                fault = name, exponent\n",
+        "            fault = name, exponent\n",
+        ("tests/test_cli.py::TestParsePresentation::test_error_lines",
+         "tests/test_cli.py::TestReaderMatchesReference"),
+    ),
+    # a relation read before a generator it names is refused
+    Mutant(
+        "reader-skips-reread", "cli", "_parse_presentation_lines",
+        "            read = _read_column(text, n, field, coeffs, index, degrees)\n",
+        "            pass\n",
+        ("tests/test_cli.py::TestReaderMatchesReference",),
     ),
     Mutant(
         "preimage-records-rank-first", "linalg", "_preimage",

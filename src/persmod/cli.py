@@ -7,6 +7,10 @@ Presentations list ``gen <name> <degree>`` and
 ``rel <term> + <term> + ...`` lines, a term being
 ``<coeff>t^<e>*<name>`` with the coefficient optional; a generator
 name is one word of printable ASCII without ``#``, ``+`` or ``->``.
+A coefficient is an optional sign and decimal digits; over Q it may
+also be ``<digits>/<digits>`` or a decimal with an optional exponent
+(``-1.5``, ``2e3``), as Python 3.10's ``Fraction`` reads it, on every
+version: ``_`` and blanks around ``/`` are refused.
 Morphism files hold a presentation under a ``source`` header, another
 under ``target``, and ``map <name> -> <term> + ...`` lines under
 ``maps``; generators without a map line go to zero.
@@ -229,15 +233,15 @@ def _read_column(text, n, field, coeffs, index, degrees, degree=None):
     A term ``<coeff>t^<e>*<name>`` adds its coefficient to the entry of
     generator ``index[name]``, and its implied degree e + degrees[i]
     must equal ``degree``, or the first term's when that is None.
-    Returns (column, degree), or None when a name is not in ``index``
-    or a degree differs; the caller's error path names that fault.  A
-    syntax fault raises CliError at once, so the syntax of every term
-    is checked before such a None.  ``coeffs`` maps each coefficient
-    text already read in this file to its scalar, so a text is parsed
-    once per file.
+    Returns (column, degree, fault): fault is None, or (name, e) of the
+    first term, in term order, whose name is not in ``index`` or whose
+    degree differs, which the caller names.  A syntax fault raises
+    CliError at once, so the syntax of every term is checked before a
+    fault is returned.  ``coeffs`` maps each coefficient text already
+    read in this file to its scalar, so a text is parsed once per file.
     """
     col = {}
-    ok = True
+    fault = None
     for token in text.split("+"):
         token = token.strip()
         head, sep, name = token.partition("*")
@@ -271,38 +275,37 @@ def _read_column(text, n, field, coeffs, index, degrees, degree=None):
         else:
             coeff = field.one
         i = index.get(name)
-        if i is None:
-            ok = False
-            continue
-        d = exponent + degrees[i]
-        if degree is None:
-            degree = d
-        elif d != degree:
-            ok = False
+        if i is not None and degree is None:
+            degree = exponent + degrees[i]
+        if i is None or exponent + degrees[i] != degree:
+            if fault is None:
+                fault = name, exponent
             continue
         if i in col:
             coeff = field.add(col[i], coeff)
         col[i] = coeff
-    return (col, degree) if ok else None
+    return col, degree, fault
 
 
-def _checked_terms(text, field, coeffs):
-    """(coeff, exponent, name) of each term of a line whose syntax
-    ``_read_column`` has checked; for the error paths only."""
-    terms = []
-    for token in text.split("+"):
-        head, _, name = token.strip().partition("*")
-        coeff_text, _, exp_text = head.partition("t^")
-        coeff = coeffs[coeff_text] if coeff_text else field.one
-        terms.append((coeff, int(exp_text), name))
-    return terms
+def _label_index(index, name, n):
+    """index[name], or the CliError naming an unknown label at line n."""
+    try:
+        return index[name]
+    except KeyError:
+        raise CliError(
+            VALIDATION_ERROR, f"line {n}: no basis element labeled {name!r}"
+        ) from None
 
 
 def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
     gens = []
     index = {}
     degrees = []
-    rels = []  # (line number, terms text, _read_column's result)
+    # (line number, terms text, _read_column's result); a relation may
+    # name a generator listed after it, so a fault is final only once
+    # every generator is known
+    rels = []
+    repeated = None  # (line, label) of the first gen line repeating one
     for n, line in pairs:
         keyword, _, rest = line.partition(" ")
         if keyword == "gen":
@@ -324,6 +327,8 @@ def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
                     f"line {n}: generator name {tokens[0]!r} contains "
                     "'+' or '->'",
                 )
+            if repeated is None and tokens[0] in index:
+                repeated = n, tokens[0]
             index[tokens[0]] = len(gens)
             gens.append((tokens[0], degree))
             degrees.append(degree)
@@ -334,37 +339,27 @@ def _parse_presentation_lines(pairs, field, coeffs) -> Presentation:
             raise CliError(
                 PARSE_ERROR, f"line {n}: unknown directive {keyword!r}"
             )
-    if len(index) == len(gens) and all(read for _, _, read in rels):
-        rel_basis = GradedBasis(
-            (f"rel{k}", d) for k, (_, _, (_, d)) in enumerate(rels)
+    if repeated:
+        raise CliError(
+            VALIDATION_ERROR, "line %d: duplicate basis label %r" % repeated
         )
-        cols = [col for _, _, (col, _) in rels]
-        incl = GradedMatrix(field, rel_basis, GradedBasis(gens), cols)
-        return Presentation(field, incl)
-    # error path: a repeated label, an unknown one or mixed degrees, or a
-    # relation read before a generator it names, which from_terms builds.
-    # from_terms names a fault; a repeated label is reported at its
-    # second line, else the relation at fault is the first that fails
-    # alone, and with int degrees one of the two searches finds its line
-    terms = [_checked_terms(text, field, coeffs) for _, text, _ in rels]
-    try:
-        return Presentation.from_terms(field, gens, terms)
-    except (ValueError, KeyError) as e:
-        message = e.args[0]  # str() of a KeyError would quote it
-    gen_lines = [n for n, line in pairs if line.partition(" ")[0] == "gen"]
-    seen = set()
-    for n, (label, _) in zip(gen_lines, gens):
-        if label in seen:
-            break
-        seen.add(label)
-    else:
-        basis = GradedBasis(gens)
-        for (n, _, _), relation in zip(rels, terms):
-            try:
-                Presentation.from_terms(field, basis, [relation])
-            except (ValueError, KeyError):
-                break
-    raise CliError(VALIDATION_ERROR, f"line {n}: {message}")
+    rel_basis = []
+    cols = []
+    for k, (n, text, read) in enumerate(rels):
+        if read[2]:  # read again, now that every generator is known
+            read = _read_column(text, n, field, coeffs, index, degrees)
+        col, degree, fault = read
+        if fault:
+            name, exponent = fault
+            d = exponent + degrees[_label_index(index, name, n)]
+            raise CliError(
+                VALIDATION_ERROR,
+                f"line {n}: relation {k} mixes degrees {degree} and {d}",
+            )
+        rel_basis.append((f"rel{k}", degree))
+        cols.append(col)
+    incl = GradedMatrix(field, GradedBasis(rel_basis), GradedBasis(gens), cols)
+    return Presentation(field, incl)
 
 
 def parse_presentation(text: str, field=QQ) -> Presentation:
@@ -392,22 +387,31 @@ def _write_columns(parts: list, matrix: GradedMatrix, heads, empty) -> None:
 
     A line is its head, then the column's ``<coeff>t^<e>*<label>`` terms
     by row, joined by `` + ``.  A zero column has no terms: it gets the
-    line head + ``empty``, or no line when ``empty`` is None.
+    line head + ``empty``, or no line when ``empty`` is None.  A value
+    with more digits than str() writes raises ValueError with a message
+    that is alike on every Python version.
     """
     fmt = matrix.field.format
     labels = matrix.target.labels
     degrees = matrix.target.degrees
     append = parts.append
-    for head, col, degree in zip(heads, matrix.cols, matrix.source.degrees):
-        if not col:
-            if empty is not None:
-                append(f"{head}{empty}\n")
-            continue
-        sep = head
-        for i in sorted(col):
-            append(f"{sep}{fmt(col[i])}t^{degree - degrees[i]}*{labels[i]}")
-            sep = " + "
-        append("\n")
+    try:
+        for head, col, degree in zip(heads, matrix.cols, matrix.source.degrees):
+            if not col:
+                if empty is not None:
+                    append(f"{head}{empty}\n")
+                continue
+            sep = head
+            for i in sorted(col):
+                e = degree - degrees[i]
+                append(f"{sep}{fmt(col[i])}t^{e}*{labels[i]}")
+                sep = " + "
+            append("\n")
+    except ValueError:  # str() of an int past the int-string limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"a computed value has more than {limit} digits and cannot be written"
+        ) from None
 
 
 def format_presentation(p: Presentation) -> str:
@@ -491,37 +495,23 @@ def parse_morphism(text: str, field=QQ) -> PresentationMorphism:
             raise CliError(
                 PARSE_ERROR, f"line {n}: expected 'map <name> -> <terms>'"
             )
-        try:
-            j = src.gens.index(name)
-        except KeyError as e:
-            raise CliError(
-                VALIDATION_ERROR, f"line {n}: {e.args[0]}"
-            ) from None
+        j = _label_index(src.gens._index, name, n)
         if j in mapped:
             raise CliError(
                 PARSE_ERROR, f"line {n}: generator {name!r} mapped twice"
             )
         mapped.add(j)
-        read = _read_column(
+        cols[j], _, fault = _read_column(
             terms_text, n, field, coeffs, index, degrees, src_degrees[j]
         )
-        if read is None:
-            # error path: the first term at fault names the fault
-            for _, exponent, label in _checked_terms(terms_text, field, coeffs):
-                try:
-                    i = dst.gens.index(label)
-                except KeyError as e:
-                    raise CliError(
-                        VALIDATION_ERROR, f"line {n}: {e.args[0]}"
-                    ) from None
-                implied = src_degrees[j] - degrees[i]
-                if exponent != implied:
-                    raise CliError(
-                        VALIDATION_ERROR,
-                        f"line {n}: term on {label!r} must have exponent "
-                        f"{implied} to preserve degree, got {exponent}",
-                    )
-        cols[j] = read[0]
+        if fault is not None:
+            label, exponent = fault
+            implied = src_degrees[j] - degrees[_label_index(index, label, n)]
+            raise CliError(
+                VALIDATION_ERROR,
+                f"line {n}: term on {label!r} must have exponent "
+                f"{implied} to preserve degree, got {exponent}",
+            )
     phi = GradedMatrix(field, src.gens, dst.gens, cols)
     morphism = PresentationMorphism(src, dst, phi)
     if not validate_morphism(morphism):
@@ -588,16 +578,16 @@ def _cmd_presentation_barcode(args):
 def _cmd_snf(args):
     p = parse_presentation(_read(args.input), args.field)
     form = snf_form(p)
-    sys.stdout.write(format_presentation(form.presentation))
+    # the whole text first, so that a failure writes nothing
+    parts = [format_presentation(form.presentation)]
     if args.dump:
-        parts = []
         for name, matrix in [
             ("to_new", form.to_new), ("from_new", form.from_new)
         ]:
             parts.append(f"# {name}\n")
             heads = [f"map {label} -> " for label in matrix.source.labels]
             _write_columns(parts, matrix, heads, "0")
-        sys.stdout.write("".join(parts))
+    sys.stdout.write("".join(parts))
 
 
 def _cmd_relative(args):

@@ -189,7 +189,9 @@ class Rationals:
         return _quotient(num, den)
 
     def parse(self, text: str):
-        """The scalar a text names, as ``Fraction(text)`` reads it.
+        """The scalar a text names, as ``Fraction(text)`` reads it on
+        Python 3.10, on every version: ``_`` between digits (read from
+        3.11 on) and blanks around ``/`` (from 3.12) raise ValueError.
 
         A value whose numerator or denominator would have more digits
         than ``int()`` reads from a string
@@ -213,6 +215,9 @@ class Rationals:
             if not d:
                 raise ZeroDivisionError(f"Fraction({n}, 0)")
             return _quotient(n, d)
+        blank_slash = slash and (num[-1:].isspace() or den[:1].isspace())
+        if "_" in text or blank_slash:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
         limit = sys.get_int_max_str_digits()
         mantissa, e, exponent = text.lower().partition("e")
         if limit and e:
@@ -335,6 +340,9 @@ class PrimeField:
         return self.mul(a, self.inv(b))
 
     def parse(self, text: str) -> int:
+        """int(text) mod p, but ``_`` between digits raises ValueError."""
+        if "_" in text:
+            raise ValueError(f"invalid literal for int() with base 10: {text!r}")
         return int(text) % self.p
 
     def format(self, a) -> str:

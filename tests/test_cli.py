@@ -461,10 +461,23 @@ class TestParsePresentation:
             parse_presentation("gen x 0\ngen y 5\nrel 1t^0*x + 1t^0*y\n")
         assert err.value.code == 2
 
-    # command, input, exit code, error line
+    # command (after any options), input, exit code, error line
     ERROR_LINES = [
         ("presentation-barcode", "gen x 0\nrel 1t^1*z\n",
          2, "line 2: no basis element labeled 'z'"),
+        # the first term at fault names the fault
+        ("presentation-barcode", "gen x 0\nrel 1t^1*z + 1t^1*w\n",
+         2, "line 2: no basis element labeled 'z'"),
+        ("presentation-barcode", "gen x 0\ngen y 1\nrel 1t^1*x + 1t^3*y + 1t^1*w\n",
+         2, "line 3: relation 0 mixes degrees 1 and 4"),
+        ("op", "source\ngen x 2\ntarget\ngen u 0\nmaps\n"
+         "map x -> 1t^2*u + 1t^1*u + 1t^0*v\n",
+         2, "line 6: term on 'u' must have exponent 2 to preserve degree, got 1"),
+        # a relation may name a later generator; a fault in it is
+        # reported at its own line once every generator is known
+        ("presentation-barcode",
+         "gen x 0\nrel 1t^1*y\nrel 1t^1*x + 1t^1*y\ngen y 1\n",
+         2, "line 3: relation 1 mixes degrees 1 and 2"),
         ("presentation-barcode",
          "gen x 0\ngen y 1\n\nrel 1t^1*x + 1t^1*y\n",
          2, "line 4: relation 0 mixes degrees 1 and 2"),
@@ -516,6 +529,24 @@ class TestParsePresentation:
         ("op", "source\ngen x 0\ntarget\ngen y 0\nmaps\n"
          "map x -> 1e10000000t^0*y\n", 1,
          "line 6: bad coefficient in '1e10000000t^0*y'"),
+        # a value the reader accepts but whose digits cannot be written:
+        # nothing is printed, and the line is alike on every version
+        ("snf", "gen x 0\ngen y 0\ngen z 0\n"
+         "rel 1e4000t^1*x + 1e4000t^1*y + 1t^1*z\nrel 1e4000t^2*x + 1t^2*y\n",
+         2, "a computed value has more than 4300 digits and cannot be written"),
+        # the coefficient grammar of Python 3.10's Fraction on every
+        # version: no '_' (3.11 reads it) and no blank around '/' (3.12)
+        ("presentation-barcode", "gen x 0\nrel 1_000t^1*x\n", 1,
+         "line 2: bad coefficient in '1_000t^1*x'"),
+        ("presentation-barcode", "gen x 0\nrel 2 / 3t^1*x\n", 1,
+         "line 2: bad coefficient in '2 / 3t^1*x'"),
+        ("op", "source\ngen x 0\ntarget\ngen y 0\nmaps\n"
+         "map x -> 2/ 3t^0*y\n", 1,
+         "line 6: bad coefficient in '2/ 3t^0*y'"),
+        ("--field Zp:3 presentation-barcode", "gen x 0\nrel 1_0t^1*x\n", 1,
+         "line 2: bad coefficient in '1_0t^1*x'"),
+        ("--field Zp:3 snf", "gen x 0\nrel 2 / 3t^1*x\n", 1,
+         "line 2: bad coefficient in '2 / 3t^1*x'"),
     ]
 
     @pytest.mark.parametrize(
@@ -526,11 +557,12 @@ class TestParsePresentation:
     )
     def test_error_lines(self, tmp_path, capsys, command, text, code, message):
         path = write(tmp_path, "in.txt", text)
-        argv = [command, path]
+        *options, command = command.split()
+        argv = [*options, command, path]
         if command == "snf":
             argv.append("--dump")
         if command == "op":
-            argv = ["op", "image", path, "-o", str(tmp_path / "out.pmod")]
+            argv[-1:] = ["image", path, "-o", str(tmp_path / "out.pmod")]
         started = time.perf_counter()
         assert invoke(argv, capsys) == (code, "", f"error: {message}\n")
         assert time.perf_counter() - started < 2

@@ -139,6 +139,10 @@ UNREAD_MEMBERS: dict[str, str] = {
         "the documented way to take the kernel of a map between free "
         "modules (README, persmod.constructions.kernel)"
     ),
+    "Presentation.from_terms": (
+        "the documented way to build a presentation from terms in code "
+        "(README's library example); the CLI reader builds its columns"
+    ),
 }
 
 

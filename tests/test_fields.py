@@ -7,6 +7,7 @@ require equal results.
 """
 
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -332,6 +333,32 @@ class TestFractionBuilder:
         assert type(QQ.div(Fraction(3, 4), Fraction(-3, 8))) is int
 
 
+# fractions._RATIONAL_FORMAT as Python 3.10 has it, the oldest version
+# the package supports: the grammar QQ.parse reads on every version.
+# Python 3.11 adds '_' between digits and 3.12 blanks around '/'.
+_FRACTION_GRAMMAR = re.compile(r"""
+    \A\s*                      # optional whitespace at the start, then
+    (?P<sign>[-+]?)            # an optional sign, then
+    (?=\d|\.\d)                # lookahead for digit or .digit
+    (?P<num>\d*)               # numerator (possibly empty)
+    (?:                        # followed by
+       (?:/(?P<denom>\d+))?    # an optional denominator
+    |                          # or
+       (?:\.(?P<decimal>\d*))? # an optional fractional part
+       (?:E(?P<exp>[-+]?\d+))? # and optional exponent
+    )
+    \s*\Z                      # and optional whitespace to finish
+""", re.VERBOSE | re.IGNORECASE)
+
+
+def _fraction_as_on_310(text):
+    """``Fraction(text)`` in canonical form, for a text that Python
+    3.10's Fraction reads; ValueError for any other."""
+    if not _FRACTION_GRAMMAR.match(text):
+        raise ValueError(text)
+    return _canon(Fraction(text))
+
+
 def _outcome(parse, text):
     """``parse(text)``, or the class of the exception it raises."""
     try:
@@ -346,11 +373,13 @@ class TestRationalParse:
         "-0/0", "-12/0", "-6/4", "6/-4", "-", "/", "3/", "/4", "--3",
         "-/4", "1/2/3", "", " 3", "3 ", "٣", "3/٤", "²", "00/007",
         "1e", "1e+", "2E-x", "0e 100000000", "1/2e100000000", "1e4_0",
+        "1_000", "1/2_0", "1.5_0", "2 / 3", "2 /3", "2/ 3", " 2/3 ",
+        "-3/4\t", "1e5_0",
     ]
 
     def _assert_same(self, text):
         got = _outcome(QQ.parse, text)
-        want = _outcome(lambda t: _canon(Fraction(t)), text)
+        want = _outcome(_fraction_as_on_310, text)
         # a scalar of the same type, or the same exception class
         assert type(got) is type(want) and got == want, text
         if type(got) is Fraction:
@@ -564,7 +593,12 @@ class TestPrimeField:
     def test_parse_and_format(self):
         f = PrimeField(5)
         assert f.parse("7") == 2
+        assert f.parse("+7 ") == 2
         assert f.format(3) == "3"
+        # int() reads '_' between digits; the coefficient grammar does not
+        for text in ("1_000", "-1_0", "1__0"):
+            with pytest.raises(ValueError, match="^invalid literal for int"):
+                f.parse(text)
 
 
 class TestFieldFromString:
