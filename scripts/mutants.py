@@ -203,8 +203,79 @@ MUTANTS = (
     ),
     Mutant(
         "tensor-label-size-drops-a-separator", "constructions", "tensor",
-        "len(pl) + 3", "len(pl) + 2",
+        "3 * len(pl)", "2 * len(pl)",
         ("tests/test_constructions.py::TestDiagonalLabelLimit",),
+    ),
+    # the diagonal columns: each is built in one pass, and a column
+    # that goes wrong on its own leaves the other two as they were
+    Mutant(
+        "tensor-annihilator-column-max", "constructions", "tensor",
+        "a if a < b else b", "a if a > b else b",
+        ("tests/test_constructions.py::TestTensor",),
+    ),
+    Mutant(
+        "power-annihilator-column-max", "constructions", "_power",
+        "[*starmap(min, choose(anns, m))]", "[*starmap(max, choose(anns, m))]",
+        ("tests/test_constructions.py::TestExteriorPower",),
+    ),
+    Mutant(
+        "dual-degree-column-unnegated", "constructions", "dual",
+        "[-d for d in degrees]", "[d for d in degrees]",
+        ("tests/test_constructions.py::TestDual",),
+    ),
+    Mutant(
+        "tensor-k-degree-column-unshifted", "constructions", "tensor_over_k",
+        "[e + b for _, e in slots for b in pd]",
+        "[b for _, e in slots for b in pd]",
+        ("tests/test_constructions.py::TestTensorOverK",),
+    ),
+    # a generator killed on arrival keeps its degree, so every later
+    # degree belongs to the generator before it
+    Mutant(
+        "diagonal-degrees-keep-killed-generators", "constructions",
+        "_diagonal", "[*compress(p.gens.degrees, ann)]", "[*p.gens.degrees]",
+        ("tests/test_constructions.py::TestSnfForm",),
+    ),
+    Mutant(
+        "lazy-relation-at-generator-degree", "presentation",
+        "_Diagonal.__getattr__", "degrees[n] + anns[n]", "degrees[n]",
+        ("tests/test_constructions.py::TestLazyDiagonal",),
+    ),
+    # a free summand written as a relation "1t^inf*x", which no reader
+    # reads back
+    Mutant(
+        "writer-keeps-free-annihilators", "cli", "format_presentation",
+        "for a in set(p.anns) if a != INF}", "for a in set(p.anns)}",
+        ("tests/test_cli.py::TestFormatterOracle",),
+    ),
+    # Python's own text for an int past the int-string limit, worded
+    # differently on 3.10 and 3.11
+    Mutant(
+        "writer-passes-raw-digit-limit-error", "cli", "format_presentation",
+        "    with _digit_limit():", "    if True:",
+        ("tests/test_cli.py::TestParsePresentation::test_error_lines",),
+    ),
+    Mutant(
+        "bars-pass-raw-digit-limit-error", "cli", "_print_bars",
+        "with _digit_limit():", "if True:",
+        ("tests/test_cli.py::TestParsePresentation::test_error_lines",),
+    ),
+    # INF + an int past float range raises OverflowError
+    Mutant(
+        "free-bar-death-added", "presentation", "barcode",
+        "INF if a == INF else d + a", "d + a",
+        ("tests/test_cli.py::TestPresentationBarcodeCommand",),
+    ),
+    Mutant(
+        "free-torsion-bar-death-added", "homology", "torsion_homology",
+        "INF if a == INF else deg + a", "deg + a",
+        ("tests/test_cli.py::TestRelativeCommand",),
+    ),
+    # equivalent output, so the test that no graded SNF runs kills it
+    Mutant(
+        "snf-without-dump-runs-graded-snf", "cli", "_cmd_snf",
+        "if not args.dump:", "if False:",
+        ("tests/test_cli.py::TestSnfCommand",),
     ),
     Mutant(
         "empty-simplex-accepted", "homology", "FilteredComplex.__init__",

@@ -28,6 +28,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from itertools import repeat
 
 from . import homology
@@ -382,20 +383,31 @@ def _readable(labels) -> bool:
     )
 
 
+@contextmanager
+def _digit_limit():
+    """One message on every Python version for str() past the digit limit."""
+    try:
+        yield
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"a computed value has more than {limit} digits and cannot be written"
+        ) from None
+
+
 def _write_columns(parts: list, matrix: GradedMatrix, heads, empty) -> None:
     """Append one line per column of ``matrix`` to ``parts``.
 
     A line is its head, then the column's ``<coeff>t^<e>*<label>`` terms
     by row, joined by `` + ``.  A zero column has no terms: it gets the
     line head + ``empty``, or no line when ``empty`` is None.  A value
-    with more digits than str() writes raises ValueError with a message
-    that is alike on every Python version.
+    past the int-string limit raises :func:`_digit_limit`'s error.
     """
     fmt = matrix.field.format
     labels = matrix.target.labels
     degrees = matrix.target.degrees
     append = parts.append
-    try:
+    with _digit_limit():
         for head, col, degree in zip(heads, matrix.cols, matrix.source.degrees):
             if not col:
                 if empty is not None:
@@ -407,11 +419,6 @@ def _write_columns(parts: list, matrix: GradedMatrix, heads, empty) -> None:
                 append(f"{sep}{fmt(col[i])}t^{e}*{labels[i]}")
                 sep = " + "
             append("\n")
-    except ValueError:  # str() of an int past the int-string limit
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"a computed value has more than {limit} digits and cannot be written"
-        ) from None
 
 
 def format_presentation(p: Presentation) -> str:
@@ -420,10 +427,10 @@ def format_presentation(p: Presentation) -> str:
     Relations that are identically zero have no term syntax and are
     omitted; they do not constrain the module.  A generator label that
     the parser could not read back (empty, or not printable ASCII, or
-    holding a blank, ``#``, ``+`` or ``->``) raises ValueError.  A
-    diagonal construction's result is written from its triples, one
-    ``rel <one>t^<a>*<label>`` line per finite annihilator, and its
-    matrix is never built.
+    holding a blank, ``#``, ``+`` or ``->``) raises ValueError, as does
+    a value past the int-string limit (:func:`_digit_limit`).  A diagonal
+    result is written from its columns, one ``rel <one>t^<a>*<label>``
+    line per finite annihilator, and its matrix is never built.
 
     >>> print(format_presentation(parse_presentation(
     ...     "gen x 1\\ngen y 2\\nrel 1t^2*x + -1/2t^1*y"
@@ -433,26 +440,24 @@ def format_presentation(p: Presentation) -> str:
     rel 1t^2*x + -1/2t^1*y
     """
     diagonal = isinstance(p, _Diagonal)
-    if diagonal:
-        labels = [lab for lab, _, _ in p.triples]
-        degrees = [deg for _, deg, _ in p.triples]
-    else:
-        labels, degrees = p.gens.labels, p.gens.degrees
+    gens = p if diagonal else p.gens  # either holds labels and degrees
+    labels, degrees = gens.labels, gens.degrees
     if not _readable(labels):
         label = next(lab for lab in labels if not _readable([lab]))
         raise ValueError(
             f"generator label {label!r} cannot be written: labels must "
             "be printable ASCII without blanks, '#', '+' or '->'"
         )
-    parts = [
-        f"gen {label} {degree}\n" for label, degree in zip(labels, degrees)
-    ]
-    if diagonal:
-        one = p.field.format(p.field.one)
-        parts += [
-            f"rel {one}t^{a}*{lab}\n" for lab, _, a in p.triples if a != INF
-        ]
-    else:
+    with _digit_limit():  # each distinct degree and exponent written once
+        tails = {deg: f" {deg}\n" for deg in set(degrees)}
+        parts = [f"gen {lab}{tails[deg]}" for lab, deg in zip(labels, degrees)]
+        if diagonal:
+            one = p.field.format(p.field.one)
+            heads = {a: f"rel {one}t^{a}*" for a in set(p.anns) if a != INF}
+            parts += [
+                heads[a] + lab + "\n" for lab, a in zip(labels, p.anns) if a in heads
+            ]
+    if not diagonal:
         _write_columns(parts, p.incl, repeat("rel "), None)
     return "".join(parts)
 
@@ -545,7 +550,9 @@ def _bar_line(bar) -> str:
 
 
 def _print_bars(bars):
-    sys.stdout.write("".join(_bar_line(bar) + "\n" for bar in bars))
+    with _digit_limit():
+        text = "".join(_bar_line(bar) + "\n" for bar in bars)
+    sys.stdout.write(text)
 
 
 def _echo_value_map(value_map):
@@ -577,16 +584,16 @@ def _cmd_presentation_barcode(args):
 
 def _cmd_snf(args):
     p = parse_presentation(_read(args.input), args.field)
+    if not args.dump:  # the pairing's diagonal, with no change of basis
+        sys.stdout.write(format_presentation(exterior_power(p, 1)))
+        return
     form = snf_form(p)
     # the whole text first, so that a failure writes nothing
     parts = [format_presentation(form.presentation)]
-    if args.dump:
-        for name, matrix in [
-            ("to_new", form.to_new), ("from_new", form.from_new)
-        ]:
-            parts.append(f"# {name}\n")
-            heads = [f"map {label} -> " for label in matrix.source.labels]
-            _write_columns(parts, matrix, heads, "0")
+    for name, matrix in [("to_new", form.to_new), ("from_new", form.from_new)]:
+        parts.append(f"# {name}\n")
+        heads = [f"map {label} -> " for label in matrix.source.labels]
+        _write_columns(parts, matrix, heads, "0")
     sys.stdout.write("".join(parts))
 
 

@@ -23,20 +23,20 @@ basis to map elements through, and reads the annihilators off its
 pairing with the same reader,
 :func:`~persmod.presentation._annihilators`.
 
-A diagonal result is fully given by its (label, degree, annihilator)
-triples, one per summand, so these functions return a presentation
-that holds the triples (:func:`_diagonal_presentation`).  Its generator
-and relation bases and its inclusion matrix are built only when a
-caller first reads ``gens``, ``rels`` or ``incl``; the writer
-:func:`persmod.cli.format_presentation` and a further diagonal
-construction read the triples instead.  Label errors are still raised
-at construction time.
+A diagonal result is fully given by the label, degree and annihilator
+columns of its summands, three parallel lists that each construction
+builds in one pass with no tuple per summand
+(:func:`_diagonal_presentation`).  Its bases and inclusion matrix are
+built only when a caller first reads ``gens``, ``rels`` or ``incl``;
+the writer :func:`persmod.cli.format_presentation` and a further
+diagonal construction read the columns instead.  Label errors are
+still raised at construction time.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, combinations_with_replacement, starmap
+from itertools import combinations, combinations_with_replacement, compress, starmap
 
 from . import linalg
 from .linalg import GradedBasis, GradedMatrix, graded_snf
@@ -174,8 +174,8 @@ class SnfForm:
 
     ``presentation`` has one monic relation t^a per torsion generator
     and none for free generators; instantly-killed generators are gone.
-    Its ``triples`` hold each surviving generator's exponent (INF for
-    free).  ``to_new`` maps old generator coordinates to the new ones
+    Its ``anns`` column holds each surviving generator's exponent (INF
+    for free).  ``to_new`` maps old generator coordinates to the new ones
     and ``from_new`` embeds the new generators back; they compose to the
     identity on the new side.
     """
@@ -191,9 +191,9 @@ class SnfForm:
 def snf_form(p: Presentation) -> SnfForm:
     """Diagonalize a presentation, dropping zero summands."""
     snf = graded_snf(p.incl)
-    gens = [(lab, deg, a) for (lab, deg), a in zip(p.gens, _annihilators(p, snf.lows))]
-    kept = [i for i, (_, _, a) in enumerate(gens) if a != 0]
-    pres = _diagonal_presentation(p.field, [gens[i] for i in kept])
+    ann = _annihilators(p, snf.lows)
+    kept = list(compress(range(len(ann)), ann))
+    pres = _diagonal_presentation(p.field, *_diagonal(p, ann))
     to_new = snf.row_change.restrict_rows(kept, pres.gens)
     from_new = GradedMatrix(
         p.field, pres.gens, p.gens, [snf.row_change_inv.cols[i] for i in kept]
@@ -201,39 +201,38 @@ def snf_form(p: Presentation) -> SnfForm:
     return SnfForm(pres, to_new, from_new)
 
 
-def _diagonal(p: Presentation) -> list:
-    """(label, degree, annihilator) of each generator that survives;
-    generators killed on arrival (annihilator t^0) are dropped.  A
-    diagonal presentation gives back the triples it holds."""
+def _diagonal(p: Presentation, ann=None) -> tuple:
+    """The label, degree and annihilator columns of the generators whose
+    annihilator ``ann`` (by default ``_annihilators(p)``) is not t^0,
+    which compress reads as false.  A diagonal presentation gives back
+    the columns it holds."""
     if isinstance(p, _Diagonal):
-        return p.triples
-    return [
-        (lab, deg, a)
-        for (lab, deg), a in zip(p.gens, _annihilators(p))
-        if a != 0
-    ]
+        return p.labels, p.degrees, p.anns
+    ann = _annihilators(p) if ann is None else ann
+    labels = [*compress(p.gens.labels, ann)]
+    return labels, [*compress(p.gens.degrees, ann)], [*filter(None, ann)]
 
 
-def _diagonal_presentation(field, triples) -> Presentation:
-    """Presentation from (label, degree, annihilator exponent) triples.
+def _diagonal_presentation(field, labels, degrees, anns) -> Presentation:
+    """Presentation from parallel label, degree and annihilator columns.
 
-    Each triple is a generator and, for a finite annihilator a, the
-    relation 1 t^a on it.  The result keeps the triples; its ``gens``,
+    Each summand is a generator and, for a finite annihilator a, the
+    relation 1 t^a on it.  The result keeps the lists; its ``gens``,
     ``rels`` and ``incl`` are built when a caller first reads one of
     them.  The labels are checked now, so a repeated label fails here
     as the generator basis would fail on it.
 
     >>> from persmod.fields import QQ
-    >>> d = _diagonal_presentation(QQ, [("x", 0, 2), ("y", 1, INF)])
-    >>> d.triples
-    [('x', 0, 2), ('y', 1, inf)]
+    >>> d = _diagonal_presentation(QQ, ["x", "y"], [0, 1], [2, INF])
+    >>> d.labels, d.degrees, d.anns
+    (['x', 'y'], [0, 1], [2, inf])
     >>> list(d.gens), list(d.rels), d.incl.cols
     ([('x', 0), ('y', 1)], [('rel0', 2)], ({0: 1},))
     """
-    if len({lab for lab, _, _ in triples}) != len(triples):
+    if len(set(labels)) != len(labels):
         # the generator basis raises on the first repeated label
-        GradedBasis((lab, deg) for lab, deg, _ in triples)
-    return _Diagonal(field, triples)
+        GradedBasis(zip(labels, degrees))
+    return _Diagonal(field, labels, degrees, anns)
 
 
 # A diagonal result whose labels need more characters than this is
@@ -257,17 +256,18 @@ def tensor(p: Presentation, q: Presentation) -> Presentation:
     is the smaller of the factors' (t^a kills the pair as soon as it
     kills either factor, and no earlier power does).
     """
-    dp, dq = _diagonal(p), _diagonal(q)
+    (pl, pd, pa), (ql, qd, qa) = _diagonal(p), _diagonal(q)
     # each pair's label is "(" + pl + "." + ql + ")"
-    size = len(dq) * sum(len(pl) + 3 for pl, _, _ in dp)
-    size += len(dp) * sum(len(ql) for ql, _, _ in dq)
+    size = len(ql) * (sum(map(len, pl)) + 3 * len(pl))
+    size += len(pl) * sum(map(len, ql))
     _check_label_size("tensor product", size)
-    triples = [
-        (f"({pl}.{ql})", pd + qd, min(pa, qa))
-        for pl, pd, pa in dp
-        for ql, qd, qa in dq
-    ]
-    return _diagonal_presentation(p.field, triples)
+    heads, tails = [f"({a}." for a in pl], [f"{b})" for b in ql]
+    return _diagonal_presentation(
+        p.field,
+        [a + b for a in heads for b in tails],
+        [a + b for a in pd for b in qd],
+        [a if a < b else b for a in pa for b in qa],
+    )
 
 
 def tensor_over_k(p: Presentation, q: Presentation) -> Presentation:
@@ -278,27 +278,23 @@ def tensor_over_k(p: Presentation, q: Presentation) -> Presentation:
     q must die in finite degree, otherwise the result would have
     infinite rank.
     """
-    dp, dq = _diagonal(p), _diagonal(q)
-    if any(a == INF for _, _, a in dq):
-        raise ValueError(
-            "non-acting tensor factor must be finite dimensional over k"
-        )
+    (pl, pd, pa), (ql, qd, qa) = _diagonal(p), _diagonal(q)
+    if INF in qa:
+        raise ValueError("non-acting tensor factor must be finite dimensional over k")
     # a label is "(" + ql + "@" + e + "." + pl + ")", and e's text is
     # longest at an end of q's range
-    longest = max((len(pl) + 4 for pl, _, _ in dp), default=0) + max(
-        (len(ql) + max(len(str(qd)), len(str(qd + qa - 1))) for ql, qd, qa in dq),
+    longest = max(map(len, pl), default=0) + 4 + max(
+        (len(lab) + max(len(str(d)), len(str(d + a - 1)))
+         for lab, d, a in zip(ql, qd, qa)),
         default=0,
     )
-    _check_label_size(
-        "tensor product over k", len(dp) * sum(qa for _, _, qa in dq) * longest
-    )
-    triples = [
-        (f"({ql}@{e}.{pl})", pd + e, pa)
-        for ql, qd, qa in dq
-        for e in range(qd, qd + qa)
-        for pl, pd, pa in dp
+    _check_label_size("tensor product over k", len(pl) * sum(qa) * longest)
+    slots = [
+        (f"({lab}@{e}.", e) for lab, d, a in zip(ql, qd, qa) for e in range(d, d + a)
     ]
-    return _diagonal_presentation(p.field, triples)
+    labels = [f"{head}{b})" for head, _ in slots for b in pl]
+    degrees = [e + b for _, e in slots for b in pd]
+    return _diagonal_presentation(p.field, labels, degrees, pa * len(slots))
 
 
 def dual(p: Presentation) -> Presentation:
@@ -313,8 +309,10 @@ def dual(p: Presentation) -> Presentation:
     Matlis dual, which sends [a, b) to [-b + 1, -a + 1): it keeps each
     bar's length and negates its birth.
     """
-    triples = [(f"{lab}*", -deg, a) for lab, deg, a in _diagonal(p)]
-    return _diagonal_presentation(p.field, triples)
+    labels, degrees, anns = _diagonal(p)
+    return _diagonal_presentation(
+        p.field, [lab + "*" for lab in labels], [-d for d in degrees], anns
+    )
 
 
 def hom(p: Presentation, q: Presentation) -> Presentation:
@@ -331,22 +329,20 @@ def _power(p: Presentation, m: int, name: str, choose, count, sep: str):
     """
     if m < 1:
         raise ValueError(f"{name} power needs m >= 1")
-    gens = _diagonal(p)
+    labels, degrees, anns = _diagonal(p)
     if m == 1:
-        return _diagonal_presentation(p.field, gens)
+        return _diagonal_presentation(p.field, labels, degrees, anns)
     # a label is "(" + m labels joined by sep + ")", so a power is zero
     # at size 0 and otherwise needs at least m + 1 characters: the limit
     # settles a huge m before itertools allocates m slots
-    longest = max((len(lab) for lab, _, _ in gens), default=0)
-    size = count(len(gens), m) * (m * (longest + 1) + 1)
+    longest = max(map(len, labels), default=0)
+    size = count(len(labels), m) * (m * (longest + 1) + 1)
     if size == 0:
-        return _diagonal_presentation(p.field, [])
+        return _diagonal_presentation(p.field, [], [], [])
     _check_label_size(f"{name} power", size)
-    triples = [
-        ("(" + sep.join(labels) + ")", sum(degrees), min(anns))
-        for labels, degrees, anns in starmap(zip, choose(gens, m))
-    ]
-    return _diagonal_presentation(p.field, triples)
+    labels = ["(" + s + ")" for s in map(sep.join, choose(labels, m))]
+    degrees, anns = [*map(sum, choose(degrees, m))], [*starmap(min, choose(anns, m))]
+    return _diagonal_presentation(p.field, labels, degrees, anns)
 
 
 def exterior_power(p: Presentation, m: int) -> Presentation:

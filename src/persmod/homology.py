@@ -481,7 +481,7 @@ def torsion_homology(tcc: TorsionChainComplex) -> Barcode:
     h, into = kernel(PresentationMorphism(quotient, tcc.chains, tcc.boundary))
     # a kernel column is nonzero, and all its rows share one dimension
     dims = [tcc.dims[next(iter(col))] for col in into.phi.cols]
-    return Barcode(
-        Bar(p, deg, deg + a)
+    return Barcode(  # INF + an int past float range overflows
+        Bar(p, deg, INF if a == INF else deg + a)
         for p, deg, a in zip(dims, h.gens.degrees, _annihilators(h))
     )

@@ -115,31 +115,27 @@ class Presentation:
 
 
 class _Diagonal(Presentation):
-    """A diagonal presentation kept as (label, degree, annihilator)
-    triples; see :func:`persmod.constructions._diagonal_presentation`.
+    """A diagonal presentation kept as the label, degree and annihilator
+    columns of :func:`persmod.constructions._diagonal_presentation`.
 
     The base class's ``incl`` slot stays empty until its first read,
     which ``__getattr__`` serves by building it.  The caller has checked
     the labels, so the build cannot fail.
     """
 
-    __slots__ = ("triples",)
+    __slots__ = ("labels", "degrees", "anns")
 
-    def __init__(self, field, triples):
-        self.field = field
-        self.triples = triples
+    def __init__(self, field, labels, degrees, anns):
+        self.field, self.labels, self.degrees, self.anns = field, labels, degrees, anns
 
     def __getattr__(self, name):
         if name != "incl":
             raise AttributeError(name)
-        gens = GradedBasis([(lab, deg) for lab, deg, _ in self.triples])
-        one = self.field.one
-        rels = []
-        cols = []
-        for n, (_, deg, a) in enumerate(self.triples):
-            if a != INF:
-                rels.append((f"rel{len(cols)}", deg + a))
-                cols.append({n: one})
+        degrees, anns = self.degrees, self.anns
+        finite = [n for n, a in enumerate(anns) if a != INF]
+        rels = [(f"rel{k}", degrees[n] + anns[n]) for k, n in enumerate(finite)]
+        gens = GradedBasis(zip(self.labels, degrees))
+        cols = [{n: self.field.one} for n in finite]
         self.incl = GradedMatrix(self.field, GradedBasis(rels), gens, cols)
         return self.incl
 
@@ -249,9 +245,9 @@ def barcode(p: Presentation) -> Barcode:
 
     Generator i of degree b with annihilator t^a (see
     :func:`_annihilators`) gives the bar [b, b + a), and [b, inf) when
-    it is free.  The bars carry no dimension label.
+    it is free (INF + b overflows past float range).  No dimension label.
     """
     return Barcode(
-        Bar(None, d, d + a) for d, a in zip(p.gens.degrees, _annihilators(p))
+        Bar(None, d, INF if a == INF else d + a)
+        for d, a in zip(p.gens.degrees, _annihilators(p))
     )
-

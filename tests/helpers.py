@@ -334,17 +334,18 @@ def random_presentation(field, rng, max_gens=8, max_degree=10, max_rels=None):
     return Presentation(field, GradedMatrix.from_entries(field, rels, gens, entries))
 
 
-def eager_diagonal_presentation(field, gens_with_ann):
-    """Presentation from (label, degree, annihilator exponent) triples,
-    with its bases and inclusion built at once: one generator per
-    triple and, for a finite annihilator a, the column {n: one} of
-    degree deg + a labeled rel<k>.  The diagonal constructions build
-    the same matrices only when a caller reads them."""
-    gens = GradedBasis([(lab, deg) for lab, deg, _ in gens_with_ann])
+def eager_diagonal_presentation(field, labels, degrees, anns):
+    """Presentation from parallel columns of labels, degrees and
+    annihilator exponents, with its bases and inclusion built at once:
+    one generator per summand and, for a finite annihilator a, the
+    column {n: one} of degree deg + a labeled rel<k>.  The diagonal
+    constructions build the same matrices only when a caller reads
+    them."""
+    gens = GradedBasis(zip(labels, degrees))
     one = field.one
     rels = []
     cols = []
-    for n, (_, deg, a) in enumerate(gens_with_ann):
+    for n, (deg, a) in enumerate(zip(degrees, anns)):
         if a != INF:
             rels.append((f"rel{len(cols)}", deg + a))
             cols.append({n: one})

@@ -218,7 +218,7 @@ def test_criterion_4_hom_module_relations():
     )
     maps = hom(left, right)
     form = snf_form(maps)
-    pairs = [(lab, a) for lab, _, a in form.presentation.triples]
+    pairs = list(zip(form.presentation.labels, form.presentation.anns))
     want = [
         ("(x*.u)", 2), ("(x*.v)", 1), ("(x*.w)", 3),
         ("(y*.u)", 2), ("(y*.v)", 1), ("(y*.w)", 4),
@@ -239,8 +239,7 @@ def test_criterion_5_exterior_power_discrimination():
     results = []
     for p in (crossing, diagonal):
         form = snf_form(exterior_power(p, 2))
-        lab, _, a = form.presentation.triples[0]
-        results.append((lab, a))
+        results.append((form.presentation.labels[0], form.presentation.anns[0]))
     ok = results == [("(x^y)", 3), ("(x^y)", 4)]
     assert report(
         5, ok, f"wedge relations t^{results[0][1]} and t^{results[1][1]}"

@@ -80,6 +80,7 @@ from persmod.cli import (
     parse_morphism,
     parse_presentation,
 )
+from persmod.constructions import _diagonal_presentation
 
 FIG_COMPLEX = """\
 # square closing into two triangles
@@ -259,6 +260,9 @@ class TestParseComplex:
              "line 2: expected 'v0 v1 ... ; birth [; removal]'"),
             ("0 ; 0.5\n1 -2 ; 1.5\n", 1,
              "line 2: vertices must be nonnegative integers"),
+            # no vertices: without the check, vertices[0] would raise an
+            # IndexError that ``run`` does not catch
+            (" ; 0\n", 1, "line 1: vertices must be nonnegative integers"),
             ("0 ; 0.5\n# again\n0 ; 1.5\n", 2,
              "line 3: simplex (0,) listed twice"),
             ("0 ; 0.5\n1 0 ; 1.5\n", 2,
@@ -534,6 +538,12 @@ class TestParsePresentation:
         ("snf", "gen x 0\ngen y 0\ngen z 0\n"
          "rel 1e4000t^1*x + 1e4000t^1*y + 1t^1*z\nrel 1e4000t^2*x + 1t^2*y\n",
          2, "a computed value has more than 4300 digits and cannot be written"),
+        # degrees the reader accepts whose sum, a tensor degree or a
+        # bar's death, has 4,301 digits
+        ("op:tensor", f"gen x {'9' * 4300}\nrel 1t^1*x\n",
+         2, "a computed value has more than 4300 digits and cannot be written"),
+        ("presentation-barcode", f"gen x {'9' * 4300}\nrel 1t^{'9' * 4300}*x\n",
+         2, "a computed value has more than 4300 digits and cannot be written"),
         # the coefficient grammar of Python 3.10's Fraction on every
         # version: no '_' (3.11 reads it) and no blank around '/' (3.12)
         ("presentation-barcode", "gen x 0\nrel 1_000t^1*x\n", 1,
@@ -552,20 +562,30 @@ class TestParsePresentation:
     @pytest.mark.parametrize(
         "command, text, code, message",
         ERROR_LINES,
-        # ids without the exit code, so each row keeps its test name
-        ids=[f"{c}-{t}-{m}" for c, t, _, m in ERROR_LINES],
+        # ids without the exit code, so each row keeps its test name; a
+        # long text is named by its head and length
+        ids=[
+            f"{c}-{t if len(t) < 200 else f'{t[:12]}...({len(t)} chars)'}-{m}"
+            for c, t, _, m in ERROR_LINES
+        ],
     )
     def test_error_lines(self, tmp_path, capsys, command, text, code, message):
+        # "op" reads the input as a morphism and takes its image,
+        # "op:tensor" reads it as a presentation and tensors it with itself
         path = write(tmp_path, "in.txt", text)
+        out = tmp_path / "out.pmod"
         *options, command = command.split()
         argv = [*options, command, path]
         if command == "snf":
             argv.append("--dump")
         if command == "op":
-            argv[-1:] = ["image", path, "-o", str(tmp_path / "out.pmod")]
+            argv[-1:] = ["image", path, "-o", str(out)]
+        if command == "op:tensor":
+            argv[-2:] = ["op", "tensor", path, path, "-o", str(out)]
         started = time.perf_counter()
         assert invoke(argv, capsys) == (code, "", f"error: {message}\n")
         assert time.perf_counter() - started < 2
+        assert not out.exists()
 
     def test_unknown_directive(self):
         with pytest.raises(CliError) as err:
@@ -1084,6 +1104,14 @@ class TestPresentationBarcodeCommand:
         assert code == 0
         assert out == "- 1 4\n- 2 6\n"
 
+    def test_free_bar_born_past_float_range(self, tmp_path, capsys):
+        # INF is not added to, so the int birth is never made a float
+        birth = "1" + "0" * 400
+        path = write(tmp_path, "m.pmod", f"gen x {birth}\n")
+        assert invoke(["presentation-barcode", path], capsys) == (
+            0, f"- {birth} inf\n", ""
+        )
+
     def test_direct_sum_doubles_bars(self, tmp_path, capsys):
         path = write(tmp_path, "m.pmod", TORSION_MODULE)
         out_path = str(tmp_path / "sum.pmod")
@@ -1108,6 +1136,33 @@ class TestSnfCommand:
         p = parse_presentation(FIVE_GEN_MODULE)
         assert parse_presentation(out) == snf_form(p).presentation
         assert barcode(parse_presentation(out)) == barcode(p).without_ephemeral()
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+    def test_equals_first_block_of_dump(self, field, tmp_path, capsys):
+        # without --dump the pairing route writes what --dump writes
+        # before its change maps
+        rng = random.Random(81)
+        for n in range(25):
+            text = format_presentation(random_presentation(field, rng))
+            path = write(tmp_path, f"p{n}.pmod", text)
+            argv = ["--field", repr(field), "snf", path]
+            code, plain, err = invoke(argv, capsys)
+            assert (code, err) == (0, "")
+            code, dumped, _ = invoke([*argv, "--dump"], capsys)
+            assert code == 0
+            assert plain == dumped[: dumped.index("# to_new\n")], f"input {n}"
+
+    def test_without_dump_runs_no_snf(self, tmp_path, capsys, monkeypatch):
+        def refused(*args):
+            raise AssertionError("graded_snf called")
+
+        monkeypatch.setattr(persmod.constructions, "graded_snf", refused)
+        monkeypatch.setattr(persmod.linalg, "graded_snf", refused)
+        path = write(tmp_path, "m.pmod", FIVE_GEN_MODULE)
+        code, out, _ = invoke(["snf", path], capsys)
+        assert code == 0
+        p = parse_presentation(FIVE_GEN_MODULE)
+        assert parse_presentation(out) == exterior_power(p, 1)
 
     def test_dump_prints_change_maps(self, tmp_path, capsys):
         path = write(tmp_path, "m.pmod", FIVE_GEN_MODULE)
@@ -1147,6 +1202,11 @@ class TestRelativeCommand:
             "warning: line 4: face (0,) of simplex (0, 1) is removed at 3, "
             "after (0, 1) at 2.5; "
         )
+
+    def test_free_bar_born_past_float_range(self, tmp_path, capsys):
+        birth = "1" + "0" * 400
+        path = write(tmp_path, "c.flt", f"0 ; {birth}\n")
+        assert invoke(["relative", path], capsys) == (0, f"0 {birth} inf\n", "")
 
     def test_keep_ephemeral(self, tmp_path, capsys):
         path = write(tmp_path, "c.flt", DISSOLVING_COMPLEX)
@@ -1355,8 +1415,8 @@ class TestOpCommand:
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
     def test_diagonal_ops_match_eager_build(self, field, tmp_path, capsys):
-        # the -o bytes equal the matrix writer's text of the same triples
-        # built at once; hom's triples come from the dual's built matrix
+        # the -o bytes equal the matrix writer's text of the same columns
+        # built at once; hom's columns come from the dual's built matrix
         rng = random.Random(67)
         for n in range(6):
             p = random_presentation(field, rng, max_gens=5)
@@ -1377,7 +1437,9 @@ class TestOpCommand:
             p, q, torsion = (parse_presentation(texts[x], field) for x in "pqt")
 
             def eager(x):
-                return eager_diagonal_presentation(field, x.triples)
+                return eager_diagonal_presentation(
+                    field, x.labels, x.degrees, x.anns
+                )
 
             for op, inputs, want in [
                 ("hom", "pq", tensor(eager(dual(p)), q)),
@@ -1606,10 +1668,12 @@ class TestFormatterOracle:
             for k, out in enumerate([p, q, *diagonal]):
                 text = format_presentation(out)
                 if k >= 2:
-                    # written from the triples, before any matrix exists;
+                    # written from the columns, before any matrix exists;
                     # the matrix writer gives the same text
                     assert not incl_built(out)
-                    eager = eager_diagonal_presentation(field, out.triples)
+                    eager = eager_diagonal_presentation(
+                        field, out.labels, out.degrees, out.anns
+                    )
                     assert text == format_presentation(eager)
                 assert text == element_presentation_text(out)
                 cols = out.incl.cols
@@ -1624,6 +1688,19 @@ class TestFormatterOracle:
                 )
                 seen["zero map"] += " -> 0\n" in dumped
         assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize(
+        "degree, ann", [(10**4300, 1), (0, 10**4300)], ids=["degree", "exponent"]
+    )
+    def test_value_past_digit_limit_on_the_column_path(self, degree, ann):
+        d = _diagonal_presentation(QQ, ["x"], [degree], [ann])
+        with pytest.raises(ValueError) as err:
+            format_presentation(d)
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == (
+            f"a computed value has more than {limit} digits and cannot be written"
+        )
+        assert not incl_built(d)
 
     def test_unreadable_label_on_the_triple_path(self):
         d = dual(Presentation.free(QQ, [("a b", 0)]))
